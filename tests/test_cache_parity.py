@@ -10,17 +10,19 @@ iterator (laziness + equality with the eager form) and the segment
 chunking path.
 """
 
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from repro.baselines.configs import run_config
 from repro.buffers.brrip import BrripPolicy
 from repro.buffers.cache import SetAssociativeCache, supports_vector
 from repro.buffers.lru import LruPolicy
 from repro.buffers.srrip import SrripPolicy
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import MIB, AcceleratorConfig
 from repro.sim.address_map import AddressMap
 from repro.sim.engine import CacheEngine
 from repro.sim.trace import (
@@ -32,6 +34,7 @@ from repro.sim.trace import (
 )
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.matrices import FV1
+from repro.workloads.registry import resolve_workload
 
 POLICIES = {
     "lru": LruPolicy,
@@ -243,6 +246,72 @@ class TestEngineParity:
             assert vec.dram_read_bytes == ref.dram_read_bytes
             assert vec.dram_write_bytes == ref.dram_write_bytes
             assert vec.onchip_accesses == ref.onchip_accesses
+
+
+#: Golden regression corpus for the cache baselines: (workload, config,
+#: SRAM bytes) -> exact DRAM (read, write) bytes of ``run_config`` at the
+#: default granularity.  The fv1/N=1 solver traces fit every size here
+#: (no eviction ever happens), gnn/cora overflows them, and cg at 1 MiB
+#: overflows too — so both the eviction-free and the evicting kernel
+#: paths are pinned on real traces, not just on the random parity ones.
+_FIT_SIZES = tuple(4 * MIB + 512 * k for k in (-1024, 37, 1023))
+GOLDEN_CACHE_TRAFFIC = (
+    ("cg/fv1/N=1", "Flex+LRU", _FIT_SIZES[0], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[0], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[0], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+LRU", _FIT_SIZES[1], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[1], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[1], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+LRU", _FIT_SIZES[2], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[2], 2373088, 1537280),
+    ("cg/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[2], 2373088, 1537280),
+    ("bicgstab/fv1/N=1", "Flex+LRU", _FIT_SIZES[0], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[0], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[0], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+LRU", _FIT_SIZES[1], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[1], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[1], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+LRU", _FIT_SIZES[2], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[2], 3218064, 2305440),
+    ("bicgstab/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[2], 3218064, 2305440),
+    ("mg/fv1/N=1", "Flex+LRU", _FIT_SIZES[0], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[0], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[0], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+LRU", _FIT_SIZES[1], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[1], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[1], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+LRU", _FIT_SIZES[2], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+BRRIP", _FIT_SIZES[2], 2178144, 998912),
+    ("mg/fv1/N=1", "Flex+SRRIP", _FIT_SIZES[2], 2178144, 998912),
+    ("gnn/cora", "Flex+LRU", _FIT_SIZES[0], 46769280, 15598080),
+    ("gnn/cora", "Flex+BRRIP", _FIT_SIZES[0], 45033472, 15598080),
+    ("gnn/cora", "Flex+SRRIP", _FIT_SIZES[0], 46769280, 15598080),
+    ("gnn/cora", "Flex+LRU", _FIT_SIZES[1], 46769280, 15598080),
+    ("gnn/cora", "Flex+BRRIP", _FIT_SIZES[1], 44887920, 15598080),
+    ("gnn/cora", "Flex+SRRIP", _FIT_SIZES[1], 46769280, 15598080),
+    ("gnn/cora", "Flex+LRU", _FIT_SIZES[2], 46769280, 15598080),
+    ("gnn/cora", "Flex+BRRIP", _FIT_SIZES[2], 44728640, 15598080),
+    ("gnn/cora", "Flex+SRRIP", _FIT_SIZES[2], 46769280, 15598080),
+    ("cg/fv1/N=1", "Flex+LRU", 1 * MIB, 3578496, 1537280),
+    ("cg/fv1/N=1", "Flex+BRRIP", 1 * MIB, 3542576, 1537280),
+    ("cg/fv1/N=1", "Flex+SRRIP", 1 * MIB, 5180976, 1537280),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_dag(name):
+    return resolve_workload(name).build()
+
+
+class TestGoldenCacheTraffic:
+    @pytest.mark.parametrize("name,config,sram,read,write",
+                             GOLDEN_CACHE_TRAFFIC)
+    def test_cache_baseline_matches_golden(self, name, config, sram, read,
+                                           write):
+        result = run_config(config, _golden_dag(name),
+                            AcceleratorConfig(sram_bytes=sram))
+        assert (result.dram_read_bytes, result.dram_write_bytes) \
+            == (read, write)
 
 
 class TestStreamingTrace:
