@@ -10,13 +10,20 @@ preserves streaming/capacity behaviour (validated in tests).
 Two backends produce byte-identical :class:`BufferStats`:
 
 ``vector`` (default when the policy supports it)
-    Array-state simulation.  Accesses are resolved in *conflict-free
-    batches* — maximal contiguous runs of the trace in which every set
-    index appears at most once — so hit detection, victim choice, fills
-    and writeback accounting are whole-batch numpy ops instead of a
-    Python loop with an ``np.nonzero`` per access.  Within a batch the
-    per-set states cannot interact, and batches are processed in trace
-    order, so the result is exactly the sequential simulation.
+    Array-state simulation.  Each chunk of the trace first tries the
+    *eviction-free* closed form: when every set's valid ways plus the
+    chunk's distinct non-resident blocks in it fit the associativity, no
+    access can evict, so misses are the distinct new blocks and the
+    policy only sees one fill per new block and one hit per re-touched
+    line.  Deciding that costs O(chunk + cache lines) — a presence mask
+    and a per-set count, no sort — so chunks that overflow fall through
+    almost for free.  Those are resolved in *conflict-free batches* —
+    maximal contiguous runs of the trace in which every set index
+    appears at most once — so hit detection, victim choice, fills and
+    writeback accounting are whole-batch numpy ops instead of a Python
+    loop with an ``np.nonzero`` per access.  Within a batch the per-set
+    states cannot interact, and batches are processed in trace order,
+    so the result is exactly the sequential simulation.
 
 ``reference``
     The original scalar per-access loop over per-set policy objects, kept
@@ -67,10 +74,21 @@ class ReplacementPolicy(Protocol):
 class VectorReplacementPolicy(Protocol):
     """Array-state replacement protocol for the vectorized backend.
 
-    ``rows`` are set indices (unique within one call), ``ways`` the
-    matching way indices, ``times`` the global access order positions
-    (strictly increasing).  ``vec_on_fill`` receives fills in trace order —
-    policies with global counters (BRRIP's bimodal throttle) rely on it.
+    ``rows`` are set indices, ``ways`` the matching way indices, ``times``
+    the global access order positions (strictly increasing).  Two rules
+    hold for every ``vec_on_hit`` / ``vec_on_fill`` call:
+
+    * a row may repeat, but each (row, way) pair appears at most once —
+      the eviction-free closed form fills and hits several ways of one
+      set in one call, so each pair must be an independent update;
+    * ``vec_on_hit`` sees each line once, at its *last* hit time — a line
+      hit k times in a chunk arrives as one entry, so the hook must give
+      the same state as those k hits in order (LRU recency and RRIP hit
+      promotion do; a hit-frequency counter would not).
+
+    ``vec_choose_victims`` rows are unique within one call.
+    ``vec_on_fill`` receives fills in trace order — policies with global
+    counters (BRRIP's bimodal throttle) rely on it.
     """
 
     def make_vector_state(self, n_sets: int, assoc: int) -> object: ...
@@ -285,9 +303,114 @@ class SetAssociativeCache:
                                     times[miss_mask])
         return hit_mask
 
+    def _resolve_eviction_free(self, blocks: np.ndarray,
+                               writes: np.ndarray) -> bool:
+        """Resolve a whole chunk in closed form if it cannot evict.
+
+        The chunk fits when every set's valid ways plus its distinct
+        non-resident blocks number at most ``assoc`` (valid ways are a
+        prefix: fills take the first invalid way and nothing invalidates a
+        line).  Then every miss is compulsory and the replacement policy
+        is never asked for a victim, so the chunk's effect is a function
+        of each block's first and last touch:
+
+        * misses are the distinct non-resident blocks, hits the rest;
+        * new blocks fill their set's free ways in order of first touch,
+          through one ``vec_on_fill`` in trace order (BRRIP's global
+          counter sees the sequential fill order);
+        * every re-touched line gets one ``vec_on_hit`` at its last touch;
+        * dirty bits OR in the block's writes.
+
+        Returns ``False``, having changed nothing, when the chunk does not
+        fit.  That verdict costs O(chunk + cache lines) — a presence mask
+        and a per-set count, no sort — so overflowing traces pay almost
+        nothing before falling through to the batch kernel.
+        """
+        n = blocks.shape[0]
+        n_sets, assoc = self.n_sets, self.assoc
+        lines = n_sets * assoc
+        lo = int(blocks.min())
+        span = int(blocks.max()) - lo + 1
+        # The work arrays below are span-sized, so bound them by the
+        # cache.  Fitting chunks of real traces span under one cache's
+        # worth of lines; wider ones overflow and are rejected in O(n).
+        if span > 2 * lines:
+            return False
+        offs = blocks - lo
+        seen = np.zeros(span, dtype=bool)
+        seen[offs] = True
+        if np.count_nonzero(seen) > lines:
+            return False
+        distinct = np.flatnonzero(seen)
+        d_blocks = distinct + lo
+        d_sets = d_blocks % n_sets
+        # Necessary whatever is resident; cheaper than the tag compare.
+        if np.bincount(d_sets, minlength=n_sets).max() > assoc:
+            return False
+        # Residency: only blocks of sets that hold a valid way can hit.
+        valid = np.count_nonzero(self._tags != -1, axis=1)
+        resident = np.zeros(distinct.size, dtype=bool)
+        occupied = np.flatnonzero(valid[d_sets])
+        hit_mat = (self._tags[d_sets[occupied]]
+                   == (d_blocks[occupied] // n_sets)[:, None])
+        occupied_hit = hit_mat.any(axis=1)
+        resident[occupied[occupied_hit]] = True
+        new_per_set = np.bincount(d_sets[~resident], minlength=n_sets)
+        if (valid + new_per_set).max() > assoc:
+            return False
+
+        pos = np.arange(n, dtype=np.int64)
+        first = np.full(span, n, dtype=np.int64)
+        np.minimum.at(first, offs, pos)
+        last = np.full(span, -1, dtype=np.int64)
+        np.maximum.at(last, offs, pos)
+        dirty = np.zeros(span, dtype=bool)
+        dirty[offs[writes]] = True
+        way = np.empty(span, dtype=np.int64)
+        r_offs = distinct[resident]
+        way[r_offs] = hit_mat[occupied_hit].argmax(axis=1)
+
+        # Fills, in trace order of first touch: each set's new blocks take
+        # its free ways in turn, after the valid prefix.
+        is_first = np.zeros(n, dtype=bool)
+        is_first[first[distinct[~resident]]] = True
+        f_pos = np.flatnonzero(is_first)
+        f_blocks = blocks[f_pos]
+        f_sets = f_blocks % n_sets
+        order = np.argsort(f_sets, kind="stable")
+        first_free = valid - (np.cumsum(new_per_set) - new_per_set)
+        f_ways = np.empty_like(order)
+        f_ways[order] = first_free[f_sets[order]] + np.arange(order.size)
+        f_offs = f_blocks - lo
+        way[f_offs] = f_ways
+        self._tags[f_sets, f_ways] = f_blocks // n_sets
+        self._dirty[f_sets, f_ways] = dirty[f_offs]
+        self.policy.vec_on_fill(self._vstate, f_sets, f_ways,
+                                self._tick + f_pos)
+
+        # Hits: one per re-touched line (resident, or filled and touched
+        # again), at its last touch, in trace order.
+        self._dirty[d_sets[resident], way[r_offs]] |= dirty[r_offs]
+        retouched = resident | (last[distinct] != first[distinct])
+        is_last = np.zeros(n, dtype=bool)
+        is_last[last[distinct[retouched]]] = True
+        h_pos = np.flatnonzero(is_last)
+        h_blocks = blocks[h_pos]
+        self.policy.vec_on_hit(self._vstate, h_blocks % n_sets,
+                               way[h_blocks - lo], self._tick + h_pos)
+
+        n_miss = f_pos.size
+        self._tick += n
+        self.stats.accesses += n
+        self.stats.hits += n - n_miss
+        self.stats.misses += n_miss
+        self.stats.dram_read_bytes += n_miss * self.line_bytes
+        return True
+
     def _simulate_blocks(self, blocks: np.ndarray, writes: np.ndarray) -> None:
-        """Simulate an in-order block stream, splitting it into conflict-free
-        batches.
+        """Simulate an in-order block stream: in closed form when the chunk
+        cannot evict (:meth:`_resolve_eviction_free`), else in
+        conflict-free batches.
 
         Batch boundaries come from a suffix-minimum over the next-occurrence
         index of each access's set: for a batch starting at ``s``, the first
@@ -297,7 +420,7 @@ class SetAssociativeCache:
         of quadratically.
         """
         n = blocks.shape[0]
-        if n == 0:
+        if n == 0 or self._resolve_eviction_free(blocks, writes):
             return
         sets = blocks % self.n_sets
         order = np.argsort(sets, kind="stable")
@@ -395,10 +518,9 @@ class SetAssociativeCache:
         f = np.asarray(firsts, dtype=np.int64)
         c = np.asarray(counts, dtype=np.int64)
         w = np.asarray(writes, dtype=bool)
-        total = int(c.sum())
-        seg_starts = np.cumsum(c) - c
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, c)
-        blocks = np.repeat(f, c) + offsets
+        # Block i of the chunk is i plus its segment's (first - start).
+        blocks = np.repeat(f - (np.cumsum(c) - c), c)
+        blocks += np.arange(blocks.shape[0], dtype=np.int64)
         self._simulate_blocks(blocks, np.repeat(w, c))
 
     def flush(self) -> None:

@@ -1,11 +1,13 @@
 """Golden-parity suite: the vectorized cache backend must be byte-identical
 to the scalar reference backend.
 
-The vector backend resolves accesses in conflict-free batches; these tests
-pit it against the original per-access scalar loop on randomized and
-adversarial traces (same-set conflict storms, write-allocate mixes,
-flushes) for every policy, requiring exact :class:`BufferStats` equality
-and identical final tag/dirty state.  Also covers the streaming trace
+The vector backend resolves chunks that cannot evict in closed form and
+the rest in conflict-free batches; these tests pit it against the
+original per-access scalar loop on randomized and adversarial traces
+(same-set conflict storms, write-allocate mixes, flushes, closed-form
+hand-offs) for every policy, requiring exact :class:`BufferStats`
+equality and identical final tag/dirty state.  Golden DRAM bytes pin the
+cache baselines on real traces.  Also covers the streaming trace
 iterator (laziness + equality with the eager form) and the segment
 chunking path.
 """
@@ -194,6 +196,204 @@ class TestAdversarialParity:
         replay_segments(vec, segments)
         assert_identical(ref, vec)
         assert vec.stats.accesses == 3
+
+
+def spy_closed_form(cache):
+    """Record the verdict of every eviction-free attempt on ``cache``."""
+    verdicts = []
+    inner = cache._resolve_eviction_free
+
+    def spy(blocks, writes):
+        verdicts.append(inner(blocks, writes))
+        return verdicts[-1]
+
+    cache._resolve_eviction_free = spy
+    return verdicts
+
+
+def batch_only(policy_name, capacity=4096, line=16, assoc=4):
+    """A vector cache with the closed form disabled: the batch kernel's
+    policy matrices are the oracle for the closed form's."""
+    cache = SetAssociativeCache(capacity, line, assoc,
+                                POLICIES[policy_name](), backend="vector")
+    cache._resolve_eviction_free = lambda blocks, writes: False
+    return cache
+
+
+def assert_same_policy_state(vec, batched):
+    assert vec._tick == batched._tick
+    for name, matrix in vars(vec._vstate).items():
+        np.testing.assert_array_equal(matrix, getattr(batched._vstate, name))
+
+
+def block_segments(blocks, is_write, line=16):
+    return [StreamSegment("T", b * line, line, is_write) for b in blocks]
+
+
+class TestEvictionFreeParity:
+    """The closed form that resolves chunks which cannot evict, and its
+    hand-off to and from the batch kernel, against the scalar reference."""
+
+    # 64 sets x 4 ways of 16 B lines.
+    GEOMETRY = dict(capacity=4096, line=16, assoc=4)
+
+    def handoff_segments(self):
+        """Fitting chunks (a warm-up and dirty re-touches), a sweep 4x the
+        capacity that overflows, then re-reads of the sweep's tail, which
+        is resident again and so fits."""
+        return (block_segments(range(100), False)
+                + block_segments(range(50, 150), True)
+                + block_segments(range(200), False)
+                + block_segments(range(1024), False)
+                + block_segments(range(960, 1024), True)
+                + block_segments(range(992, 1024), False))
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_fitting_chunks_hand_off_to_the_batch_kernel(self, policy):
+        ref, vec = pair(policy, **self.GEOMETRY)
+        batched = batch_only(policy, **self.GEOMETRY)
+        verdicts = spy_closed_form(vec)
+        segments = self.handoff_segments()
+        replay_segments(ref, segments)
+        replay_segments(vec, segments, chunk_accesses=64)
+        replay_segments(batched, segments, chunk_accesses=64)
+        assert_identical(ref, vec)
+        # Closed form first, then the batch kernel, then closed form again.
+        assert verdicts[0] and not all(verdicts)
+        assert verdicts[-1]
+        # The policy matrices and the clock match the batch kernel's too.
+        assert_same_policy_state(vec, batched)
+        ref.flush()
+        vec.flush()
+        assert vec.stats.as_dict() == ref.stats.as_dict()
+
+    def test_brrip_throttle_survives_the_handoff(self):
+        ref = SetAssociativeCache(4096, 16, 4, BrripPolicy(bimodal_throttle=8),
+                                  backend="reference")
+        vec = SetAssociativeCache(4096, 16, 4, BrripPolicy(bimodal_throttle=8),
+                                  backend="vector")
+        verdicts = spy_closed_form(vec)
+        # 7 fills per fitting chunk: the long insertions land mid-chunk.
+        segments = self.handoff_segments()
+        replay_segments(ref, segments)
+        replay_segments(vec, segments, chunk_accesses=7)
+        assert True in verdicts and False in verdicts
+        assert_identical(ref, vec)
+        assert vec.policy._fill_counter == ref.policy._fill_counter
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_resident_dirty_lines_retouched(self, policy):
+        """A fitting chunk re-reads dirty lines (they stay dirty), writes
+        clean resident ones (they turn dirty) and fills new ones."""
+        ref, vec = pair(policy, **self.GEOMETRY)
+        verdicts = spy_closed_form(vec)
+        segments = (block_segments(range(32), True)
+                    + block_segments(range(32, 64), False)
+                    + block_segments(range(64), False)
+                    + block_segments(range(48, 80), True))
+        replay_segments(ref, segments)
+        replay_segments(vec, segments[:64])
+        replay_segments(vec, segments[64:])
+        assert verdicts == [True, True]
+        assert_identical(ref, vec)
+        assert vec._dirty.sum() == 64
+        ref.flush()
+        vec.flush()
+        assert vec.stats.as_dict() == ref.stats.as_dict()
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    @pytest.mark.parametrize("n_resident", [0, 2])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_set_at_assoc_fits_and_assoc_plus_one_does_not(
+            self, policy, n_resident, extra):
+        """Set 0 ends the chunk holding ``assoc + extra`` lines: its
+        resident ones plus the chunk's new blocks.  With resident lines
+        the chunk's own distinct count stays within ``assoc``, so only
+        the residency check can reject it."""
+        ref, vec = pair(policy, capacity=1024, line=16, assoc=4)  # 16 sets
+        batched = batch_only(policy, capacity=1024, line=16, assoc=4)
+        for i in range(n_resident):
+            for cache in (ref, vec, batched):
+                cache.access_line(16 * i, True)
+        verdicts = spy_closed_form(vec)
+        new = [16 * i for i in range(n_resident, 4 + extra)]
+        trace = (new + [1, 17] + new[::-1]) * 2
+        writes = [i % 3 == 0 for i in range(len(trace))]
+        for b, w in zip(trace, writes):
+            ref.access_line(b, w)
+        for cache in (vec, batched):
+            cache._simulate_blocks(np.array(trace, dtype=np.int64),
+                                   np.array(writes, dtype=bool))
+        assert verdicts == [extra == 0]
+        assert_identical(ref, vec)
+        # Re-touched new lines end at their last touch (LRU) or promoted
+        # (RRIP), exactly as the batch kernel leaves them.
+        assert_same_policy_state(vec, batched)
+
+
+class TestVectorPolicyContract:
+    """Every built-in policy honours the two rules the closed form relies
+    on (see ``VectorReplacementPolicy``)."""
+
+    @staticmethod
+    def state_of(policy, state):
+        snapshot = {k: v.copy() for k, v in vars(state).items()}
+        snapshot["fill_counter"] = getattr(policy, "_fill_counter", None)
+        return snapshot
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.keys() == b.keys()
+        for k in a:
+            np.testing.assert_array_equal(a[k], b[k])
+
+    @staticmethod
+    def arr(values):
+        return np.array(values, dtype=np.int64)
+
+    @pytest.mark.parametrize("policy_name", list(POLICIES))
+    def test_repeated_rows_equal_one_pair_at_a_time(self, policy_name):
+        rows = self.arr([0, 0, 1, 0, 2, 1, 0, 3, 3, 2, 1, 2])
+        ways = self.arr([0, 1, 0, 2, 0, 1, 3, 0, 1, 1, 2, 2])
+        times = np.arange(rows.size, dtype=np.int64)
+        hit_rows, hit_ways = rows[::2], ways[::2]
+        hit_times = rows.size + np.arange(hit_rows.size, dtype=np.int64)
+        # A throttle of 4 puts three long insertions among the 12 fills.
+        make = POLICIES[policy_name]
+        if policy_name == "brrip":
+            make = functools.partial(BrripPolicy, bimodal_throttle=4)
+        batched, single = make(), make()
+        b_state = batched.make_vector_state(4, 4)
+        s_state = single.make_vector_state(4, 4)
+        batched.vec_on_fill(b_state, rows, ways, times)
+        batched.vec_on_hit(b_state, hit_rows, hit_ways, hit_times)
+        for i in range(rows.size):
+            single.vec_on_fill(s_state, rows[i:i + 1], ways[i:i + 1],
+                               times[i:i + 1])
+        for i in range(hit_rows.size):
+            single.vec_on_hit(s_state, hit_rows[i:i + 1], hit_ways[i:i + 1],
+                              hit_times[i:i + 1])
+        self.assert_same(self.state_of(batched, b_state),
+                         self.state_of(single, s_state))
+
+    @pytest.mark.parametrize("policy_name", list(POLICIES))
+    def test_one_hit_at_the_last_time_equals_every_hit(self, policy_name):
+        policy = POLICIES[policy_name]()
+        every = policy.make_vector_state(2, 4)
+        last = policy.make_vector_state(2, 4)
+        # Line (0, 1) is hit three times, (1, 2) twice, (0, 3) once.
+        hits = [(0, 1, 5), (1, 2, 6), (0, 1, 7), (0, 3, 8), (1, 2, 9),
+                (0, 1, 10)]
+        for row, way, t in hits:
+            policy.vec_on_hit(every, self.arr([row]), self.arr([way]),
+                              self.arr([t]))
+        last_hit = {(row, way): t for row, way, t in hits}
+        ordered = sorted(last_hit.items(), key=lambda item: item[1])
+        policy.vec_on_hit(last, self.arr([rw[0] for rw, _ in ordered]),
+                          self.arr([rw[1] for rw, _ in ordered]),
+                          self.arr([t for _, t in ordered]))
+        self.assert_same(self.state_of(policy, every),
+                         self.state_of(policy, last))
 
 
 class TestBackendSelection:

@@ -173,6 +173,17 @@ class TestBenchGate:
         assert entry["batch_points"] >= 100_000
 
 
+    def test_committed_baseline_carries_the_real_trace_rungs(self):
+        from repro.analysis.kernel_bench import REAL_TRACE_RUNGS
+
+        baseline = json.loads(
+            (REPO_ROOT / "BENCH_kernels.json").read_text())
+        for key in REAL_TRACE_RUNGS:
+            entry = baseline["results"][key]
+            assert entry["accesses"] == 786_590  # cg/fv1/N=1 at 4 MiB
+            assert entry["accesses_per_s"] > 0
+
+
 class TestAnalyticBench:
     def test_bench_analytic_eval_measures_both_paths(self):
         from repro.analysis.kernel_bench import bench_analytic_eval
