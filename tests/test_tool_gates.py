@@ -224,15 +224,19 @@ class TestBenchTrend:
     10x factor cannot provide."""
 
     @staticmethod
-    def _report(rate):
-        return {"results": {"kernel": {"ops_per_s": rate,
-                                       "seconds": 1.0}}}
+    def _report(rate, platform=None):
+        report = {"results": {"kernel": {"ops_per_s": rate,
+                                         "seconds": 1.0}}}
+        if platform is not None:
+            report["platform"] = platform
+        return report
 
-    def _files(self, tmp_path, rates):
+    def _files(self, tmp_path, rates, platforms=None):
         paths = []
         for i, rate in enumerate(rates):
+            platform = platforms[i] if platforms else None
             path = tmp_path / f"bench_{i}.json"
-            path.write_text(json.dumps(self._report(rate)))
+            path.write_text(json.dumps(self._report(rate, platform)))
             paths.append(str(path))
         return paths
 
@@ -266,6 +270,22 @@ class TestBenchTrend:
         files = self._files(tmp_path, [100.0, 50.0])  # huge drop, n=2
         assert bt.main(["--files", *files]) == 0
         assert "insufficient history" in capsys.readouterr().out
+
+    def test_only_the_newest_platform_is_fitted(self, tmp_path, capsys):
+        bt = _tool("bench_trend")
+        # A snapshot from a host half as fast is not drift: fitted alone
+        # it is too short a history to judge.
+        files = self._files(tmp_path, [100.0, 100.0, 100.0, 50.0],
+                            ["fast", "fast", "fast", "slow"])
+        assert bt.main(["--files", *files]) == 0
+        out = capsys.readouterr().out
+        assert "insufficient history" in out
+        assert "3 from other platforms skipped" in out
+        # Nor does a slow snapshot in between hide drift on the fast host.
+        files = self._files(tmp_path, [100.0, 50.0, 80.0, 64.0],
+                            ["fast", "slow", "fast", "fast"])
+        assert bt.main(["--files", *files]) == 1
+        assert "kernel.ops_per_s" in capsys.readouterr().err
 
     def test_window_ignores_ancient_decline(self, tmp_path):
         bt = _tool("bench_trend")

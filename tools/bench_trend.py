@@ -25,9 +25,13 @@ History sources (newest last):
 ``--fresh PATH`` appends an uncommitted report as the newest snapshot,
 so CI can ask "would merging this run tip any metric into decline?".
 
-Fewer than ``--min-points`` snapshots is a pass ("insufficient
-history"), not a failure: young repos and newly-added benches must not
-brick the gate.
+Only snapshots taken on the newest snapshot's ``platform`` are fitted:
+rates from a different host differ by its speed, not by the code, and
+a slower host would read as drift on every untouched bench.
+
+Fewer than ``--min-points`` such snapshots is a pass ("insufficient
+history"), not a failure: young repos, newly-added benches and a new
+host must not brick the gate.
 
 Usage::
 
@@ -88,6 +92,17 @@ def git_history_reports(path: str, limit: int) -> List[Dict]:
         if isinstance(data.get("results"), dict):
             reports.append(data)
     return reports
+
+
+def same_platform(reports: Sequence[Dict]) -> List[Dict]:
+    """The snapshots taken on the newest one's ``platform``, in order.
+
+    A report without the field matches only others without it.
+    """
+    if not reports:
+        return []
+    newest = reports[-1].get("platform")
+    return [r for r in reports if r.get("platform") == newest]
 
 
 def rate_series(reports: Sequence[Dict]) -> Dict[str, List[float]]:
@@ -182,10 +197,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         reports = git_history_reports(args.baseline, args.from_git)
     if args.fresh is not None:
         reports.append(load_report(args.fresh))
+    skipped = len(reports)
+    reports = same_platform(reports)
+    skipped -= len(reports)
+    note = f", {skipped} from other platforms skipped" if skipped else ""
 
     if len(reports) < args.min_points:
         print(f"bench trend: insufficient history ({len(reports)} "
-              f"snapshot(s), need {args.min_points}); nothing to judge")
+              f"snapshot(s){note}, need {args.min_points}); "
+              "nothing to judge")
         return 0
 
     problems, checked = detect_regressions(
@@ -200,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print(f"bench trend ok ({checked} rate metric(s) within "
           f"{args.max_decline_pct:g}%/snapshot over {len(reports)} "
-          "snapshot(s))")
+          f"snapshot(s){note})")
     return 0
 
 
