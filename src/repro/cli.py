@@ -535,9 +535,10 @@ def _serve_main(argv: List[str]) -> int:
         help="bounded simulation-queue depth (backpressure; default 1024)",
     )
     parser.add_argument(
-        "--batch-window-ms", type=float, default=20.0, metavar="MS",
-        help="how long the dispatcher waits to batch concurrent clients' "
-             "points together (default 20)",
+        "--batch-window-ms", type=float, default=0.0, metavar="MS",
+        help="how long the dispatcher holds a batch open for more points "
+             "before running it (default 0: points queued while a batch "
+             "runs share the next one)",
     )
     parser.add_argument(
         "--client-quota", type=int, default=None, metavar="N",

@@ -18,9 +18,11 @@ threads) and independent processes sharing one cache directory (several
 CLI invocations, or a CLI run racing a daemon).  Every append is a
 single ``O_APPEND`` ``write(2)`` of one complete line, so lines from
 concurrent writers interleave whole, never torn; racing writers may
-duplicate a key, which :meth:`ResultStore._load` resolves
+duplicate a key, which :meth:`ResultStore.reload` resolves
 first-record-wins (simulations are deterministic, so duplicates carry
 identical results — the rule only pins which byte range is live).
+Another writer's records become visible on :meth:`ResultStore.reload`,
+which decodes only what was appended since the previous scan.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ class ResultStore:
     The whole file is loaded into memory on open (records are tiny), gets
     are served from the in-memory index, and puts append one line — so a
     store survives crashes at any point with at most the in-flight record
-    lost.  ``hits``/``misses``/``simulations`` count this process's
-    activity; :meth:`save_stats` persists them for ``repro cache stat``.
+    lost.  :meth:`reload` picks up other writers' appends.
+    ``hits``/``misses``/``simulations`` count this process's activity;
+    :meth:`save_stats` persists them for ``repro cache stat``.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
@@ -103,10 +106,16 @@ class ResultStore:
         self.corrupt = 0        # records skipped on load (not valid JSON)
         self._warned_corrupt = 0
         self._index: Dict[str, SimResult] = {}
+        #: Indexed keys whose record has not been scanned in the current
+        #: file, mapped to the hash of the line this store appended for
+        #: them (None: memory-only).
+        self._unsynced: Dict[str, Optional[int]] = {}
+        self._offset = 0                 # bytes of the file scanned so far
+        self._tail = b""                 # the last line scanned
+        self._ident: Optional[Tuple[int, int]] = None  # (st_dev, st_ino)
         self._write_failed = False
         self._lock = threading.RLock()
-        with self._lock:
-            self._load()
+        self.reload()
 
     # -- keys ------------------------------------------------------------------
 
@@ -117,48 +126,92 @@ class ResultStore:
 
     # -- persistence -----------------------------------------------------------
 
-    def _load(self) -> None:
-        """Initial scan of the on-disk file (caller holds the lock)."""
-        self.stale, self.duplicates, self.corrupt = \
-            self._scan_into(self._index)
-        self._warn_corrupt()
+    def reload(self) -> int:
+        """Fold in the records appended since the last scan; returns how
+        many new keys appeared.  The initial load is the same scan from
+        offset 0.
 
-    def _scan_into(self, index: Dict[str, SimResult]
-                   ) -> Tuple[int, int, int]:
-        """Scan the file into ``index``; returns (stale, duplicates,
-        corrupt).
+        The store remembers the byte offset and identity (``st_dev``,
+        ``st_ino``) of the file it last scanned, plus the last line it
+        consumed, and decodes only the complete lines appended since:
+        O(appended), not O(file).  An unterminated final line (a writer
+        mid-append, or a torn fragment that the next writer's newline
+        will seal) is left for the next pass.  When the file shrank or
+        was replaced (another identity, or the consumed line no longer
+        ends at the offset, as after an unlink that freed the inode for
+        reuse), the scan restarts at offset 0.
 
-        Duplicate keys — concurrent writers racing the same point — keep
-        the **first** record; later copies only count.  Undecodable
-        lines are skipped but *counted*: exactly one torn final line is
-        expected after an interrupted writer, so a growing corrupt count
-        is a store-health signal (bad disk, truncation, foreign writer),
-        not routine noise.
+        The outcome is what a fresh open would see: the **first** record
+        of a key on disk wins, and ``stale``/``duplicates``/``corrupt``
+        count the current file.  Undecodable lines are counted because
+        one torn line is expected after an interrupted writer, so a
+        growing count is a store-health signal (bad disk, foreign
+        writer), not routine noise.  In-memory entries that are not on
+        disk (an unwritable store, or a file another process cleared)
+        are kept on top.  This store's own appends are recognised by
+        their bytes and never decoded again.
         """
-        stale = duplicates = corrupt = 0
+        with self._lock:
+            before = len(self._index)
+            try:
+                with self.path.open("rb") as fh:
+                    st = os.fstat(fh.fileno())
+                    ident = (st.st_dev, st.st_ino)
+                    fh.seek(self._offset - len(self._tail))
+                    data = fh.read()
+                    if ident == self._ident and data.startswith(self._tail):
+                        data = data[len(self._tail):]
+                    elif self._ident is not None:
+                        self._rewind()
+                        fh.seek(0)
+                        data = fh.read()
+            except OSError:
+                # Missing or unreadable: behave as empty.
+                ident, data = None, b""
+                if self._ident is not None:
+                    self._rewind()
+            end = data.rfind(b"\n") + 1
+            for line in data[:end].split(b"\n"):
+                self._fold(line)
+            if end:
+                self._offset += end
+                self._tail = data[data.rfind(b"\n", 0, end - 1) + 1:end]
+            self._ident = ident
+            self._warn_corrupt()
+            return len(self._index) - before
+
+    def _rewind(self) -> None:
+        """Forget the scanned file (caller holds the lock): the next scan
+        starts at offset 0, and every indexed key is memory-only until
+        its record shows up again."""
+        self._offset, self._tail, self._ident = 0, b"", None
+        self.stale = self.duplicates = self.corrupt = 0
+        self._unsynced = {ks: self._unsynced.get(ks) for ks in self._index}
+
+    def _fold(self, line: bytes) -> None:
+        """Fold one complete line into the index (caller holds the lock)."""
+        line = line.strip()
+        if not line:
+            return
         try:
-            fh = self.path.open("r", encoding="utf-8")
-        except OSError:
-            return 0, 0, 0  # missing or unreadable: behave as empty
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    corrupt += 1
-                    continue
-                if record.get("v") != self.schema_version:
-                    stale += 1
-                    continue
-                ks = self.key_str(record["key"])
-                if ks in index:
-                    duplicates += 1
-                    continue
-                index[ks] = SimResult.from_dict(record["result"])
-        return stale, duplicates, corrupt
+            record = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            self.corrupt += 1
+            return
+        if record.get("v") != self.schema_version:
+            self.stale += 1
+            return
+        ks = self.key_str(record["key"])
+        if ks in self._index:
+            if ks not in self._unsynced:
+                self.duplicates += 1
+                return
+            if self._unsynced[ks] == hash(line):
+                # This store's own append, first on disk: already indexed.
+                del self._unsynced[ks]
+                return
+        self._unsynced.pop(ks, None)
+        self._index[ks] = SimResult.from_dict(record["result"])
 
     def _warn_corrupt(self) -> None:
         """Warn (once per growth) when undecodable records accumulate."""
@@ -167,28 +220,6 @@ class ResultStore:
                   "corrupt (undecodable) record(s); intact records were "
                   "kept", file=sys.stderr)
             self._warned_corrupt = self.corrupt
-
-    def reload(self) -> int:
-        """Re-scan the file, merging records other processes appended since
-        open; returns how many new keys appeared.  In-memory entries that
-        never reached disk (unwritable store) are kept.  The rebuilt index
-        replaces the live one in a single reference swap, so lock-free
-        readers (``len``, ``in``, :meth:`workload_counts`) always see a
-        complete snapshot — old or new, never half-scanned.  The O(file)
-        scan itself runs *outside* the lock so concurrent ``get``/``put``
-        (the daemon's event loop and simulation threads) never stall on a
-        long rescan; entries they add mid-scan survive via the merge."""
-        fresh: Dict[str, SimResult] = {}
-        stale, duplicates, corrupt = self._scan_into(fresh)
-        with self._lock:
-            before = len(self._index)
-            for ks, result in self._index.items():
-                fresh.setdefault(ks, result)
-            self._index = fresh
-            self.stale, self.duplicates, self.corrupt = \
-                stale, duplicates, corrupt
-            self._warn_corrupt()
-            return len(self._index) - before
 
     def get(self, key: Tuple) -> Optional[SimResult]:
         with self._lock:  # counters are read-modify-write; threads race
@@ -205,13 +236,16 @@ class ResultStore:
             if ks in self._index:
                 return
             self._index[ks] = result
+            self._unsynced[ks] = None
             if self._write_failed:
                 return
             record = {"v": self.schema_version, "key": json.loads(ks),
                       "result": result.to_dict()}
+            line = json.dumps(record, separators=(",", ":"))
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                self._append_line(json.dumps(record, separators=(",", ":")))
+                self._append_line(line)
+                self._unsynced[ks] = hash(line.encode("utf-8"))
             except OSError as exc:
                 # The store is an optimisation: an unwritable cache location
                 # degrades to in-memory-only instead of aborting the run.
@@ -258,6 +292,8 @@ class ResultStore:
         with self._lock:
             dropped = len(self._index) + self.stale
             self._index.clear()
+            self._unsynced.clear()
+            self._offset, self._tail, self._ident = 0, b"", None
             self.hits = self.misses = self.simulations = 0
             self.stale = self.duplicates = self.corrupt = 0
             self._warned_corrupt = 0

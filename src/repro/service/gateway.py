@@ -325,6 +325,20 @@ class GatewayService:
         shard.healthy = False
         shard.last_error = reason
 
+    async def _reprobe_down(self) -> None:
+        """Ping every DOWN shard once, now.
+
+        Called before a job picks its shards, so a shard that came up
+        since the last health pass serves this job.  This closes the
+        boot race: a gateway started alongside its shards marks them
+        DOWN on its initial sweep, and would otherwise answer "no
+        healthy shards" until the next pass.  A requeue does not call
+        it: failover routes over the survivors only.
+        """
+        await asyncio.gather(*(self._check_shard(s)
+                               for s in self._shards.values()
+                               if not s.healthy))
+
     def _healthy_ring(self) -> HashRing:
         healthy = [s.id for s in self._shards.values() if s.healthy]
         if not healthy:
@@ -631,6 +645,7 @@ class GatewayService:
         """The merge loop: spawn per-shard workers, stream results in
         global submission order, requeue a dead shard's leftovers."""
         indexed = list(enumerate(points))
+        await self._reprobe_down()
         live_workers = self._spawn_workers(self._healthy_ring(), indexed,
                                            queue, tasks, job)
         buffered: Dict[int, Dict[str, object]] = {}
@@ -815,6 +830,7 @@ class GatewayService:
         """Predictions are stateless — any shard answers identically, so
         fail over across the healthy ones instead of routing."""
         reply: Optional[Dict[str, object]] = None
+        await self._reprobe_down()
         for shard in self._shards.values():
             if not shard.healthy:
                 continue
@@ -863,6 +879,7 @@ class GatewayService:
             await self._send(writer, {"type": "error", "job": None,
                                       "error": str(exc)})
             return
+        await self._reprobe_down()
         try:
             shard_id = self._healthy_ring().assign(f"tune/{workload}")
         except _NoHealthyShards:

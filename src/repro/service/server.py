@@ -18,9 +18,11 @@ Three server-side guarantees:
   on the same cold key may duplicate that one simulation — results stay
   identical either way, simulations being deterministic.)
 * **Cross-client batching** — the dispatcher drains whatever distinct
-  points are queued (briefly waiting ``batch_window_s`` for stragglers)
-  and ships them to the resident pool as one orchestrator batch, so N
-  clients submitting disjoint grids still amortise pool dispatch.
+  points are queued and ships them to the resident pool as one
+  orchestrator batch.  It does not wait for stragglers: like a group
+  commit, points that clients queue while one batch runs ride the
+  next, so N clients submitting disjoint grids still amortise pool
+  dispatch and a lone client pays no gather delay.
 * **Backpressure** — the simulation queue is bounded
   (``max_pending``); a job that out-runs the simulators blocks on
   enqueue instead of growing server memory, and cancellation stops its
@@ -103,7 +105,7 @@ class SimulationService:
                  use_store: bool = True,
                  jobs: Optional[int] = None,
                  max_pending: int = 1024,
-                 batch_window_s: float = 0.02,
+                 batch_window_s: float = 0.0,
                  max_batch: int = 64,
                  keep_jobs: int = 256,
                  tune_heartbeat_s: float = 10.0,
@@ -686,15 +688,21 @@ class SimulationService:
         shard's last results land in the file but not in any survivor's
         index.  One first-record-wins :meth:`ResultStore.reload` (off
         the event loop) turns those into hits instead of duplicate
-        simulations.  Jobs whose every key is already warm skip the
-        O(file) rescan.
+        simulations.  The reload decodes only the lines appended since
+        the previous one, so its cost follows what other writers added,
+        not the store's size.  Jobs whose every key is already warm skip
+        it.  With ``--phase-profile`` the sync is observed as phase
+        ``store``.
         """
         if self.store is None:
             return
         if all(runner.peek(p.key()) is not None for p in points):
             return
         assert self._loop is not None
+        t0 = time.perf_counter()
         await self._loop.run_in_executor(None, self.store.reload)
+        if self.phase_profile:
+            self._observe_phase("store", time.perf_counter() - t0)
 
     async def _claim_points(self, job: Job, points: Sequence[SweepPoint],
                             futures: Dict[str, "asyncio.Future[None]"],
@@ -783,8 +791,9 @@ class SimulationService:
         while True:
             batch: List[Tuple[str, SweepPoint]] = [await self._queue.get()]
             if self.batch_window_s > 0:
-                # A short gather window lets concurrently-submitting
-                # clients land in the same pool batch.
+                # An optional gather window holds the batch open for
+                # stragglers.  Off by default: points queued while a
+                # batch runs already share the next one.
                 await asyncio.sleep(self.batch_window_s)
             while len(batch) < self.max_batch:
                 try:

@@ -47,6 +47,7 @@ from test_service import (
     CONFIGS,
     DISTINCT_KEYS,
     WORKLOAD,
+    ServerThread,
     _reset_runner,
     expected_results,
 )
@@ -521,3 +522,30 @@ class TestChaos:
                 topo = client.topology()
         assert topo["shards"][0]["healthy"] is False
         assert topo["shards"][0]["error"]
+
+    def test_gateway_started_before_its_shard_serves_the_first_submit(
+            self, tmp_path):
+        """The boot race: a gateway that comes up before its shard marks
+        it DOWN on its initial sweep.  With no health pass due for 30 s,
+        only the on-demand re-probe can admit the shard, and the first
+        submit must succeed through it."""
+        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        placeholder.bind(("127.0.0.1", 0))
+        port = placeholder.getsockname()[1]
+        placeholder.close()
+        _reset_runner()
+        try:
+            with GatewayThread([("127.0.0.1", port)],
+                               health_interval_s=30.0) as gw:
+                with gw.client() as client:
+                    assert client.ping()["shards_healthy"] == 0
+                with ServerThread(port=port,
+                                  cache_dir=str(tmp_path / "cache")):
+                    with gw.client() as client:
+                        out = client.submit_sweep([WORKLOAD],
+                                                  configs=["CELLO"])
+                        assert client.ping()["shards_healthy"] == 1
+        finally:
+            _reset_runner()
+        assert len(out.points) == 1
+        assert out.simulations == 1

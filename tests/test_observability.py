@@ -531,6 +531,22 @@ class TestTracedLoopback:
         assert "repro_request_duration_seconds_bucket" in body
         assert "repro_phase_duration_seconds_bucket" in body
 
+    def test_profiled_daemon_reports_the_store_sync_phase(
+            self, traced_server):
+        """The store sync before a cold request shows as phase ``store``,
+        so a slow sync is visible on a live daemon, not only as rising
+        latency.  An all-warm resubmission skips the sync."""
+        srv, _ = traced_server
+        with srv.client() as client:
+            client.submit_sweep([WORKLOAD], configs=["CELLO"])
+            cold = client.metrics()
+            client.submit_sweep([WORKLOAD], configs=["CELLO"])
+            warm = client.metrics()
+        cold_phases = HistogramFamily.merged_by(cold["phases"], "phase")
+        warm_phases = HistogramFamily.merged_by(warm["phases"], "phase")
+        assert cold_phases["store"].count == 1
+        assert warm_phases["store"].count == 1
+
     def test_untraced_client_leaves_no_trace_fields(self, traced_server):
         srv, stream = traced_server
         with srv.client(client_id="plain") as client:
