@@ -322,8 +322,8 @@ class SimulationService:
                 # Merge records other processes appended to the shared
                 # cache directory since we last looked — a one-shot
                 # `repro sweep` racing the daemon warms us too.  Both the
-                # O(file) rescan and the O(entries) per-workload counting
-                # run off the event loop.
+                # reload and the O(entries) per-workload counting run off
+                # the event loop.
                 assert self._loop is not None
                 store_stats = await self._loop.run_in_executor(
                     None, self._store_stats)
