@@ -32,7 +32,7 @@ import os
 import sys
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..hw.config import AcceleratorConfig
 from ..sim.results import SimResult
@@ -47,6 +47,10 @@ SCHEMA_VERSION = 2
 #: File names inside the cache directory.
 RESULTS_FILE = "results.jsonl"
 STATS_FILE = "stats.json"
+
+#: Leading bytes of the results file that a reload compares against its
+#: previous scan to notice a file rewritten in place.
+HEAD_BYTES = 4096
 
 
 def result_key(
@@ -110,11 +114,16 @@ class ResultStore:
         #: file, mapped to the hash of the line this store appended for
         #: them (None: memory-only).
         self._unsynced: Dict[str, Optional[int]] = {}
+        # What the last scan consumed; owned by reload() and clear(),
+        # under the sync lock.
         self._offset = 0                 # bytes of the file scanned so far
+        self._head = b""                 # its first HEAD_BYTES
         self._tail = b""                 # the last line scanned
         self._ident: Optional[Tuple[int, int]] = None  # (st_dev, st_ino)
         self._write_failed = False
         self._lock = threading.RLock()
+        #: Serialises reload() and clear(); taken before ``_lock``.
+        self._sync_lock = threading.Lock()
         self.reload()
 
     # -- keys ------------------------------------------------------------------
@@ -132,14 +141,17 @@ class ResultStore:
         offset 0.
 
         The store remembers the byte offset and identity (``st_dev``,
-        ``st_ino``) of the file it last scanned, plus the last line it
-        consumed, and decodes only the complete lines appended since:
-        O(appended), not O(file).  An unterminated final line (a writer
-        mid-append, or a torn fragment that the next writer's newline
-        will seal) is left for the next pass.  When the file shrank or
-        was replaced (another identity, or the consumed line no longer
-        ends at the offset, as after an unlink that freed the inode for
-        reuse), the scan restarts at offset 0.
+        ``st_ino``) of the file it last scanned, plus the first
+        :data:`HEAD_BYTES` and the last line it consumed, and decodes
+        only the complete lines appended since: O(appended), not
+        O(file).  An unterminated final line (a writer mid-append, or a
+        torn fragment that the next writer's newline will seal) is left
+        for the next pass.  When the file shrank or was replaced
+        (another identity, or the remembered head or last line no
+        longer matches, as after an unlink that freed the inode for
+        reuse, or a rewrite in place), the scan restarts at offset 0.
+        A rewrite that keeps both the head and the line ending at the
+        offset byte for byte goes unnoticed.
 
         The outcome is what a fresh open would see: the **first** record
         of a key on disk wins, and ``stale``/``duplicates``/``corrupt``
@@ -150,68 +162,118 @@ class ResultStore:
         disk (an unwritable store, or a file another process cleared)
         are kept on top.  This store's own appends are recognised by
         their bytes and never decoded again.
+
+        Reloads are serialised with each other and with :meth:`clear`.
+        Reading and decoding run outside the lock that :meth:`get` and
+        :meth:`put` take, so those never wait on a long decode (a large
+        append by another writer, or a rescan after a rewind); the lock
+        is held only to fold the decoded records into the index.
         """
-        with self._lock:
-            before = len(self._index)
-            try:
-                with self.path.open("rb") as fh:
-                    st = os.fstat(fh.fileno())
-                    ident = (st.st_dev, st.st_ino)
-                    fh.seek(self._offset - len(self._tail))
-                    data = fh.read()
-                    if ident == self._ident and data.startswith(self._tail):
-                        data = data[len(self._tail):]
-                    elif self._ident is not None:
-                        self._rewind()
-                        fh.seek(0)
-                        data = fh.read()
-            except OSError:
-                # Missing or unreadable: behave as empty.
-                ident, data = None, b""
-                if self._ident is not None:
-                    self._rewind()
+        with self._sync_lock:
+            data, ident, rewind = self._read_unscanned()
             end = data.rfind(b"\n") + 1
-            for line in data[:end].split(b"\n"):
-                self._fold(line)
+            stale, corrupt, records = self._decode(data[:end], rewind)
+            with self._lock:
+                before = len(self._index)
+                if rewind:
+                    self._rewind()
+                self.stale += stale
+                self.corrupt += corrupt
+                for record in records:
+                    self._fold(*record)
+                self._warn_corrupt()
+                added = len(self._index) - before
+            self._ident = ident
             if end:
+                if len(self._head) < HEAD_BYTES:
+                    self._head = (self._head + data[:end])[:HEAD_BYTES]
                 self._offset += end
                 self._tail = data[data.rfind(b"\n", 0, end - 1) + 1:end]
-            self._ident = ident
-            self._warn_corrupt()
-            return len(self._index) - before
+            return added
+
+    def _read_unscanned(self) -> Tuple[bytes, Optional[Tuple[int, int]],
+                                       bool]:
+        """Read the bytes past the last scan (caller holds the sync
+        lock); returns them, the file identity (None: no file) and
+        whether the scan restarts at offset 0."""
+        try:
+            with self.path.open("rb") as fh:
+                st = os.fstat(fh.fileno())
+                ident = (st.st_dev, st.st_ino)
+                if ident == self._ident \
+                        and fh.read(len(self._head)) == self._head:
+                    fh.seek(self._offset - len(self._tail))
+                    data = fh.read()
+                    if data.startswith(self._tail):
+                        return data[len(self._tail):], ident, False
+                fh.seek(0)
+                return fh.read(), ident, self._ident is not None
+        except OSError:
+            # Missing or unreadable: behave as empty.
+            return b"", None, self._ident is not None
 
     def _rewind(self) -> None:
-        """Forget the scanned file (caller holds the lock): the next scan
-        starts at offset 0, and every indexed key is memory-only until
+        """Forget the scanned file (caller holds both locks): the scan
+        restarts at offset 0, and every indexed key is memory-only until
         its record shows up again."""
-        self._offset, self._tail, self._ident = 0, b"", None
+        self._offset, self._head, self._tail = 0, b"", b""
         self.stale = self.duplicates = self.corrupt = 0
         self._unsynced = {ks: self._unsynced.get(ks) for ks in self._index}
 
-    def _fold(self, line: bytes) -> None:
-        """Fold one complete line into the index (caller holds the lock)."""
-        line = line.strip()
-        if not line:
-            return
-        try:
-            record = json.loads(line)
-        except ValueError:  # not JSON, or not UTF-8
-            self.corrupt += 1
-            return
-        if record.get("v") != self.schema_version:
-            self.stale += 1
-            return
-        ks = self.key_str(record["key"])
+    def _decode(self, chunk: bytes, rewind: bool
+                ) -> Tuple[int, int,
+                           List[Tuple[str, int, Optional[SimResult]]]]:
+        """Decode the complete lines of ``chunk`` without the store lock;
+        returns (stale, corrupt, records) with one ``(key string, line
+        hash, result)`` per current-schema record, in file order.
+
+        ``result`` is decoded only for the records that :meth:`_fold`
+        will index, and is None for duplicates and this store's own
+        appends.  The peek at the live index that decides this is exact
+        although it takes no lock: only :meth:`put` runs concurrently,
+        it never touches an indexed key, and it marks a key's line hash
+        before it indexes the key or writes the line.
+        """
+        stale = corrupt = 0
+        records = []
+        seen = set()
+        for line in chunk.split(b"\n"):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:  # not JSON, or not UTF-8
+                corrupt += 1
+                continue
+            if record.get("v") != self.schema_version:
+                stale += 1
+                continue
+            ks = self.key_str(record["key"])
+            digest = hash(line)
+            new = ks not in seen and (
+                ks not in self._index
+                or ((rewind or ks in self._unsynced)
+                    and self._unsynced.get(ks) != digest))
+            seen.add(ks)
+            records.append((ks, digest, SimResult.from_dict(
+                record["result"]) if new else None))
+        return stale, corrupt, records
+
+    def _fold(self, ks: str, digest: int,
+              result: Optional[SimResult]) -> None:
+        """Fold one decoded record into the index (caller holds the
+        lock)."""
         if ks in self._index:
             if ks not in self._unsynced:
                 self.duplicates += 1
                 return
-            if self._unsynced[ks] == hash(line):
+            if self._unsynced.pop(ks) == digest:
                 # This store's own append, first on disk: already indexed.
-                del self._unsynced[ks]
                 return
         self._unsynced.pop(ks, None)
-        self._index[ks] = SimResult.from_dict(record["result"])
+        assert result is not None, "the decode phase skipped a new record"
+        self._index[ks] = result
 
     def _warn_corrupt(self) -> None:
         """Warn (once per growth) when undecodable records accumulate."""
@@ -235,20 +297,25 @@ class ResultStore:
         with self._lock:
             if ks in self._index:
                 return
+            line = None
+            if not self._write_failed:
+                record = {"v": self.schema_version, "key": json.loads(ks),
+                          "result": result.to_dict()}
+                line = json.dumps(record, separators=(",", ":"))
+            # Mark the line before indexing the key or writing the line,
+            # so a reload decoding without the lock recognises it.
+            self._unsynced[ks] = (None if line is None
+                                  else hash(line.encode("utf-8")))
             self._index[ks] = result
-            self._unsynced[ks] = None
-            if self._write_failed:
+            if line is None:
                 return
-            record = {"v": self.schema_version, "key": json.loads(ks),
-                      "result": result.to_dict()}
-            line = json.dumps(record, separators=(",", ":"))
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 self._append_line(line)
-                self._unsynced[ks] = hash(line.encode("utf-8"))
             except OSError as exc:
                 # The store is an optimisation: an unwritable cache location
                 # degrades to in-memory-only instead of aborting the run.
+                self._unsynced[ks] = None
                 self._write_failed = True
                 print(f"repro: result store unwritable ({exc}); "
                       "continuing without persistence", file=sys.stderr)
@@ -289,11 +356,12 @@ class ResultStore:
 
     def clear(self) -> int:
         """Delete the on-disk store; returns how many records were dropped."""
-        with self._lock:
+        with self._sync_lock, self._lock:
             dropped = len(self._index) + self.stale
             self._index.clear()
             self._unsynced.clear()
-            self._offset, self._tail, self._ident = 0, b"", None
+            self._offset, self._head, self._tail = 0, b"", b""
+            self._ident = None
             self.hits = self.misses = self.simulations = 0
             self.stale = self.duplicates = self.corrupt = 0
             self._warned_corrupt = 0

@@ -131,6 +131,10 @@ class ShardState:
     host: str
     port: int
     healthy: bool = False
+    #: The last failure was a timeout (no answer within the ping or read
+    #: timeout), not a quick refusal.  A job re-probes only DOWN shards
+    #: that failed quickly, so a shard that hangs costs no job a timeout.
+    stalled: bool = False
     protocol: Optional[int] = None
     last_error: Optional[str] = None
     deaths: int = 0               # times this shard failed mid-job
@@ -199,6 +203,8 @@ class GatewayService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._t0 = 0.0
+        #: In-flight health probes by shard id, shared by every caller.
+        self._probes: "Dict[str, asyncio.Task]" = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -217,8 +223,7 @@ class GatewayService:
         self.port = server.sockets[0].getsockname()[1]
         # One initial sweep of the shard table before accepting work so
         # the first job routes around shards that never came up.
-        await asyncio.gather(
-            *(self._check_shard(s) for s in self._shards.values()))
+        await asyncio.gather(*(self._probe(s) for s in self._shards.values()))
         health = asyncio.create_task(self._health_loop())
         self._t0 = time.monotonic()
         if self.prom_port is not None:
@@ -248,8 +253,10 @@ class GatewayService:
             # Same rationale as the shard daemon: close without
             # wait_closed() so an idle client cannot hang shutdown.
             server.close()
-            health.cancel()
-            await asyncio.gather(health, return_exceptions=True)
+            tasks = [health, *self._probes.values()]
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             if self._prom is not None:
                 await self._loop.run_in_executor(None, self._prom.stop)
                 self._prom = None
@@ -281,7 +288,21 @@ class GatewayService:
         while True:
             await asyncio.sleep(self.health_interval_s)
             await asyncio.gather(
-                *(self._check_shard(s) for s in self._shards.values()))
+                *(self._probe(s) for s in self._shards.values()))
+
+    async def _probe(self, shard: ShardState) -> None:
+        """Ping ``shard``, joining the probe already in flight if there
+        is one, so concurrent jobs and the health loop open one
+        connection between them."""
+        task = self._probes.get(shard.id)
+        if task is None:
+            task = asyncio.ensure_future(self._check_shard(shard))
+            self._probes[shard.id] = task
+            task.add_done_callback(
+                lambda _: self._probes.pop(shard.id, None))
+        # Shielded: a caller that is cancelled (its client went away)
+        # must not cancel the probe the other callers are waiting on.
+        await asyncio.shield(task)
 
     async def _check_shard(self, shard: ShardState) -> None:
         try:
@@ -290,7 +311,9 @@ class GatewayService:
                                         limit=MAX_LINE_BYTES),
                 self.ping_timeout_s)
         except (OSError, asyncio.TimeoutError) as exc:
-            self._mark_unhealthy(shard, f"unreachable: {exc or 'timeout'}")
+            self._mark_unhealthy(shard, f"unreachable: {exc or 'timeout'}",
+                                 stalled=isinstance(exc,
+                                                    asyncio.TimeoutError))
             return
         try:
             writer.write(encode_message({"op": "ping"}))
@@ -308,10 +331,13 @@ class GatewayService:
                 raise ProtocolError(
                     f"speaks protocol v{protocol}, gateway needs v4+")
             shard.healthy = True
+            shard.stalled = False
             shard.last_error = None
         except (OSError, asyncio.TimeoutError, ProtocolError,
                 ValueError) as exc:
-            self._mark_unhealthy(shard, str(exc) or "ping timeout")
+            self._mark_unhealthy(shard, str(exc) or "ping timeout",
+                                 stalled=isinstance(exc,
+                                                    asyncio.TimeoutError))
         finally:
             writer.close()
             try:
@@ -319,25 +345,36 @@ class GatewayService:
             except (ConnectionError, OSError):
                 pass
 
-    def _mark_unhealthy(self, shard: ShardState, reason: str) -> None:
+    def _mark_unhealthy(self, shard: ShardState, reason: str,
+                        stalled: bool = False) -> None:
         if shard.healthy:
             shard.deaths += 1
         shard.healthy = False
+        shard.stalled = stalled
         shard.last_error = reason
 
     async def _reprobe_down(self) -> None:
-        """Ping every DOWN shard once, now.
+        """Ping, now, every DOWN shard whose last failure was quick.
 
-        Called before a job picks its shards, so a shard that came up
-        since the last health pass serves this job.  This closes the
-        boot race: a gateway started alongside its shards marks them
-        DOWN on its initial sweep, and would otherwise answer "no
-        healthy shards" until the next pass.  A requeue does not call
-        it: failover routes over the survivors only.
+        Called before a job picks its shards and before ``ping`` and
+        ``metrics`` report shard health, so a shard that came up since
+        the last health pass serves this job and is counted.  This
+        closes the boot race: a gateway started alongside its shards
+        marks them DOWN on its initial sweep (connection refused), and
+        would otherwise answer "no healthy shards" until the next pass.
+
+        A shard that refuses connections fails such a probe in well
+        under a millisecond on a LAN.  A ``stalled`` shard (its last
+        probe or read timed out: a host that drops connection attempts,
+        or a process that accepts and never answers) is left to the
+        health loop, so it costs no caller a timeout.  A shard that goes
+        from refusing to hanging costs the callers that reach it first
+        one ping timeout, shared through :meth:`_probe`.  A requeue does
+        not re-probe: failover routes over the survivors only.
         """
-        await asyncio.gather(*(self._check_shard(s)
+        await asyncio.gather(*(self._probe(s)
                                for s in self._shards.values()
-                               if not s.healthy))
+                               if not s.healthy and not s.stalled))
 
     def _healthy_ring(self) -> HashRing:
         healthy = [s.id for s in self._shards.values() if s.healthy]
@@ -390,6 +427,8 @@ class GatewayService:
         """Serve one request; ``True`` closes the connection."""
         op = req["op"]
         t_start = time.monotonic()
+        if op in ("ping", "metrics"):
+            await self._reprobe_down()
         if op == "ping":
             healthy = sum(1 for s in self._shards.values() if s.healthy)
             await self._send(writer, {"type": "pong",
@@ -811,7 +850,9 @@ class GatewayService:
             except (OSError, asyncio.TimeoutError, ProtocolError,
                     ValueError) as exc:
                 reason = str(exc) or type(exc).__name__
-                self._mark_unhealthy(shard, reason)
+                self._mark_unhealthy(
+                    shard, reason,
+                    stalled=isinstance(exc, asyncio.TimeoutError))
                 # Results the shard streamed before dying are merged and
                 # (crucially) already on disk; only the rest re-hash.
                 await queue.put(("dead", shard.id, batch[streamed:], reason))
@@ -848,7 +889,9 @@ class GatewayService:
                 break
             except (OSError, asyncio.TimeoutError, ProtocolError,
                     ValueError) as exc:
-                self._mark_unhealthy(shard, str(exc) or type(exc).__name__)
+                self._mark_unhealthy(
+                    shard, str(exc) or type(exc).__name__,
+                    stalled=isinstance(exc, asyncio.TimeoutError))
             finally:
                 if shard_writer is not None:
                     shard_writer.close()
@@ -907,7 +950,8 @@ class GatewayService:
 
         def shard_died(exc: BaseException) -> Dict[str, object]:
             reason = str(exc) or type(exc).__name__
-            self._mark_unhealthy(shard, reason)
+            self._mark_unhealthy(
+                shard, reason, stalled=isinstance(exc, asyncio.TimeoutError))
             error = (f"shard {shard.id} died mid-tune ({reason}); tune "
                      "jobs are not requeued — evaluations it completed "
                      "are warm in the result store, so resubmit once a "

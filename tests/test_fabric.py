@@ -2,7 +2,7 @@
 real ``repro serve`` subprocesses, with faults injected by the
 :mod:`fabric` chaos harness.
 
-Two layers:
+Three layers:
 
 * ``TestGatewayFabric`` — one healthy 3-shard fabric shared by the
   module: byte-identity against the direct engines, cluster-wide
@@ -15,6 +15,8 @@ Two layers:
   completes with every point, ``requeued`` says so, and the shared store
   holds exactly one record per distinct traffic key (no duplicate
   simulations, ever).
+* ``TestStalledShard`` — a DOWN shard that accepts connections and never
+  answers: jobs on the survivors must not wait for its ping timeout.
 """
 
 import io
@@ -549,3 +551,123 @@ class TestChaos:
             _reset_runner()
         assert len(out.points) == 1
         assert out.simulations == 1
+
+
+class _SilentShard:
+    """A listener that accepts connections and never answers: a stalled
+    shard process that the kernel still accepts connections for.
+    ``accepted`` counts the connections it took."""
+
+    def __init__(self, port: int = 0) -> None:
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind(("127.0.0.1", port))
+        self._sock.listen(16)
+        self.addr = self._sock.getsockname()
+        self.accepted = 0
+        self._held = []
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # closed
+            self.accepted += 1
+            self._held.append(conn)
+
+    def close(self) -> None:
+        self._sock.close()
+        for conn in self._held:
+            conn.close()
+        self._thread.join(timeout=10)
+
+
+def _free_port() -> int:
+    placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    placeholder.bind(("127.0.0.1", 0))
+    port = placeholder.getsockname()[1]
+    placeholder.close()
+    return port
+
+
+class TestStalledShard:
+    """A DOWN shard that hangs must not hold up jobs on the survivors:
+    the on-demand re-probe skips shards whose last failure was a
+    timeout, and shares one probe between concurrent callers."""
+
+    PING_TIMEOUT_S = 3.0
+    #: A warm job through a healthy shard takes milliseconds; this bound
+    #: is far below the ping timeout it must not pay.
+    FAST_S = 1.0
+
+    def _timed_submit(self, gw, sram_mb):
+        t0 = time.monotonic()
+        with gw.client() as client:
+            out = client.submit_sweep([WORKLOAD], configs=["CELLO"],
+                                      sram_mb=[sram_mb])
+        return out, time.monotonic() - t0
+
+    def test_a_shard_that_never_answers_costs_jobs_nothing(self, tmp_path):
+        silent = _SilentShard()
+        _reset_runner()
+        try:
+            with ServerThread(cache_dir=str(tmp_path / "cache")) as srv, \
+                    GatewayThread([("127.0.0.1", srv.port), silent.addr],
+                                  ping_timeout_s=self.PING_TIMEOUT_S,
+                                  health_interval_s=60.0) as gw:
+                probes_at_boot = silent.accepted
+                self._timed_submit(gw, 4.0)  # cold: warms the point
+                for _ in range(3):
+                    out, elapsed = self._timed_submit(gw, 4.0)
+                    assert out.hits == 1
+                    assert elapsed < self.FAST_S
+                t0 = time.monotonic()
+                with gw.client() as client:
+                    assert client.ping()["shards_healthy"] == 1
+                    assert client.metrics()["shards_healthy"] == 1
+                assert time.monotonic() - t0 < self.FAST_S
+                assert silent.accepted == probes_at_boot == 1
+        finally:
+            _reset_runner()
+            silent.close()
+
+    def test_a_shard_that_starts_hanging_costs_one_shared_probe(
+            self, tmp_path):
+        """The shard refused connections at boot, so it is re-probed;
+        then it starts to hang.  Concurrent jobs wait on one probe,
+        and once it times out no later job waits at all."""
+        port = _free_port()
+        _reset_runner()
+        silent = None
+        try:
+            with ServerThread(cache_dir=str(tmp_path / "cache")) as srv, \
+                    GatewayThread([("127.0.0.1", srv.port),
+                                   ("127.0.0.1", port)],
+                                  ping_timeout_s=self.PING_TIMEOUT_S,
+                                  health_interval_s=60.0) as gw:
+                self._timed_submit(gw, 4.0)  # refused: re-probed quickly
+                silent = _SilentShard(port)
+                results = []
+                jobs = [threading.Thread(
+                    target=lambda: results.append(
+                        self._timed_submit(gw, 4.0)))
+                    for _ in range(3)]
+                for job in jobs:
+                    job.start()
+                for job in jobs:
+                    job.join(timeout=60)
+                assert len(results) == 3
+                assert all(out.hits == 1 for out, _ in results)
+                assert all(elapsed < self.PING_TIMEOUT_S + self.FAST_S
+                           for _, elapsed in results)
+                assert silent.accepted == 1
+                out, elapsed = self._timed_submit(gw, 4.0)
+                assert elapsed < self.FAST_S
+                assert silent.accepted == 1
+        finally:
+            _reset_runner()
+            if silent is not None:
+                silent.close()

@@ -1,11 +1,14 @@
 """Incremental result-store sync.
 
 :meth:`ResultStore.reload` decodes only the lines appended since its
-previous scan.  Two kinds of tests pin that:
+previous scan.  Three kinds of tests pin that:
 
 * a differential test: random interleavings of writers, torn lines,
-  clears and file replacements, where after every reload the store
-  must agree with a fresh store opened on the same bytes;
+  clears, file replacements and in-place rewrites, where after every
+  reload the store must agree with a fresh store opened on the same
+  bytes;
+* a lock test: a reload parked mid-decode must not block ``get`` or
+  ``put``;
 * count tests: a spy on ``SimResult.from_dict`` shows that a reload,
   and a cold sweep through a daemon, decode exactly the records other
   writers appended — never the whole file, never the store's own
@@ -33,6 +36,24 @@ KEY_POOL = 10
 def _line(key, result, version=SCHEMA_VERSION) -> str:
     return json.dumps({"v": version, "key": list(key),
                        "result": result.to_dict()}, separators=(",", ":"))
+
+
+def _rewrite_prefix(path, record) -> None:
+    """Overwrite everything before the file's last complete line with
+    fresh ``record()`` lines, padded with blank lines to the same
+    length, in place: the inode, the size and the last line stay."""
+    old = path.read_bytes()
+    end = old.rfind(b"\n") + 1
+    start = old.rfind(b"\n", 0, max(end - 1, 0)) + 1
+    prefix = b""
+    while True:
+        line = (_line(*record()) + "\n").encode("utf-8")
+        if len(prefix) + len(line) > start:
+            break
+        prefix += line
+    prefix += b"\n" * (start - len(prefix))
+    with open(path, "r+b") as fh:
+        fh.write(prefix)
 
 
 class _Interleaving:
@@ -79,11 +100,17 @@ class _Interleaving:
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
         os.replace(tmp, self.mine.path)
 
+    def _rewrite(self) -> None:
+        """Rewrite the file in place: the same inode and size, another
+        prefix, and the same final line at the same offset."""
+        if self.mine.path.exists():
+            _rewrite_prefix(self.mine.path, self._record)
+
     def step(self) -> None:
         action = self.rng.choices(
             ["writer", "mine", "stale", "torn", "sealed", "garbage",
-             "blank", "clear", "replace", "reload"],
-            weights=[30, 12, 6, 6, 4, 3, 2, 4, 4, 25])[0]
+             "blank", "clear", "replace", "rewrite", "reload"],
+            weights=[30, 12, 6, 6, 4, 3, 2, 4, 4, 4, 25])[0]
         if action == "writer":
             self.rng.choice(self.writers).put(*self._record())
         elif action == "mine":
@@ -105,6 +132,8 @@ class _Interleaving:
             ResultStore(self.dir).clear()
         elif action == "replace":
             self._replace()
+        elif action == "rewrite":
+            self._rewrite()
         else:
             self.check()
 
@@ -142,6 +171,29 @@ class TestDifferentialReload:
         assert store.reload() == 1
         assert store.corrupt == 0
         assert store.get(make_key("late", 0)) == make_result("late", 0)
+
+
+    def test_rewrite_in_place_keeping_the_last_line_rescans(self, tmp_path):
+        directory = tmp_path / "store"
+        mine = ResultStore(directory)
+        _fill(ResultStore(directory), "old", 30)
+        mine.reload()
+        ident = (mine.path.stat().st_ino, mine.path.stat().st_size)
+        fresh_keys = iter(range(1000))
+
+        def record():
+            i = next(fresh_keys)
+            return make_key("new", i), make_result("new", i)
+
+        _rewrite_prefix(mine.path, record)
+        assert (mine.path.stat().st_ino, mine.path.stat().st_size) == ident
+        before = dict(mine._index)
+        mine.reload()
+        fresh = ResultStore(directory)
+        assert fresh.get(make_key("new", 0)) == make_result("new", 0)
+        assert mine._index == {**before, **fresh._index}
+        assert (mine.stale, mine.duplicates, mine.corrupt) \
+            == (fresh.stale, fresh.duplicates, fresh.corrupt)
 
 
 class TestConcurrentSync:
@@ -188,6 +240,47 @@ class TestConcurrentSync:
         assert mine._index == fresh._index
         assert (mine.stale, mine.duplicates, mine.corrupt) == (0, 0, 0)
         assert (fresh.stale, fresh.duplicates, fresh.corrupt) == (0, 0, 0)
+
+
+    def test_get_and_put_do_not_wait_for_a_decoding_reload(
+            self, tmp_path, monkeypatch):
+        """A reload parked in the middle of decoding another writer's
+        records holds no lock that get or put needs."""
+        directory = tmp_path / "store"
+        mine = ResultStore(directory)
+        mine.put(make_key("mine", 0), make_result("mine", 0))
+        _fill(ResultStore(directory), "bulk", 200)
+        decoding, release = threading.Event(), threading.Event()
+
+        class Gate:
+            @staticmethod
+            def from_dict(data):
+                decoding.set()
+                release.wait(60)
+                return SimResult.from_dict(data)
+
+        monkeypatch.setattr(store_module, "SimResult", Gate)
+        sync = threading.Thread(target=mine.reload)
+        sync.start()
+        try:
+            assert decoding.wait(30)
+            served = threading.Event()
+
+            def use():
+                assert mine.get(make_key("mine", 0)) is not None
+                mine.put(make_key("mine", 1), make_result("mine", 1))
+                served.set()
+
+            user = threading.Thread(target=use)
+            user.start()
+            assert served.wait(10), "get/put waited for the reload"
+            user.join(10)
+        finally:
+            release.set()
+            sync.join(60)
+        assert not sync.is_alive()
+        assert len(mine) == 202
+        assert mine._index == ResultStore(directory)._index
 
 
 class _DecodeSpy:
