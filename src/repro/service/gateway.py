@@ -312,8 +312,7 @@ class GatewayService:
                 self.ping_timeout_s)
         except (OSError, asyncio.TimeoutError) as exc:
             self._mark_unhealthy(shard, f"unreachable: {exc or 'timeout'}",
-                                 stalled=isinstance(exc,
-                                                    asyncio.TimeoutError))
+                                 exc)
             return
         try:
             writer.write(encode_message({"op": "ping"}))
@@ -335,9 +334,7 @@ class GatewayService:
             shard.last_error = None
         except (OSError, asyncio.TimeoutError, ProtocolError,
                 ValueError) as exc:
-            self._mark_unhealthy(shard, str(exc) or "ping timeout",
-                                 stalled=isinstance(exc,
-                                                    asyncio.TimeoutError))
+            self._mark_unhealthy(shard, str(exc) or "ping timeout", exc)
         finally:
             writer.close()
             try:
@@ -346,11 +343,11 @@ class GatewayService:
                 pass
 
     def _mark_unhealthy(self, shard: ShardState, reason: str,
-                        stalled: bool = False) -> None:
+                        cause: BaseException) -> None:
         if shard.healthy:
             shard.deaths += 1
         shard.healthy = False
-        shard.stalled = stalled
+        shard.stalled = isinstance(cause, asyncio.TimeoutError)
         shard.last_error = reason
 
     async def _reprobe_down(self) -> None:
@@ -363,8 +360,8 @@ class GatewayService:
         marks them DOWN on its initial sweep (connection refused), and
         would otherwise answer "no healthy shards" until the next pass.
 
-        A shard that refuses connections fails such a probe in well
-        under a millisecond on a LAN.  A ``stalled`` shard (its last
+        A shard that refuses connections fails such a probe within one
+        network round trip.  A ``stalled`` shard (its last
         probe or read timed out: a host that drops connection attempts,
         or a process that accepts and never answers) is left to the
         health loop, so it costs no caller a timeout.  A shard that goes
@@ -850,9 +847,7 @@ class GatewayService:
             except (OSError, asyncio.TimeoutError, ProtocolError,
                     ValueError) as exc:
                 reason = str(exc) or type(exc).__name__
-                self._mark_unhealthy(
-                    shard, reason,
-                    stalled=isinstance(exc, asyncio.TimeoutError))
+                self._mark_unhealthy(shard, reason, exc)
                 # Results the shard streamed before dying are merged and
                 # (crucially) already on disk; only the rest re-hash.
                 await queue.put(("dead", shard.id, batch[streamed:], reason))
@@ -890,8 +885,7 @@ class GatewayService:
             except (OSError, asyncio.TimeoutError, ProtocolError,
                     ValueError) as exc:
                 self._mark_unhealthy(
-                    shard, str(exc) or type(exc).__name__,
-                    stalled=isinstance(exc, asyncio.TimeoutError))
+                    shard, str(exc) or type(exc).__name__, exc)
             finally:
                 if shard_writer is not None:
                     shard_writer.close()
@@ -950,8 +944,7 @@ class GatewayService:
 
         def shard_died(exc: BaseException) -> Dict[str, object]:
             reason = str(exc) or type(exc).__name__
-            self._mark_unhealthy(
-                shard, reason, stalled=isinstance(exc, asyncio.TimeoutError))
+            self._mark_unhealthy(shard, reason, exc)
             error = (f"shard {shard.id} died mid-tune ({reason}); tune "
                      "jobs are not requeued — evaluations it completed "
                      "are warm in the result store, so resubmit once a "
