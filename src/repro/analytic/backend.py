@@ -42,7 +42,7 @@ from ..hw.config import AcceleratorConfig
 from ..score.scheduler import Score, ScoreOptions
 from ..sim.engine import EngineOptions
 from ..sim.results import SimResult
-from ..workloads.registry import Workload
+from ..workloads.registry import Workload, workload_dag
 from .canonical import canonicalize, canonicalize_oracle
 from .compiler import AnalyticEvaluation, AnalyticModel
 
@@ -124,7 +124,7 @@ def engine_options_for(config: str) -> EngineOptions:
 
 def _compile(workload: Workload, family: str,
              cfg: AcceleratorConfig) -> AnalyticModel:
-    dag = workload.build()
+    dag = workload_dag(workload)
     if family == "flexagon":
         program = canonicalize_oracle(dag, set())
     elif family == "flat":

@@ -27,7 +27,7 @@ from ..hw.config import AcceleratorConfig, default_config
 from ..orchestrator.store import ResultStore, result_key
 from ..sim.perf import make_result
 from ..sim.results import SimResult
-from ..workloads.registry import Workload
+from ..workloads.registry import Workload, workload_dag
 from .configs import MAIN_CONFIGS, run_config
 
 _CACHE: Dict[Tuple, SimResult] = {}
@@ -109,7 +109,7 @@ def run_workload_config(
     key = _traffic_key(config, workload, cfg, cache_granularity)
     base = peek(key)
     if base is None:
-        dag = workload.build()
+        dag = workload_dag(workload)
         count_simulations()
         base = run_config(
             config, dag, cfg,

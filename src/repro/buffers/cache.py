@@ -44,7 +44,7 @@ import numpy as np
 from .base import BufferStats
 
 #: Hard ceiling on blocks expanded into memory at once by
-#: :meth:`SetAssociativeCache.access_segments` — keeps multi-GB streaming
+#: :meth:`SetAssociativeCache.access_arrays` — keeps multi-GB streaming
 #: traces in bounded memory (a chunk of 2^20 int64 blocks is ~8 MB).
 DEFAULT_CHUNK_ACCESSES = 1 << 20
 
@@ -452,74 +452,84 @@ class SetAssociativeCache:
         """Stream all lines overlapping byte range [start, start+n)."""
         if n_bytes <= 0:
             return
+        if self.backend == "vector":
+            self.access_arrays(np.array([start_byte], dtype=np.int64),
+                               np.array([n_bytes], dtype=np.int64),
+                               np.array([is_write], dtype=bool))
+            return
         first = start_byte // self.line_bytes
         last = (start_byte + n_bytes - 1) // self.line_bytes
-        if self.backend == "vector":
-            # Expand in bounded chunks: one huge range must not allocate
-            # block arrays proportional to its full length.
-            for s in range(first, last + 1, DEFAULT_CHUNK_ACCESSES):
-                e = min(s + DEFAULT_CHUNK_ACCESSES, last + 1)
-                blocks = np.arange(s, e, dtype=np.int64)
-                self._simulate_blocks(
-                    blocks, np.full(blocks.shape[0], is_write, dtype=bool)
-                )
-            return
         for b in range(first, last + 1):
             self.access_line(b, is_write)
+
+    def access_arrays(
+        self,
+        starts: np.ndarray,
+        nbytes: np.ndarray,
+        is_write: np.ndarray,
+        chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
+    ) -> None:
+        """Replay a trace given as parallel arrays, one row per byte range
+        ``[starts[i], starts[i] + nbytes[i])`` accessed with ``is_write[i]``.
+
+        The vector backend expands the ranges to block addresses and
+        simulates them through the batched kernel in chunks of
+        ``chunk_accesses`` blocks: chunk k is blocks [k·C, (k+1)·C) of the
+        whole expanded stream, splitting a range where a boundary falls,
+        so memory is bounded by the chunk, not the trace.  The reference
+        backend replays range by range (:meth:`access_range`).
+        """
+        if chunk_accesses <= 0:
+            raise ValueError("chunk_accesses must be positive")
+        starts = np.asarray(starts, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        is_write = np.asarray(is_write, dtype=bool)
+        if self.backend == "reference":
+            for start, n, w in zip(starts.tolist(), nbytes.tolist(),
+                                   is_write.tolist()):
+                self.access_range(start, n, w)
+            return
+        keep = nbytes > 0
+        if not keep.all():
+            starts, nbytes, is_write = starts[keep], nbytes[keep], is_write[keep]
+        if starts.size == 0:
+            return
+        first = starts // self.line_bytes
+        counts = (starts + nbytes - 1) // self.line_bytes - first + 1
+        ends = np.cumsum(counts)          # stream position after each range
+        begins = ends - counts
+        # Block at stream position p of range k is first[k] + p - begins[k].
+        offset = first - begins
+        total = int(ends[-1])
+        for lo in range(0, total, chunk_accesses):
+            hi = min(lo + chunk_accesses, total)
+            i = int(np.searchsorted(ends, lo, side="right"))
+            j = int(np.searchsorted(begins, hi, side="left"))
+            c = np.minimum(ends[i:j], hi) - np.maximum(begins[i:j], lo)
+            blocks = np.repeat(offset[i:j], c)
+            blocks += np.arange(lo, hi, dtype=np.int64)
+            self._simulate_blocks(blocks, np.repeat(is_write[i:j], c))
 
     def access_segments(
         self,
         segments: Iterable,
         chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
     ) -> None:
-        """Replay an iterable of :class:`~repro.sim.trace.StreamSegment`.
-
-        The segments are expanded to block-address arrays in numpy and
-        simulated through the batched kernel, at most ``chunk_accesses``
-        expanded accesses in memory at a time — a lazy segment iterator
-        (``iter_program_trace``) therefore streams in bounded memory.
+        """Replay an iterable of :class:`~repro.sim.trace.StreamSegment`:
+        a thin adapter that packs the segments into arrays and calls
+        :meth:`access_arrays`.  The segments are held as compact arrays
+        (one row per segment), never as expanded blocks.
         """
-        if chunk_accesses <= 0:
-            raise ValueError("chunk_accesses must be positive")
-        if self.backend == "reference":
-            for seg in segments:
-                self.access_range(seg.start, seg.nbytes, seg.is_write)
-            return
-        firsts: List[int] = []
-        counts: List[int] = []
+        starts: List[int] = []
+        sizes: List[int] = []
         writes: List[bool] = []
-        pending = 0
         for seg in segments:
-            if seg.nbytes <= 0:
-                continue
-            first = seg.start // self.line_bytes
-            count = (seg.start + seg.nbytes - 1) // self.line_bytes - first + 1
-            while count > 0:
-                # Split oversized segments too: no flush ever expands more
-                # than ``chunk_accesses`` blocks.
-                take = min(count, chunk_accesses - pending)
-                firsts.append(first)
-                counts.append(take)
-                writes.append(seg.is_write)
-                first += take
-                count -= take
-                pending += take
-                if pending >= chunk_accesses:
-                    self._expand_and_run(firsts, counts, writes)
-                    firsts, counts, writes = [], [], []
-                    pending = 0
-        if firsts:
-            self._expand_and_run(firsts, counts, writes)
-
-    def _expand_and_run(self, firsts: List[int], counts: List[int],
-                        writes: List[bool]) -> None:
-        f = np.asarray(firsts, dtype=np.int64)
-        c = np.asarray(counts, dtype=np.int64)
-        w = np.asarray(writes, dtype=bool)
-        # Block i of the chunk is i plus its segment's (first - start).
-        blocks = np.repeat(f - (np.cumsum(c) - c), c)
-        blocks += np.arange(blocks.shape[0], dtype=np.int64)
-        self._simulate_blocks(blocks, np.repeat(w, c))
+            starts.append(seg.start)
+            sizes.append(seg.nbytes)
+            writes.append(seg.is_write)
+        self.access_arrays(np.array(starts, dtype=np.int64),
+                           np.array(sizes, dtype=np.int64),
+                           np.array(writes, dtype=bool), chunk_accesses)
 
     def flush(self) -> None:
         """Write back all dirty lines (end-of-program drain)."""

@@ -567,8 +567,9 @@ def _serve_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--phase-profile", action="store_true",
-        help="time trace-gen / cache-kernel / CHORD-accounting phases "
-             "per simulation and fold them into the metrics histograms",
+        help="time dag-build / schedule / trace-gen / cache-kernel / "
+             "CHORD-accounting phases per simulation and fold them into "
+             "the metrics histograms",
     )
     args = parser.parse_args(argv)
 

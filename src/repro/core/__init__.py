@@ -11,7 +11,7 @@ from .tensor import (
     dense_tensor,
 )
 from .einsum import EinsumOp, OpKind
-from .dag import Edge, TensorDag
+from .dag import Edge, FrozenDagError, TensorDag
 from .dominance import (
     DOMINANCE_RATIO,
     Dominance,
@@ -46,6 +46,7 @@ __all__ = [
     "EinsumOp",
     "OpKind",
     "Edge",
+    "FrozenDagError",
     "TensorDag",
     "DOMINANCE_RATIO",
     "Dominance",

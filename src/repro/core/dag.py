@@ -19,10 +19,15 @@ builders construct DAGs in execution order so reuse distances measured in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple,
+    TypeVar,
+)
 
 from .einsum import EinsumOp
 from .tensor import TensorSpec
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,10 @@ class Edge:
         return (self.src, self.dst, self.tensor)
 
 
+class FrozenDagError(RuntimeError):
+    """``add_op`` on a frozen (shared) DAG."""
+
+
 class TensorDag:
     """A DAG of einsum operations linked by tensor flows."""
 
@@ -53,6 +62,8 @@ class TensorDag:
         self._tensors: Dict[str, TensorSpec] = {}
         self._consumers: Dict[str, List[str]] = {}
         self._longest_cache: Dict[Tuple[str, str], Optional[Tuple[str, ...]]] = {}
+        self._derived: Dict[Hashable, object] = {}
+        self._frozen = False
 
     # -- construction -------------------------------------------------------
 
@@ -62,8 +73,16 @@ class TensorDag:
         Inputs must either be program inputs (never produced) or have been
         produced by an earlier op; this enforces topological construction.
         The operation is atomic: a validation failure leaves the DAG
-        untouched (no phantom consumer entries).
+        untouched (no phantom consumer entries).  A frozen DAG raises
+        :class:`FrozenDagError`.
         """
+        if self._frozen:
+            raise FrozenDagError(
+                f"cannot add op {op.name!r}: this DAG is frozen because it is "
+                "shared (registry.workload_dag memoises one DAG per workload "
+                "name); build a fresh one with Workload.build() and extend "
+                "that instead"
+            )
         if op.name in self._ops:
             raise ValueError(f"duplicate op name {op.name!r}")
         # Validate everything before mutating any structure.
@@ -86,7 +105,32 @@ class TensorDag:
         self._ops[op.name] = op
         self._order.append(op.name)
         self._longest_cache.clear()
+        self._derived.clear()
         return op
+
+    def freeze(self) -> "TensorDag":
+        """Make the DAG immutable (``add_op`` raises); returns ``self``."""
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """Memoise ``compute()``, an analysis of this DAG alone, under ``key``.
+
+        SCORE's capacity-independent stages and the cache trace are cached
+        here so every later point of a shared DAG reuses them; ``add_op``
+        drops the lot.  No lock: two threads that miss together both
+        compute, and ``setdefault`` hands both the first value stored.
+        The values are pure functions of the DAG, so they are equal
+        either way.  Callers must treat the value as read-only.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            return self._derived.setdefault(key, compute())  # type: ignore[return-value]
 
     def _check_tensor(self, t: TensorSpec) -> None:
         existing = self._tensors.get(t.name)

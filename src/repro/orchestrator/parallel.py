@@ -37,7 +37,12 @@ from ..baselines.configs import run_config
 from ..hw.config import AcceleratorConfig
 from ..sim import engine as sim_engine
 from ..sim.results import SimResult
-from ..workloads.registry import Workload, is_resolvable, resolve_workload
+from ..workloads.registry import (
+    Workload,
+    is_resolvable,
+    resolve_workload,
+    workload_dag,
+)
 from .spec import SweepPoint, SweepSpec
 
 #: When set (the daemon's ``--phase-profile`` exports it before forking
@@ -219,7 +224,8 @@ def get_shared_pool() -> Optional[OrchestratorPool]:
 
 
 def _simulate_payload(payload: _Payload) -> Dict[str, object]:
-    """Worker entry point: resolve, build, simulate, encode.
+    """Worker entry point: resolve, build (once per workload per process,
+    :func:`~repro.workloads.registry.workload_dag`), simulate, encode.
 
     Module-level (picklable) by construction; runs in the worker process.
     With :data:`PHASE_PROFILE_ENV` set the per-payload phase timings ride
@@ -238,7 +244,7 @@ def _simulate_payload(payload: _Payload) -> Dict[str, object]:
                 phase, sink.get(phase, 0.0) + dt))
     try:
         result = run_config(
-            config, workload.build(), cfg,
+            config, workload_dag(workload), cfg,
             workload_name=workload.name,
             cache_granularity=granularity,
         )

@@ -22,9 +22,10 @@ from ..chord.hints import ReuseHints
 from ..core.classify import ClassifiedDag, classify_dependencies
 from ..core.dag import TensorDag
 from ..hw.config import DEFAULT_CONFIG, AcceleratorConfig
+from ..sim.phases import timed
 from .binding import BindingOptions, place_tensors, realize_holds, realize_pipelines
 from .loop_order import natural_loop_order
-from .schedule_ir import Schedule
+from .schedule_ir import LoopOrder, Schedule
 from .swizzle import choose_all_layouts
 from .tiling import choose_tiling
 
@@ -57,14 +58,43 @@ class Score:
 
     def schedule(self, dag: TensorDag,
                  classified: Optional[ClassifiedDag] = None) -> Schedule:
-        """Produce a full :class:`Schedule` for ``dag``."""
-        cdag = classified if classified is not None else classify_dependencies(dag)
-        orders = {op.name: natural_loop_order(op, cdag) for op in dag.ops}
+        """Produce a full :class:`Schedule` for ``dag``.
+
+        Steps 1, 3 and 5 and the loop orders read the DAG alone, never
+        the SRAM size.  Without ``classified`` they come from the DAG's
+        derived cache (:meth:`TensorDag.derived`): Algorithm 2, the
+        natural loop orders, the layouts (keyed by ``minimize_swizzle``)
+        and the reuse hints, computed by the first schedule of the DAG
+        and shared by every later one.  Tiling, pipeline and hold
+        realisation and placement read ``pipeline_buffer_bytes`` and
+        ``rf_bytes``, so they run on every call.  A caller that passes
+        ``classified`` gets every stage computed afresh from it.  The
+        call is reported to the phase hook as ``"schedule"``.
+        """
+        return timed("schedule", lambda: self._schedule(dag, classified))
+
+    def _schedule(self, dag: TensorDag,
+                  classified: Optional[ClassifiedDag]) -> Schedule:
+        minimize = self.options.minimize_swizzle
+        if classified is None:
+            cdag = dag.derived("classified",
+                               lambda: classify_dependencies(dag))
+            orders = dag.derived("loop-orders",
+                                 lambda: _loop_orders(dag, cdag))
+            layouts = dag.derived(
+                ("layouts", minimize),
+                lambda: choose_all_layouts(dag, orders, minimize=minimize))
+            hints = dag.derived("reuse-hints",
+                                lambda: ReuseHints.from_dag(dag))
+        else:
+            cdag = classified
+            orders = _loop_orders(dag, cdag)
+            layouts = choose_all_layouts(dag, orders, minimize=minimize)
+            hints = ReuseHints.from_dag(dag)
         op_schedules = {
             op.name: choose_tiling(op, cdag, self.cfg, order=orders[op.name])
             for op in dag.ops
         }
-        layouts = choose_all_layouts(dag, orders, minimize=self.options.minimize_swizzle)
         pipelines = realize_pipelines(
             cdag, op_schedules, layouts, self.cfg, self.options.binding()
         )
@@ -72,7 +102,6 @@ class Score:
             cdag, op_schedules, pipelines, self.cfg, self.options.binding()
         )
         placements = place_tensors(cdag, pipelines, holds, layouts, self.cfg)
-        hints = ReuseHints.from_dag(dag)
         return Schedule(
             dag=dag,
             classified=cdag,
@@ -82,6 +111,10 @@ class Score:
             holds=holds,
             hints=hints,
         )
+
+
+def _loop_orders(dag: TensorDag, cdag: ClassifiedDag) -> Dict[str, LoopOrder]:
+    return {op.name: natural_loop_order(op, cdag) for op in dag.ops}
 
 
 def schedule_program(

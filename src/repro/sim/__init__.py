@@ -16,6 +16,7 @@ from .trace import (
     iter_program_trace,
     op_trace,
     program_trace,
+    program_trace_arrays,
     program_trace_bytes,
     trace_bytes,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "iter_program_trace",
     "op_trace",
     "program_trace",
+    "program_trace_arrays",
     "program_trace_bytes",
     "trace_bytes",
     "CacheEngine",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..buffers.cache import ReplacementPolicy, SetAssociativeCache
 from ..chord.buffer import ChordBuffer
@@ -24,46 +24,18 @@ from ..score.schedule_ir import Route, Schedule
 from .address_map import AddressMap
 from .dram import DramChannel
 from .perf import make_result
+# set_phase_hook/get_phase_hook are re-exported: the daemon, the pool
+# workers and the layer ladder install the hook through this module.
+from .phases import get_phase_hook, set_phase_hook  # noqa: F401
 from .results import SimResult
-from .trace import auto_granularity, iter_program_trace, program_trace_bytes
-
-#: Optional phase-profiling hook: ``hook(phase, seconds)`` per engine
-#: run, with phases ``"trace-gen"`` (lazy trace production),
-#: ``"cache-kernel"`` (set-associative replay) and ``"chord-accounting"``
-#: (the schedule-driven op walk).  ``None`` (the default) keeps the hot
-#: paths timer-free; the service daemon installs a histogram-feeding
-#: hook under ``--phase-profile`` so "simulation is slow" decomposes
-#: into which phase regressed.  Pool workers install a local collector
-#: and ship the timings back with the result
-#: (:mod:`repro.orchestrator.parallel`).
-_PHASE_HOOK: Optional[Callable[[str, float], None]] = None
+from .trace import auto_granularity, program_trace_arrays, program_trace_bytes
 
 
-def set_phase_hook(hook: Optional[Callable[[str, float], None]]) -> None:
-    """Install (or with ``None`` remove) the process-wide phase hook."""
-    global _PHASE_HOOK
-    _PHASE_HOOK = hook
-
-
-def get_phase_hook() -> Optional[Callable[[str, float], None]]:
-    return _PHASE_HOOK
-
-
-def _timed_trace(segments: Iterable, sink: Dict[str, float]) -> Iterable:
-    """Wrap a lazy trace so time spent *producing* segments accumulates
-    in ``sink["trace-gen"]``, separable from the cache kernel consuming
-    them (generator and kernel interleave on one thread)."""
-    it = iter(segments)
-    while True:
-        t0 = time.perf_counter()
-        try:
-            segment = next(it)
-        except StopIteration:
-            return
-        finally:
-            sink["trace-gen"] = (sink.get("trace-gen", 0.0)
-                                 + time.perf_counter() - t0)
-        yield segment
+def address_map(dag: TensorDag, line_bytes: int) -> AddressMap:
+    """``AddressMap.for_dag``, kept on the DAG per ``line_bytes`` (the map
+    reads tensor sizes alone, so every point of a DAG shares it)."""
+    return dag.derived(("address-map", line_bytes),
+                       lambda: AddressMap.for_dag(dag, line_bytes=line_bytes))
 
 
 @dataclass(frozen=True)
@@ -99,7 +71,7 @@ class ScheduleEngine:
         cfg = self.cfg
         dag = schedule.dag
         hints = schedule.hints
-        amap = AddressMap.for_dag(dag, line_bytes=cfg.line_bytes)
+        amap = address_map(dag, cfg.line_bytes)
         entries = self.options.chord_entries or cfg.chord_entries
         chord = ChordBuffer(
             capacity_bytes=cfg.chord_data_bytes,
@@ -128,7 +100,7 @@ class ScheduleEngine:
             is_cold_input[name] = dag.producer_of(name) is None
             last_use_of[name] = hints.get(name).last_use()
 
-        hook = _PHASE_HOOK
+        hook = get_phase_hook()
         t_account = time.perf_counter() if hook is not None else 0.0
         for i, op in enumerate(dag.ops):
             for t in op.inputs:
@@ -211,14 +183,18 @@ class CacheEngine:
     """Replays the best-intra-op trace through an implicit cache
     (the Flex+LRU / Flex+BRRIP baselines).
 
-    The trace is generated lazily (one op's segments at a time) and pushed
-    through :meth:`SetAssociativeCache.access_segments`, which expands and
-    resolves it as batched array kernels — multi-GB streams simulate in
-    bounded memory, at 3–5 M accesses per second on real traces when the
-    cache evicts and 10–16 M when every chunk resolves in the
-    eviction-free closed form.  ``backend``
-    selects the cache implementation (``"reference"`` replays the scalar
-    per-access loop, for parity tests and benchmarking).
+    The trace depends on the DAG, ``interleave_chunk``, ``rf_bytes`` and
+    the line size alone, never on the cache, so it is kept on the DAG
+    (:meth:`TensorDag.derived`) as three compact segment arrays
+    (:func:`~repro.sim.trace.program_trace_arrays`) and every later run
+    of the DAG replays it without regenerating it.  The expanded block
+    stream is never kept: on cg/G2_circuit/N=16 it is ~18x the arrays.
+    :meth:`SetAssociativeCache.access_arrays` expands and resolves it in
+    bounded chunks as batched array kernels, at 3–5 M accesses per second
+    on real traces when the cache evicts and 10–16 M when every chunk
+    resolves in the eviction-free closed form.  ``backend`` selects the
+    cache implementation (``"reference"`` replays the scalar per-access
+    loop range by range, for parity tests and benchmarking).
     """
 
     def __init__(
@@ -238,7 +214,6 @@ class CacheEngine:
     def run(self, dag: TensorDag, config_name: str = "cache",
             workload_name: str = "workload") -> SimResult:
         cfg = self.cfg
-        amap = AddressMap.for_dag(dag, line_bytes=cfg.line_bytes)
         total = program_trace_bytes(dag)
         g = self.granularity or auto_granularity(total, cfg.line_bytes)
         block_bytes = cfg.line_bytes * g
@@ -249,24 +224,20 @@ class CacheEngine:
             policy=self.policy,
             backend=self.backend,
         )
-        trace = iter_program_trace(
-            dag, amap,
-            interleave_chunk=self.interleave_chunk,
-            rf_bytes=cfg.rf_bytes,
-        )
-        hook = _PHASE_HOOK
-        if hook is None:
-            cache.access_segments(trace)
-            cache.flush()
-        else:
-            sink: Dict[str, float] = {}
-            t_total = time.perf_counter()
-            cache.access_segments(_timed_trace(trace, sink))
-            cache.flush()
-            elapsed = time.perf_counter() - t_total
-            gen = sink.get("trace-gen", 0.0)
-            hook("trace-gen", gen)
-            hook("cache-kernel", max(0.0, elapsed - gen))
+        key = ("cache-trace", self.interleave_chunk, cfg.rf_bytes,
+               cfg.line_bytes)
+        hook = get_phase_hook()
+        t0 = time.perf_counter() if hook is not None else 0.0
+        starts, nbytes, writes = dag.derived(key, lambda: program_trace_arrays(
+            dag, address_map(dag, cfg.line_bytes),
+            interleave_chunk=self.interleave_chunk, rf_bytes=cfg.rf_bytes))
+        if hook is not None:
+            t1 = time.perf_counter()
+            hook("trace-gen", t1 - t0)
+        cache.access_arrays(starts, nbytes, writes)
+        cache.flush()
+        if hook is not None:
+            hook("cache-kernel", time.perf_counter() - t1)
         total_macs = sum(op.macs for op in dag.ops)
         return make_result(
             config=config_name,

@@ -7,7 +7,8 @@ exactly this access stream through an implicitly-managed cache; whatever
 inter-op reuse the cache captures is whatever survives its replacement
 policy — the comparison Fig. 12 makes.
 
-Traces are sequences of :class:`StreamSegment` (byte ranges + R/W flavour).
+Traces are sequences of :class:`StreamSegment` (byte ranges + R/W flavour),
+packed for replay into three parallel arrays (:func:`program_trace_arrays`).
 ``interleave_chunk`` controls how finely concurrent operand streams are
 woven together (real engines fetch tiles round-robin).
 """
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from ..core.dag import TensorDag
 from ..core.einsum import EinsumOp
@@ -102,15 +105,41 @@ def iter_program_trace(
 ) -> Iterator[StreamSegment]:
     """Whole-program trace as a generator: ops in program order.
 
-    Only one op's segments are materialized at a time, so multi-GB traces
-    stream through :meth:`SetAssociativeCache.access_segments` in bounded
-    memory instead of being built as one giant list.  ``program_trace`` is
-    the eager form (small traces, tests).
+    Only one op's segments are materialized at a time.
+    ``program_trace_arrays`` packs it into the arrays the cache engine
+    replays; ``program_trace`` is the eager list form (small traces,
+    tests).
     """
     for op in dag.ops:
         yield from op_trace(
             op, dag, amap, interleave_chunk=interleave_chunk, rf_bytes=rf_bytes
         )
+
+
+def program_trace_arrays(
+    dag: TensorDag,
+    amap: AddressMap,
+    interleave_chunk: int = 4096,
+    rf_bytes: int = 32 * 1024,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-program trace as three parallel arrays, one row a segment:
+    ``(start, nbytes, is_write)`` as int64, int64 and bool.
+
+    The compact form the cache engine keeps on a DAG and replays through
+    :meth:`SetAssociativeCache.access_arrays`: ~17 bytes a segment
+    (cg/G2_circuit/N=16's ~344k segments are ~6 MB), where the expanded
+    block stream would be 8 bytes a *line* (~100 MB for the same trace).
+    """
+    starts: List[int] = []
+    sizes: List[int] = []
+    writes: List[bool] = []
+    for seg in iter_program_trace(dag, amap, interleave_chunk=interleave_chunk,
+                                  rf_bytes=rf_bytes):
+        starts.append(seg.start)
+        sizes.append(seg.nbytes)
+        writes.append(seg.is_write)
+    return (np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64),
+            np.array(writes, dtype=bool))
 
 
 def program_trace(

@@ -20,10 +20,12 @@ walks through authoring one end-to-end).
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 from ..core.dag import TensorDag
+from ..sim.phases import timed
 from .bicgstab import BiCgStabProblem, build_bicgstab_dag
 from .cg import CgProblem, build_cg_dag
 from .gmres import GmresProblem, build_gmres_dag
@@ -344,3 +346,48 @@ def is_resolvable(name: str) -> bool:
     except KeyError:
         return False
     return True
+
+
+#: Soft cap on memoised DAGs, evicted oldest-first like the analytic
+#: backend's compiled-model cache.  Lower than that cache's cap because
+#: an entry can carry its cache trace (~6 MB for cg/G2_circuit/N=16); the
+#: registry's evaluation matrix is 15 names.
+_DAG_CACHE_CAP = 64
+
+_DAG_CACHE: Dict[str, TensorDag] = {}
+#: Serialises misses (daemon executor threads and ``predict`` may race on
+#: one name), so each name is built once per process and ``dag-build`` is
+#: reported once.  Hits take no lock.
+_DAG_LOCK = threading.Lock()
+
+
+def workload_dag(workload: Workload) -> TensorDag:
+    """The DAG of ``workload``, built once per process and shared.
+
+    Registry names are memoised: the DAG is built through
+    ``resolve_workload(name).build()`` (never the caller's closure, so
+    equal names share one DAG) and frozen, and it keeps its derived
+    caches (longest paths, SCORE's capacity-independent stages, the cache
+    trace) across every later point.  A name :func:`resolve_workload`
+    rejects (a hand-rolled workload) builds fresh on every call.
+    """
+    dag = _DAG_CACHE.get(workload.name)
+    if dag is not None:
+        return dag
+    try:
+        canonical = resolve_workload(workload.name)
+    except KeyError:
+        return workload.build()
+    with _DAG_LOCK:
+        dag = _DAG_CACHE.get(workload.name)
+        if dag is None:
+            dag = timed("dag-build", canonical.build).freeze()
+            if len(_DAG_CACHE) >= _DAG_CACHE_CAP:
+                _DAG_CACHE.pop(next(iter(_DAG_CACHE)))
+            _DAG_CACHE[workload.name] = dag
+    return dag
+
+
+def clear_dag_cache() -> None:
+    """Drop every memoised DAG (and with them their derived caches)."""
+    _DAG_CACHE.clear()

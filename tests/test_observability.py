@@ -49,6 +49,7 @@ from repro.service import (
 )
 from repro.service.protocol import ProtocolError
 from repro.sim import engine as sim_engine
+from repro.workloads import registry
 from repro.workloads.registry import resolve_workload
 from test_service import (
     BANDWIDTH_GB,
@@ -314,8 +315,9 @@ class TestWireTraceFields:
 class TestPhaseHook:
     def test_engines_emit_named_phases_when_hooked(self):
         """With a hook installed, the cache engine splits trace-gen from
-        kernel replay and the schedule engine reports chord accounting;
-        with no hook, engine runs pay nothing and emit nothing."""
+        kernel replay, SCORE reports its schedule and the schedule engine
+        reports chord accounting; with no hook, engine runs pay nothing
+        and emit nothing."""
         seen = {}
         sim_engine.set_phase_hook(
             lambda phase, s: seen.setdefault(phase, []).append(s))
@@ -328,7 +330,7 @@ class TestPhaseHook:
                        workload_name=workload.name)
         finally:
             sim_engine.set_phase_hook(None)
-        assert set(seen) == {"trace-gen", "cache-kernel",
+        assert set(seen) == {"trace-gen", "cache-kernel", "schedule",
                              "chord-accounting"}
         assert all(s >= 0.0 for timings in seen.values() for s in timings)
         assert sim_engine.get_phase_hook() is None
@@ -546,6 +548,24 @@ class TestTracedLoopback:
         warm_phases = HistogramFamily.merged_by(warm["phases"], "phase")
         assert cold_phases["store"].count == 1
         assert warm_phases["store"].count == 1
+
+    def test_profiled_daemon_builds_each_workload_once(self, traced_server):
+        """A cold sweep over two workloads at three SRAM sizes reports
+        ``schedule`` for every schedule-driven point but ``dag-build``
+        once per workload: the daemon process builds each DAG on its
+        first cold point and reuses it after that."""
+        srv, _ = traced_server
+        registry.clear_dag_cache()
+        workloads = [WORKLOAD, "mg/fv1/N=1"]
+        with srv.client() as client:
+            outcome = client.submit_sweep(workloads, configs=list(CONFIGS),
+                                          sram_mb=[3.0, 3.5, 4.0])
+            metrics = client.metrics()
+        assert outcome.simulations == 2 * len(CONFIGS) * 3
+        phases = HistogramFamily.merged_by(metrics["phases"], "phase")
+        assert phases["dag-build"].count == len(workloads)
+        # Flexagon never schedules; CELLO does, once a point
+        assert phases["schedule"].count == len(workloads) * 3
 
     def test_untraced_client_leaves_no_trace_fields(self, traced_server):
         srv, stream = traced_server

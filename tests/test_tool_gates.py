@@ -309,6 +309,57 @@ class TestBenchTrend:
         assert all("results" in r for r in reports)
 
 
+class TestReportDigest:
+    REPORT = ("=== fig2: roofline ===\nrow 1.00x\n\n"
+              "=== fig12: CG performance ===\nCELLO 3.10x\n\n")
+
+    def _pin(self, tmp_path, text):
+        rd = _tool("check_report_digest")
+        report = tmp_path / "report.txt"
+        report.write_text(text)
+        digest = tmp_path / "digest.json"
+        assert rd.main([str(report), "--digest", str(digest), "--write"]) == 0
+        return rd, report, digest
+
+    def test_unchanged_report_passes(self, tmp_path, capsys):
+        rd, report, digest = self._pin(tmp_path, self.REPORT)
+        assert rd.main([str(report), "--digest", str(digest)]) == 0
+        assert "all 2 experiments match" in capsys.readouterr().out
+
+    def test_a_moved_number_names_its_experiment(self, tmp_path, capsys):
+        rd, report, digest = self._pin(tmp_path, self.REPORT)
+        report.write_text(self.REPORT.replace("3.10x", "3.11x"))
+        assert rd.main([str(report), "--digest", str(digest)]) == 1
+        err = capsys.readouterr().err
+        assert "fig12: rendered output changed" in err
+        assert "fig2" not in err
+
+    def test_missing_and_extra_experiments_fail(self, tmp_path, capsys):
+        rd, report, digest = self._pin(tmp_path, self.REPORT)
+        report.write_text(self.REPORT.replace("fig2:", "fig3:"))
+        assert rd.main([str(report), "--digest", str(digest)]) == 1
+        err = capsys.readouterr().err
+        assert "fig2: missing from the report" in err
+        assert "fig3: not in the committed digest" in err
+
+    def test_unusable_input_is_rejected(self, tmp_path):
+        rd = _tool("check_report_digest")
+        for text in ("no sections at all\n",
+                     "stray\n=== fig2: x ===\n",
+                     "=== fig2: x ===\n=== fig2: x ===\n"):
+            report = tmp_path / "bad.txt"
+            report.write_text(text)
+            assert rd.main([str(report)]) == 2
+
+    def test_committed_digest_covers_every_experiment(self):
+        """Adding or renaming an experiment must re-pin the digest."""
+        from repro.cli import EXPERIMENTS
+
+        rd = _tool("check_report_digest")
+        pinned = json.loads(rd.DEFAULT_DIGEST.read_text())
+        assert sorted(pinned) == sorted(EXPERIMENTS)
+
+
 class TestCiWiring:
     """The workflow file must keep invoking the gates (a gate nobody
     calls protects nothing)."""
@@ -322,6 +373,8 @@ class TestCiWiring:
         assert "--fidelity hybrid" in ci
         assert "within 2% bound" in ci
         assert "fidelity: hybrid" in ci
+        assert "repro all --no-cache" in ci
+        assert "tools/check_report_digest.py report.txt" in ci
 
     def test_ci_runs_the_observability_smoke(self):
         ci = (REPO_ROOT / ".github/workflows/ci.yml").read_text()
