@@ -61,22 +61,9 @@ def render_service_stats(stats: Mapping[str, object]) -> str:
            or "none"),
         f"  points streamed: {points} ({per_s:.2f} points/s)",
         f"  simulations:     {sims}",
-    ]
-    if "hits_total" in stats or "coalesced_total" in stats:
-        # v5 daemons split the dedup sources: a warm store hit and a
-        # coalesced in-flight wait are different operational signals.
-        lines.append(
-            f"  dedup:           {stats.get('hits_total', 0)} warm hit(s), "
-            f"{stats.get('coalesced_total', 0)} coalesced, "
-            f"{stats.get('shed_total', 0)} shed")
-    else:
-        # Pre-v5 daemons only expose the aggregate ratio.  `sims` is the
-        # server-wide counter and includes tune evaluations, which
-        # stream no points — clamp so the ratio stays meaningful.
-        dedup = max(0.0, 1.0 - sims / points) if points > 0 else 0.0
-        lines.append(
-            f"  dedup:           {dedup:.0%} answered without simulating")
-    lines += [
+        f"  dedup:           {stats.get('hits_total', 0)} warm hit(s), "
+        f"{stats.get('coalesced_total', 0)} coalesced, "
+        f"{stats.get('shed_total', 0)} shed",
         f"  queue depth:     {stats.get('queue_depth', 0)} "
         f"(+{stats.get('in_flight', 0)} in flight)",
         f"  pool:            {pool.get('jobs', 1)} worker(s), "
@@ -121,7 +108,7 @@ def _render_gateway_stats(stats: Mapping[str, object]) -> str:
 def _histogram_percentile_lines(snapshot: object, label: str,
                                 header: str) -> List[str]:
     """p50/p90/p99 lines for one dimension of a histogram snapshot;
-    empty when the endpoint is pre-v6 or nothing has been observed."""
+    empty when nothing has been observed."""
     if not isinstance(snapshot, Mapping) or not snapshot.get("series"):
         return []
     try:

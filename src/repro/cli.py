@@ -505,9 +505,22 @@ def _open_request_log(path: Optional[str]):
     return RequestLog.open(path)
 
 
-def _serve_main(argv: List[str]) -> int:
+def _run_endpoint(endpoint, role: str, args: argparse.Namespace) -> int:
+    """Serve ``endpoint`` until it stops; the CLI tail of both roles."""
     import asyncio
 
+    try:
+        asyncio.run(endpoint.run(announce=print))
+    except KeyboardInterrupt:
+        print(f"repro {role} interrupted; shutting down", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot serve on {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 2
+    return 0
+
+
+def _serve_main(argv: List[str]) -> int:
     from .service import SimulationService
 
     parser = argparse.ArgumentParser(
@@ -602,20 +615,10 @@ def _serve_main(argv: List[str]) -> int:
         prom_port=args.prom_port,
         phase_profile=args.phase_profile,
     )
-    try:
-        asyncio.run(service.run(announce=print))
-    except KeyboardInterrupt:
-        print("repro service interrupted; shutting down", file=sys.stderr)
-    except OSError as exc:
-        print(f"cannot serve on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _run_endpoint(service, "service", args)
 
 
 def _gateway_main(argv: List[str]) -> int:
-    import asyncio
-
     from .service import GatewayService, parse_shard_addrs
 
     parser = argparse.ArgumentParser(
@@ -679,15 +682,7 @@ def _gateway_main(argv: List[str]) -> int:
         request_log=_open_request_log(args.log_json),
         prom_port=args.prom_port,
     )
-    try:
-        asyncio.run(gateway.run(announce=print))
-    except KeyboardInterrupt:
-        print("repro gateway interrupted; shutting down", file=sys.stderr)
-    except OSError as exc:
-        print(f"cannot serve on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _run_endpoint(gateway, "gateway", args)
 
 
 def _submit_main(argv: List[str]) -> int:
@@ -751,8 +746,7 @@ def _submit_main(argv: List[str]) -> int:
     parser.add_argument(
         "--fidelity", default="exact",
         choices=("exact", "analytic", "hybrid"),
-        help="tune: evaluation fidelity (default exact; analytic/hybrid "
-             "need a protocol-v3 daemon)",
+        help="tune: evaluation fidelity (default exact)",
     )
     parser.add_argument(
         "--client", default=os.environ.get("REPRO_CLIENT"), metavar="ID",
@@ -766,7 +760,7 @@ def _submit_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="mint a trace id for the submission (protocol v6): every "
+        help="mint a trace id for the submission: every "
              "hop it takes through the fabric logs the same trace_id, "
              "printed at the end for grepping the request logs",
     )

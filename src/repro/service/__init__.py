@@ -13,6 +13,8 @@ a long-lived server instead:
   gateway (``repro gateway``): consistent-hash routing of sweep points
   across N daemons, merged byte-identical result streams, shard health
   checks with requeue-on-death;
+* :class:`~repro.service.endpoint.Endpoint` — the daemon skeleton both
+  roles subclass: lifecycle, connection loop and the shared ops;
 * :mod:`~repro.service.hashing` — the consistent-hash ring the gateway
   routes on;
 * :mod:`~repro.service.protocol` — the JSON-lines wire protocol;
@@ -21,7 +23,7 @@ a long-lived server instead:
   indistinguishable to it);
 * :mod:`~repro.service.jobs` — job lifecycle records;
 * :mod:`~repro.service.tracing` — trace/span ids propagated through
-  every fabric hop (protocol v6) and stamped into request logs;
+  every fabric hop and stamped into request logs;
 * :mod:`~repro.service.metrics` — rate meters and log-bucketed latency
   histograms behind the ``metrics`` op;
 * :mod:`~repro.service.promexport` — Prometheus text-format rendering

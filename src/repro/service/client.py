@@ -89,7 +89,7 @@ class SweepOutcome:
     #: Points re-hashed off a dead shard (always 0 on a single daemon).
     requeued: int = 0
     #: Trace id the fabric stamped on its request logs (tracing clients
-    #: only; ``None`` when the submission was untraced or pre-v6).
+    #: only; ``None`` when the submission was untraced).
     trace_id: Optional[str] = None
 
 
@@ -112,8 +112,8 @@ class ServiceClient:
         #: Tenant tag attached to every submission (fair scheduling,
         #: per-client quotas, request logs); ``None`` submits as "anon".
         self.client_id = client_id
-        #: Mint a root span per request (protocol v6): every hop the
-        #: request takes through the fabric logs the same trace id.
+        #: Mint a root span per request: every hop the request takes
+        #: through the fabric logs the same trace id.
         self.trace = trace
         #: Trace id of the most recent traced request — what to grep the
         #: fabric's request logs for.
@@ -260,24 +260,16 @@ class ServiceClient:
 
     def topology(self) -> Dict[str, object]:
         """Describe the endpoint: a lone shard reports itself, a gateway
-        reports its hash ring and per-shard health (protocol v4+)."""
+        reports its hash ring and per-shard health."""
         return self.request({"op": "topology"})
 
     def stats(self) -> Dict[str, object]:
         return self.request({"op": "stats"})
 
     def metrics(self) -> Dict[str, object]:
-        """Cheap operational counters (protocol v5): queue depth, dedup
-        split, windowed rates, store hit rate — safe to poll."""
-        try:
-            return self.request({"op": "metrics"})
-        except ServiceError as exc:
-            if "op" in str(exc) and "metrics" in str(exc):
-                raise ServiceError(
-                    f"the endpoint at {self.host}:{self.port} does not "
-                    "know the 'metrics' op (needs protocol v5+); restart "
-                    "it with this build") from exc
-            raise
+        """Cheap operational counters: queue depth, dedup split,
+        windowed rates, store hit rate — safe to poll."""
+        return self.request({"op": "metrics"})
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         return self.request({"op": "cancel", "job": job_id})
@@ -335,7 +327,7 @@ class ServiceClient:
                       on_retry: Optional[
                           Callable[[int, float, "Overloaded"], None]] = None,
                       ) -> SweepOutcome:
-        """Submit an explicit point list (protocol v4 ``points`` op).
+        """Submit an explicit point list (the ``points`` op).
 
         A sharded gateway partitions a grid by traffic key, so each
         shard receives an arbitrary point subset — this is the op those
@@ -434,21 +426,7 @@ class ServiceClient:
         """Submit a tune job; returns the serialised
         :class:`~repro.tuner.TuneResult` dict (rebuild with
         ``TuneResult.from_dict``).
-
-        A non-default ``fidelity`` needs a protocol-v3 daemon: v2 daemons
-        ignore unknown request fields, so without the version check a
-        hybrid submission would silently run at exact fidelity.  The
-        check turns that into a clear client-side error instead.
         """
-        if fidelity != "exact":
-            version = self.ping().get("protocol", 1)
-            if not (isinstance(version, int) and version >= 3):
-                raise ServiceError(
-                    f"daemon speaks protocol v{version} which has no "
-                    f"'fidelity' tune field (needs v3+); a v2 daemon would "
-                    f"silently ignore fidelity={fidelity!r} and simulate "
-                    f"every point — restart the daemon with this build or "
-                    f"drop --fidelity")
         req = self._traced(tune_request(
             workload, strategy=strategy, budget=budget,
             seed=seed, objectives=objectives, sram_mb=sram_mb,

@@ -15,7 +15,7 @@ protocol.
 What the gateway does per sweep/points job:
 
 * partition the point list across *healthy* shards by hashed key,
-* ship each partition as one protocol-v4 ``points`` op,
+* ship each partition as one ``points`` op,
 * merge the per-shard streams back into the client's stream in strict
   global submission order, passing each ``point``/``result`` payload
   through verbatim (byte-identical to what a lone daemon would send),
@@ -41,18 +41,18 @@ re-running it elsewhere would fail the same way.
 from __future__ import annotations
 
 import asyncio
-import threading
+import contextlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (AsyncIterator, Awaitable, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
-from ..workloads.registry import all_workloads, is_resolvable
-from .hashing import DEFAULT_REPLICAS, EmptyRing, HashRing
-from .jobs import Job, JobRegistry, JobState, workload_family
-from .metrics import DEFAULT_WINDOW_S, HistogramFamily, RateMeter
-from .promexport import PromExporter
+from .endpoint import Endpoint, _JobCancelled, _TypedJobError
+from .hashing import DEFAULT_REPLICAS, HashRing
+from .jobs import Job, JobState, workload_family
+from .metrics import DEFAULT_WINDOW_S
 from .protocol import (
     DEFAULT_HOST,
     MAX_LINE_BYTES,
@@ -60,37 +60,35 @@ from .protocol import (
     ProtocolError,
     decode_message,
     encode_message,
-    parse_request,
     parse_submit_fields,
     points_request,
-    request_to_points,
-    request_to_spec,
 )
 from .reqlog import RequestLog
-from .scheduling import classify_priority
 from .tracing import SpanContext, attach_trace, parse_trace_fields
 
 
-class _JobCancelled(Exception):
-    """Internal control flow: a gateway job observed its cancel event."""
-
-
 class _NoHealthyShards(Exception):
-    """Internal control flow: routing found zero live shards."""
+    """Routing found zero live shards."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            "no healthy shards: every backend daemon is down; check "
+            "'repro jobs --topology' and restart shards with 'repro serve'")
 
 
-class _ShardJobError(Exception):
-    """A shard reported a terminal job error; carries the typed fields
-    (``code`` / ``retry_after_s``) so an ``overloaded`` shed by a shard
-    reaches the gateway's client intact and its retry logic still
-    works."""
+class _ShardDown(Exception):
+    """A shard could not be reached, dropped or garbled its stream, or
+    did not answer in time: the shard's fault, never the client's.
+    ``stalled`` marks a timeout (see :attr:`ShardState.stalled`)."""
 
-    def __init__(self, shard_id: str, error: str,
-                 code: Optional[str] = None,
-                 retry_after_s: Optional[float] = None) -> None:
-        super().__init__(f"shard {shard_id}: {error}")
-        self.code = code
-        self.retry_after_s = retry_after_s
+    def __init__(self, reason: str, stalled: bool = False) -> None:
+        super().__init__(reason)
+        self.stalled = stalled
+
+    @classmethod
+    def of(cls, exc: BaseException, prefix: str = "") -> "_ShardDown":
+        return cls(prefix + (str(exc) or type(exc).__name__),
+                   stalled=isinstance(exc, asyncio.TimeoutError))
 
 
 def parse_shard_addrs(specs: Sequence[str]) -> List[Tuple[str, int]]:
@@ -153,14 +151,13 @@ class ShardState:
         }
 
 
-class GatewayService:
-    """The daemon behind ``repro gateway``.
+class GatewayService(Endpoint):
+    """The daemon behind ``repro gateway``: an :class:`Endpoint` that
+    owns the shard table and routes every job through it.
 
-    Lifecycle mirrors :class:`~repro.service.server.SimulationService`
-    (:meth:`run` / :meth:`wait_started` / :meth:`request_stop`) so the
-    same thread harnesses drive both.  The gateway holds no simulation
-    state of its own — no pool, no store — which is why restarting it
-    loses nothing but in-flight client conversations.
+    The gateway holds no simulation state of its own — no pool, no
+    store — which is why restarting it loses nothing but in-flight
+    client conversations.
     """
 
     def __init__(self,
@@ -175,21 +172,15 @@ class GatewayService:
                  request_log: Optional[RequestLog] = None,
                  metrics_window_s: float = DEFAULT_WINDOW_S,
                  prom_port: Optional[int] = None) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host=host, port=port, keep_jobs=keep_jobs,
+                         request_log=request_log,
+                         metrics_window_s=metrics_window_s,
+                         prom_port=prom_port)
         self.replicas = max(1, replicas)
         self.health_interval_s = max(0.05, health_interval_s)
         self.ping_timeout_s = max(0.05, ping_timeout_s)
         self.shard_read_timeout_s = max(0.05, shard_read_timeout_s)
-        self.registry = JobRegistry(keep=keep_jobs)
-        self.request_log = request_log
-        self.startup_error: Optional[BaseException] = None
-        self.points_streamed = 0
         self.requeued_total = 0
-        self.prom_port = prom_port
-        self._points_meter = RateMeter(metrics_window_s)
-        self._latency = HistogramFamily(("op", "family", "priority"))
-        self._prom: Optional[PromExporter] = None
         self._shards: "Dict[str, ShardState]" = {}
         for shard_host, shard_port in shards:
             state = ShardState(id=f"{shard_host}:{shard_port}",
@@ -199,82 +190,30 @@ class GatewayService:
             self._shards[state.id] = state
         if not self._shards:
             raise ValueError("a gateway needs at least one shard")
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._t0 = 0.0
         #: In-flight health probes by shard id, shared by every caller.
         self._probes: "Dict[str, asyncio.Task]" = {}
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def run(self, announce=None) -> None:
-        """Serve until a ``shutdown`` op or :meth:`request_stop`."""
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_conn, self.host, self.port or 0,
-                limit=MAX_LINE_BYTES)
-        except OSError as exc:
-            self.startup_error = exc
-            self._started.set()
-            raise
-        self.port = server.sockets[0].getsockname()[1]
+    async def _start_role(self) -> List["asyncio.Task[None]"]:
         # One initial sweep of the shard table before accepting work so
         # the first job routes around shards that never came up.
         await asyncio.gather(*(self._probe(s) for s in self._shards.values()))
-        health = asyncio.create_task(self._health_loop())
-        self._t0 = time.monotonic()
-        if self.prom_port is not None:
-            try:
-                self._prom = PromExporter(self.metrics_snapshot,
-                                          host=self.host,
-                                          port=self.prom_port)
-                self.prom_port = self._prom.start()
-            except OSError as exc:
-                self.startup_error = exc
-                self._started.set()
-                server.close()
-                health.cancel()
-                await asyncio.gather(health, return_exceptions=True)
-                raise
-        self._started.set()
-        if announce is not None:
-            healthy = sum(1 for s in self._shards.values() if s.healthy)
-            prom_desc = (f", prometheus: :{self.prom_port}/metrics"
-                         if self._prom is not None else "")
-            announce(f"repro gateway listening on {self.host}:{self.port} "
-                     f"(shards: {healthy}/{len(self._shards)} healthy, "
-                     f"ring replicas: {self.replicas}{prom_desc})")
-        try:
-            await self._stop.wait()
-        finally:
-            # Same rationale as the shard daemon: close without
-            # wait_closed() so an idle client cannot hang shutdown.
-            server.close()
-            tasks = [health, *self._probes.values()]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            if self._prom is not None:
-                await self._loop.run_in_executor(None, self._prom.stop)
-                self._prom = None
+        return [asyncio.create_task(self._health_loop())]
 
-    def wait_started(self, timeout: Optional[float] = None) -> bool:
-        """Block (from another thread) until the gateway accepts
-        connections; check :attr:`startup_error` on ``True``."""
-        return self._started.wait(timeout)
+    async def _stop_role(self) -> None:
+        probes = list(self._probes.values())
+        for task in probes:
+            task.cancel()
+        await asyncio.gather(*probes, return_exceptions=True)
 
-    def request_stop(self) -> None:
-        """Thread-safe shutdown trigger (SIGINT handler, test teardown)."""
-        loop, stop = self._loop, self._stop
-        if loop is None or stop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:
-            pass  # loop already closed — the gateway stopped on its own
+    def _announce_line(self) -> str:
+        healthy = sum(1 for s in self._shards.values() if s.healthy)
+        prom_desc = (f", prometheus: :{self.prom_port}/metrics"
+                     if self._prom is not None else "")
+        return (f"repro gateway listening on {self.host}:{self.port} "
+                f"(shards: {healthy}/{len(self._shards)} healthy, "
+                f"ring replicas: {self.replicas}{prom_desc})")
 
     # -- shard health ----------------------------------------------------------
 
@@ -306,49 +245,33 @@ class GatewayService:
 
     async def _check_shard(self, shard: ShardState) -> None:
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port,
-                                        limit=MAX_LINE_BYTES),
-                self.ping_timeout_s)
-        except (OSError, asyncio.TimeoutError) as exc:
-            self._mark_unhealthy(shard, f"unreachable: {exc or 'timeout'}",
-                                 exc)
-            return
-        try:
-            writer.write(encode_message({"op": "ping"}))
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(),
-                                          self.ping_timeout_s)
-            msg = decode_message(line) if line else {}
+            async with self._shard_conn(shard, {"op": "ping"},
+                                        self.ping_timeout_s) as read:
+                msg = await read()
             protocol = msg.get("protocol")
             if msg.get("type") != "pong" or not isinstance(protocol, int):
-                raise ProtocolError("did not answer ping with a pong")
+                raise _ShardDown("did not answer ping with a pong")
             shard.protocol = protocol
-            if protocol < 4:
-                # The fan-out runs on the v4 `points` op; an old daemon
-                # would reject every partition, so fail it up front.
-                raise ProtocolError(
-                    f"speaks protocol v{protocol}, gateway needs v4+")
-            shard.healthy = True
-            shard.stalled = False
-            shard.last_error = None
-        except (OSError, asyncio.TimeoutError, ProtocolError,
-                ValueError) as exc:
-            self._mark_unhealthy(shard, str(exc) or "ping timeout", exc)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            if protocol != PROTOCOL_VERSION:
+                # Shards, gateway and client ship from one build; a shard
+                # from another would misread the fan-out's fields.
+                raise _ShardDown(
+                    f"speaks protocol v{protocol}, this gateway speaks "
+                    f"v{PROTOCOL_VERSION}: restart the shard with this "
+                    "build")
+        except _ShardDown as exc:
+            self._mark_unhealthy(shard, exc)
+            return
+        shard.healthy = True
+        shard.stalled = False
+        shard.last_error = None
 
-    def _mark_unhealthy(self, shard: ShardState, reason: str,
-                        cause: BaseException) -> None:
+    def _mark_unhealthy(self, shard: ShardState, down: _ShardDown) -> None:
         if shard.healthy:
             shard.deaths += 1
         shard.healthy = False
-        shard.stalled = isinstance(cause, asyncio.TimeoutError)
-        shard.last_error = reason
+        shard.stalled = down.stalled
+        shard.last_error = str(down)
 
     async def _reprobe_down(self) -> None:
         """Ping, now, every DOWN shard whose last failure was quick.
@@ -379,39 +302,44 @@ class GatewayService:
             raise _NoHealthyShards
         return HashRing(healthy, replicas=self.replicas)
 
-    # -- connection handling ---------------------------------------------------
+    @contextlib.asynccontextmanager
+    async def _shard_conn(self, shard: ShardState,
+                          request: Mapping[str, object], timeout_s: float
+                          ) -> AsyncIterator[
+                              Callable[[], Awaitable[Dict[str, object]]]]:
+        """Send ``request`` to ``shard`` on a new connection and yield
+        ``read()``, which returns the shard's next message.
 
-    async def _send(self, writer: asyncio.StreamWriter,
-                    msg: Dict[str, object]) -> None:
-        writer.write(encode_message(msg))
-        await writer.drain()
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
+        The connect and every read are bounded by ``timeout_s``.  Each
+        failure to connect, send or read, EOF included, raises
+        :class:`_ShardDown`; anything else raised in the ``async with``
+        body (a client that went away) passes through untouched.  The
+        connection closes either way.
+        """
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._send(writer, {
-                        "type": "error", "job": None,
-                        "error": f"request line exceeds {MAX_LINE_BYTES} "
-                                 "bytes"})
-                    break
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(shard.host, shard.port,
+                                        limit=MAX_LINE_BYTES),
+                timeout_s)
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise _ShardDown.of(exc, "unreachable: ") from exc
+
+        async def read() -> Dict[str, object]:
+            try:
+                line = await asyncio.wait_for(reader.readline(), timeout_s)
                 if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    req = parse_request(line)
-                except ProtocolError as exc:
-                    await self._send(writer, {"type": "error", "job": None,
-                                              "error": str(exc)})
-                    continue
-                if await self._handle_request(req, writer):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; shard-side jobs keep warming stores
+                    raise ConnectionError("shard closed the stream")
+                return decode_message(line)
+            except (OSError, asyncio.TimeoutError, ValueError) as exc:
+                raise _ShardDown.of(exc) from exc
+
+        try:
+            try:
+                writer.write(encode_message(request))
+                await writer.drain()
+            except (OSError, ValueError) as exc:
+                raise _ShardDown.of(exc) from exc
+            yield read
         finally:
             writer.close()
             try:
@@ -419,11 +347,10 @@ class GatewayService:
             except (ConnectionError, OSError):
                 pass
 
-    async def _handle_request(self, req: Dict[str, object],
-                              writer: asyncio.StreamWriter) -> bool:
-        """Serve one request; ``True`` closes the connection."""
-        op = req["op"]
-        t_start = time.monotonic()
+    # -- role ops --------------------------------------------------------------
+
+    async def _handle_role_op(self, op: str, req: Dict[str, object],
+                              writer: asyncio.StreamWriter) -> None:
         if op in ("ping", "metrics"):
             await self._reprobe_down()
         if op == "ping":
@@ -433,9 +360,6 @@ class GatewayService:
                                       "protocol": PROTOCOL_VERSION,
                                       "shards_healthy": healthy,
                                       "shards_total": len(self._shards)})
-        elif op == "jobs":
-            await self._send(writer, {"type": "jobs",
-                                      "jobs": self.registry.snapshots()})
         elif op == "stats":
             await self._send(writer, self._stats_msg())
         elif op == "metrics":
@@ -444,40 +368,8 @@ class GatewayService:
             await self._send(writer, self._topology_msg())
         elif op == "predict":
             await self._forward_predict(req, writer)
-        elif op == "cancel":
-            await self._handle_cancel(req, writer)
-        elif op == "shutdown":
-            await self._send(writer, {"type": "ok", "stopping": True})
-            assert self._stop is not None
-            self._stop.set()
-            return True
-        elif op == "tune":
+        else:  # "tune"
             await self._forward_tune(req, writer)
-        else:  # "simulate" / "sweep" / "points"
-            await self._merged_job(req, writer)
-        if op not in ("simulate", "sweep", "points", "tune"):
-            # Submissions log themselves with job context at finish.
-            elapsed = time.monotonic() - t_start
-            self._latency.observe((str(op), "-", "-"), elapsed)
-            if self.request_log is not None:
-                client = req.get("client")
-                self.request_log.log(
-                    str(op),
-                    client=client if isinstance(client, str) else None,
-                    trace=self._query_trace(req),
-                    duration_s=elapsed)
-        return False
-
-    def _query_trace(self, req: Dict[str, object]
-                     ) -> Optional[Dict[str, str]]:
-        """Span fields for a query op's log record (queries answered by
-        the gateway itself are leaf hops).  Malformed trace fields never
-        fail an already-answered request — they just go unlogged."""
-        try:
-            caller = parse_trace_fields(req)
-        except ProtocolError:
-            return None
-        return caller.child().log_fields() if caller is not None else None
 
     def _topology_msg(self) -> Dict[str, object]:
         return {
@@ -528,227 +420,96 @@ class GatewayService:
             "shards": [s.snapshot() for s in self._shards.values()],
         }
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Thread-safe :meth:`_metrics_msg` for the Prometheus exporter:
-        hops onto the event loop so scrape threads never read loop-owned
-        state (registry, shard table) mid-mutation."""
-        loop = self._loop
-        if loop is None:
-            raise RuntimeError("gateway not running")
-
-        async def _snap() -> Dict[str, object]:
-            return self._metrics_msg()
-
-        return asyncio.run_coroutine_threadsafe(_snap(), loop).result(
-            timeout=10)
-
-    def _log_job(self, job: Job, outcome: Optional[str] = None) -> None:
-        self._latency.observe((job.kind, job.family, job.priority),
-                              job.elapsed_s())
-        if self.request_log is None:
-            return
-        self.request_log.log(
-            job.kind, client=job.client, job=job.id,
-            trace=job.span.log_fields() if job.span is not None else None,
-            points=job.total, sims=job.simulations, hits=job.hits,
-            coalesced=job.coalesced, duration_s=job.elapsed_s(),
-            outcome=outcome or job.state.value, error=job.error)
-
-    async def _handle_cancel(self, req: Dict[str, object],
-                             writer: asyncio.StreamWriter) -> None:
-        job = self.registry.get(req.get("job"))
-        if job is None:
-            await self._send(writer, {
-                "type": "error", "job": None,
-                "error": f"unknown job {req.get('job')!r}"})
-        elif job.kind == "tune":
-            await self._send(writer, {
-                "type": "error", "job": job.id,
-                "error": "tune jobs cannot be cancelled"})
-        elif job.finished_state:
-            await self._send(writer, {
-                "type": "error", "job": job.id,
-                "error": f"job {job.id} already {job.state.value}"})
-        else:
-            job.cancel_event.set()
-            await self._send(writer, {"type": "ok", "job": job.id})
-
     # -- merged sweep jobs -----------------------------------------------------
 
-    async def _merged_job(self, req: Dict[str, object],
-                          writer: asyncio.StreamWriter) -> None:
-        """Fan a sweep/points job across the shards; stream the merge."""
-        try:
-            client, explicit_priority = parse_submit_fields(req)
-            caller_span = parse_trace_fields(req)
-            if req["op"] == "points":
-                points: Sequence[SweepPoint] = request_to_points(req)
-                summary = ", ".join(sorted({p.workload for p in points}))
-            else:
-                spec = request_to_spec(req)
-                points = spec.points()
-                summary = ", ".join(spec.workloads)
-            if not points:
-                raise ProtocolError(
-                    "sweep matched no (workload, config) points")
-            # Validate here, not on the shards: an unknown workload must
-            # be one clean error, not N partial partition failures.
-            bad = sorted({p.workload for p in points
-                          if not is_resolvable(p.workload)})
-            if bad:
-                raise ProtocolError(
-                    f"unknown workload(s): {', '.join(bad)}; known: "
-                    f"{', '.join(sorted(all_workloads()))}")
-        except (ProtocolError, ValueError) as exc:
-            await self._send(writer, {"type": "error", "job": None,
-                                      "error": str(exc)})
-            return
+    def _done_extra(self, job: Job) -> Dict[str, object]:
+        return {"requeued": job.requeued}
 
-        client = client or "anon"
-        # Classify by the *whole* submission so each shard applies the
-        # same scheduling class to its partition as a lone daemon would
-        # to the full job.
-        priority = classify_priority(explicit_priority, len(points))
-        job = self.registry.create(str(req["op"]), summary=summary,
-                                   client=client, priority=priority)
-        job.total = len(points)
-        job.family = workload_family(p.workload for p in points)
-        if caller_span is not None:
-            job.span = caller_span.child()
-        accepted: Dict[str, object] = {"type": "accepted", "job": job.id,
-                                       "kind": job.kind,
-                                       "points": job.total}
-        if job.span is not None:
-            accepted["trace_id"] = job.span.trace_id
-        await self._send(writer, accepted)
-        job.state = JobState.RUNNING
-        waiter = asyncio.ensure_future(job.cancel_event.wait())
-        queue: "asyncio.Queue[Tuple[object, ...]]" = asyncio.Queue()
-        tasks: "set[asyncio.Task]" = set()
-        try:
-            await self._run_merge(job, points, queue, tasks, waiter, writer)
-        except _JobCancelled:
-            job.finish(JobState.CANCELLED)
-            await self._send(writer, {"type": "cancelled", "job": job.id,
-                                      "done": job.done, "total": job.total})
-        except _NoHealthyShards:
-            error = ("no healthy shards: every backend daemon is down or "
-                     "speaks a pre-v4 protocol; check 'repro jobs "
-                     "--topology' and restart shards with 'repro serve'")
-            job.finish(JobState.FAILED, error)
-            await self._send(writer, {"type": "error", "job": job.id,
-                                      "error": error})
-        except (ConnectionError, asyncio.CancelledError):
-            job.finish(JobState.FAILED, "client disconnected")
-            raise
-        except _ShardJobError as exc:
-            # Pass a shard's typed error (notably an `overloaded` shed)
-            # through with its fields so client-side retry still works.
-            job.finish(JobState.FAILED, str(exc))
-            msg: Dict[str, object] = {"type": "error", "job": job.id,
-                                      "error": str(exc)}
-            if exc.code is not None:
-                msg["code"] = exc.code
-            if exc.retry_after_s is not None:
-                msg["retry_after_s"] = exc.retry_after_s
-            await self._send(writer, msg)
-        except Exception as exc:  # shard-reported simulation failure
-            job.finish(JobState.FAILED, str(exc))
-            await self._send(writer, {"type": "error", "job": job.id,
-                                      "error": str(exc)})
-        else:
-            job.finish(JobState.DONE)
-            done_msg: Dict[str, object] = {
-                "type": "done", "job": job.id, "points": job.total,
-                "simulations": job.simulations, "hits": job.hits,
-                "coalesced": job.coalesced, "requeued": job.requeued,
-                "elapsed_s": round(job.elapsed_s(), 3)}
-            if job.span is not None:
-                done_msg["trace_id"] = job.span.trace_id
-            await self._send(writer, done_msg)
-        finally:
-            waiter.cancel()
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            self._log_job(job)
-
-    async def _run_merge(self, job: Job, points: Sequence[SweepPoint],
-                         queue: "asyncio.Queue[Tuple[object, ...]]",
-                         tasks: "set[asyncio.Task]",
+    async def _run_sweep(self, job: Job, points: Sequence[SweepPoint],
                          waiter: "asyncio.Future[object]",
                          writer: asyncio.StreamWriter) -> None:
         """The merge loop: spawn per-shard workers, stream results in
         global submission order, requeue a dead shard's leftovers."""
-        indexed = list(enumerate(points))
-        await self._reprobe_down()
-        live_workers = self._spawn_workers(self._healthy_ring(), indexed,
-                                           queue, tasks, job)
-        buffered: Dict[int, Dict[str, object]] = {}
-        next_index = 0
-        while live_workers > 0:
-            item = await self._next_item(queue, waiter)
-            kind = item[0]
-            if kind == "result":
-                _, global_index, msg = item
-                buffered[int(global_index)] = msg  # type: ignore[arg-type]
-                while next_index in buffered:
-                    shard_msg = buffered.pop(next_index)
-                    job.done += 1
-                    self.points_streamed += 1
-                    self._points_meter.record(1)
-                    await self._send(writer, {
-                        "type": "result", "job": job.id,
-                        "index": next_index, "done": job.done,
-                        "total": job.total,
-                        # Verbatim pass-through: byte-identity with a
-                        # lone daemon lives or dies right here.
-                        "point": shard_msg["point"],
-                        "result": shard_msg["result"],
-                    })
-                    next_index += 1
-                if job.cancelled:
-                    raise _JobCancelled
-            elif kind == "done":
-                _, _, msg = item
-                job.simulations += int(msg.get("simulations", 0))  # type: ignore[union-attr]
-                job.hits += int(msg.get("hits", 0))  # type: ignore[union-attr]
-                job.coalesced += int(msg.get("coalesced", 0))  # type: ignore[union-attr]
-                live_workers -= 1
-            elif kind == "dead":
-                _, shard_id, remaining, reason = item
-                live_workers -= 1
-                remaining = list(remaining)  # type: ignore[arg-type]
-                if remaining:
-                    job.requeued += len(remaining)
-                    self.requeued_total += len(remaining)
-                    self._shards[str(shard_id)].requeued += len(remaining)
-                    # The failover gets its own span (parent: the gateway
-                    # job span) so a trace grep shows the requeue hop and
-                    # every respawned partition hangs under it.
-                    requeue_span = (job.span.child()
-                                    if job.span is not None else None)
-                    if requeue_span is not None and self.request_log:
-                        self.request_log.log(
-                            "requeue", client=job.client, job=job.id,
-                            trace=requeue_span.log_fields(),
-                            points=len(remaining),
-                            error=f"shard {shard_id}: {reason}")
-                    # Survivors only: the ring over the still-healthy
-                    # shards moves exactly the dead shard's keys.
-                    live_workers += self._spawn_workers(
-                        self._healthy_ring(), remaining, queue, tasks, job,
-                        span=requeue_span)
-            else:  # "job-error"
-                _, shard_id, msg = item
-                raise _ShardJobError(
-                    str(shard_id),
-                    str(msg.get("error", "batch failed by shard")),  # type: ignore[union-attr]
-                    code=msg.get("code"),  # type: ignore[union-attr]
-                    retry_after_s=msg.get("retry_after_s"))  # type: ignore[union-attr]
-        if next_index != job.total:
-            raise RuntimeError(
-                f"merge lost points: streamed {next_index} of {job.total}")
+        queue: "asyncio.Queue[Tuple[object, ...]]" = asyncio.Queue()
+        tasks: "set[asyncio.Task]" = set()
+        try:
+            await self._reprobe_down()
+            live_workers = self._spawn_workers(
+                self._healthy_ring(), list(enumerate(points)), queue, tasks,
+                job)
+            buffered: Dict[int, Dict[str, object]] = {}
+            next_index = 0
+            while live_workers > 0:
+                item = await self._next_item(queue, waiter)
+                kind = item[0]
+                if kind == "result":
+                    _, global_index, msg = item
+                    buffered[int(global_index)] = msg  # type: ignore[arg-type]
+                    while next_index in buffered:
+                        shard_msg = buffered.pop(next_index)
+                        job.done += 1
+                        self.points_streamed += 1
+                        self._points_meter.record(1)
+                        await self._send(writer, {
+                            "type": "result", "job": job.id,
+                            "index": next_index, "done": job.done,
+                            "total": job.total,
+                            # Verbatim pass-through: byte-identity with a
+                            # lone daemon lives or dies right here.
+                            "point": shard_msg["point"],
+                            "result": shard_msg["result"],
+                        })
+                        next_index += 1
+                    if job.cancelled:
+                        raise _JobCancelled
+                elif kind == "done":
+                    _, _, msg = item
+                    job.simulations += int(msg.get("simulations", 0))  # type: ignore[union-attr]
+                    job.hits += int(msg.get("hits", 0))  # type: ignore[union-attr]
+                    job.coalesced += int(msg.get("coalesced", 0))  # type: ignore[union-attr]
+                    live_workers -= 1
+                elif kind == "dead":
+                    _, shard_id, remaining, reason = item
+                    live_workers -= 1
+                    remaining = list(remaining)  # type: ignore[arg-type]
+                    if remaining:
+                        job.requeued += len(remaining)
+                        self.requeued_total += len(remaining)
+                        self._shards[str(shard_id)].requeued += len(remaining)
+                        # The failover gets its own span (parent: the
+                        # gateway job span) so a trace grep shows the
+                        # requeue hop and every respawned partition hangs
+                        # under it.
+                        requeue_span = (job.span.child()
+                                        if job.span is not None else None)
+                        if requeue_span is not None and self.request_log:
+                            self.request_log.log(
+                                "requeue", client=job.client, job=job.id,
+                                trace=requeue_span.log_fields(),
+                                points=len(remaining),
+                                error=f"shard {shard_id}: {reason}")
+                        # Survivors only: the ring over the still-healthy
+                        # shards moves exactly the dead shard's keys.
+                        live_workers += self._spawn_workers(
+                            self._healthy_ring(), remaining, queue, tasks,
+                            job, span=requeue_span)
+                else:  # "job-error"
+                    # Pass a shard's typed error (notably an `overloaded`
+                    # shed) through with its fields so client-side retry
+                    # still works.
+                    _, shard_id, msg = item
+                    raise _TypedJobError(
+                        f"shard {shard_id}: "
+                        f"{msg.get('error', 'batch failed by shard')}",  # type: ignore[union-attr]
+                        code=msg.get("code"),  # type: ignore[union-attr]
+                        retry_after_s=msg.get("retry_after_s"))  # type: ignore[union-attr]
+            if next_index != job.total:
+                raise RuntimeError(
+                    f"merge lost points: streamed {next_index} of {job.total}")
+        finally:
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     def _spawn_workers(self, ring: HashRing,
                        indexed: Sequence[Tuple[int, SweepPoint]],
@@ -802,35 +563,20 @@ class GatewayService:
         the unstreamed remainder for requeue) or ``job-error`` (the
         shard reported a deterministic failure)."""
         streamed = 0
-        writer: Optional[asyncio.StreamWriter] = None
-        # Only tag partitions with tenant fields when the shard
-        # advertises v5, and with trace fields when it advertises v6; a
-        # mixed-version fabric keeps working untagged.
-        tagged = (shard.protocol or 0) >= 5
-        traced = (shard.protocol or 0) >= 6
+        partition = attach_trace(
+            points_request([p for _, p in batch], client=job.client,
+                           priority=job.priority), span)
         try:
-            try:
-                reader, writer = await asyncio.open_connection(
-                    shard.host, shard.port, limit=MAX_LINE_BYTES)
-                partition = points_request(
-                    [p for _, p in batch],
-                    client=job.client if tagged else None,
-                    priority=job.priority if tagged else None)
-                if traced:
-                    attach_trace(partition, span)
-                writer.write(encode_message(partition))
-                await writer.drain()
+            async with self._shard_conn(shard, partition,
+                                        self.shard_read_timeout_s) as read:
                 while True:
-                    line = await asyncio.wait_for(reader.readline(),
-                                                  self.shard_read_timeout_s)
-                    if not line:
-                        raise ConnectionError("shard closed the stream")
-                    msg = decode_message(line)
+                    msg = await read()
                     kind = msg.get("type")
                     if kind == "result":
-                        local = int(msg.get("index", streamed))  # type: ignore[arg-type]
-                        if not (0 <= local < len(batch)):
-                            raise ProtocolError(
+                        local = msg.get("index", streamed)
+                        if not (isinstance(local, int)
+                                and 0 <= local < len(batch)):
+                            raise _ShardDown(
                                 f"shard sent result index {local} outside "
                                 f"its batch of {len(batch)}")
                         streamed = local + 1
@@ -844,20 +590,11 @@ class GatewayService:
                         await queue.put(("job-error", shard.id, msg))
                         return
                     # anything else (heartbeats, future fields): ignore
-            except (OSError, asyncio.TimeoutError, ProtocolError,
-                    ValueError) as exc:
-                reason = str(exc) or type(exc).__name__
-                self._mark_unhealthy(shard, reason, exc)
-                # Results the shard streamed before dying are merged and
-                # (crucially) already on disk; only the rest re-hash.
-                await queue.put(("dead", shard.id, batch[streamed:], reason))
-        finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+        except _ShardDown as exc:
+            self._mark_unhealthy(shard, exc)
+            # Results the shard streamed before dying are merged and
+            # (crucially) already on disk; only the rest re-hash.
+            await queue.put(("dead", shard.id, batch[streamed:], str(exc)))
 
     # -- forwarded ops ---------------------------------------------------------
 
@@ -870,29 +607,13 @@ class GatewayService:
         for shard in self._shards.values():
             if not shard.healthy:
                 continue
-            shard_writer: Optional[asyncio.StreamWriter] = None
             try:
-                reader, shard_writer = await asyncio.open_connection(
-                    shard.host, shard.port, limit=MAX_LINE_BYTES)
-                shard_writer.write(encode_message(req))
-                await shard_writer.drain()
-                line = await asyncio.wait_for(reader.readline(),
-                                              self.shard_read_timeout_s)
-                if not line:
-                    raise ConnectionError("shard closed the stream")
-                reply = decode_message(line)
+                async with self._shard_conn(
+                        shard, req, self.shard_read_timeout_s) as read:
+                    reply = await read()
                 break
-            except (OSError, asyncio.TimeoutError, ProtocolError,
-                    ValueError) as exc:
-                self._mark_unhealthy(
-                    shard, str(exc) or type(exc).__name__, exc)
-            finally:
-                if shard_writer is not None:
-                    shard_writer.close()
-                    try:
-                        await shard_writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
+            except _ShardDown as exc:
+                self._mark_unhealthy(shard, exc)
         if reply is None:
             reply = {"type": "error", "job": None,
                      "error": "no healthy shards to answer predict; restart "
@@ -934,60 +655,39 @@ class GatewayService:
             job.span = caller_span.child()
         # The shard must parent its span to the *gateway's* span, not the
         # client's, so the hop tree nests client → gateway → shard.
-        # Pre-v6 shards get the trace fields stripped instead.
         req = dict(req)
         req.pop("trace_id", None)
         req.pop("span_id", None)
-        if (shard.protocol or 0) >= 6:
-            attach_trace(req, job.span)
-        shard_writer: Optional[asyncio.StreamWriter] = None
-
-        def shard_died(exc: BaseException) -> Dict[str, object]:
-            reason = str(exc) or type(exc).__name__
-            self._mark_unhealthy(shard, reason, exc)
-            error = (f"shard {shard.id} died mid-tune ({reason}); tune "
+        attach_trace(req, job.span)
+        try:
+            async with self._shard_conn(shard, req,
+                                        self.shard_read_timeout_s) as read:
+                while True:
+                    msg = await read()
+                    kind = msg.get("type")
+                    if kind == "accepted":
+                        job.state = JobState.RUNNING
+                    if "job" in msg:
+                        msg["job"] = job.id
+                    # A failed send is the client going away: it raises
+                    # ConnectionError, never _ShardDown.
+                    await self._send(writer, msg)
+                    if kind == "done":
+                        job.finish(JobState.DONE)
+                        return
+                    if kind == "error":
+                        job.finish(JobState.FAILED,
+                                   str(msg.get("error", "tune failed")))
+                        return
+        except _ShardDown as exc:
+            self._mark_unhealthy(shard, exc)
+            error = (f"shard {shard.id} died mid-tune ({exc}); tune "
                      "jobs are not requeued — evaluations it completed "
                      "are warm in the result store, so resubmit once a "
                      "shard is back")
             job.finish(JobState.FAILED, error)
-            return {"type": "error", "job": job.id, "error": error}
-
-        try:
-            try:
-                reader, shard_writer = await asyncio.open_connection(
-                    shard.host, shard.port, limit=MAX_LINE_BYTES)
-                shard_writer.write(encode_message(req))
-                await shard_writer.drain()
-            except (OSError, asyncio.TimeoutError) as exc:
-                await self._send(writer, shard_died(exc))
-                return
-            while True:
-                # Keep shard reads in their own try so a *client*
-                # disconnect (ConnectionError from self._send below, an
-                # OSError too) is never misread as a shard death.
-                try:
-                    line = await asyncio.wait_for(reader.readline(),
-                                                  self.shard_read_timeout_s)
-                    if not line:
-                        raise ConnectionError("shard closed the stream")
-                    msg = decode_message(line)
-                except (OSError, asyncio.TimeoutError, ProtocolError,
-                        ValueError) as exc:
-                    await self._send(writer, shard_died(exc))
-                    return
-                kind = msg.get("type")
-                if kind == "accepted":
-                    job.state = JobState.RUNNING
-                if "job" in msg:
-                    msg["job"] = job.id
-                await self._send(writer, msg)
-                if kind == "done":
-                    job.finish(JobState.DONE)
-                    return
-                if kind == "error":
-                    job.finish(JobState.FAILED,
-                               str(msg.get("error", "tune failed")))
-                    return
+            await self._send(writer, {"type": "error", "job": job.id,
+                                      "error": error})
         except (ConnectionError, asyncio.CancelledError):
             if not job.finished_state:
                 job.finish(JobState.FAILED, "client disconnected")
@@ -995,9 +695,3 @@ class GatewayService:
         finally:
             if job.finished_state:
                 self._log_job(job)
-            if shard_writer is not None:
-                shard_writer.close()
-                try:
-                    await shard_writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass

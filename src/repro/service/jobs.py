@@ -112,8 +112,8 @@ class Job:
             "error": self.error,
         }
         if self.span is not None:
-            # Only traced jobs carry the field — untagged clients keep
-            # seeing the exact pre-v6 snapshot shape.
+            # Only traced jobs carry the field — untraced clients see
+            # no trace_id key.
             snap["trace_id"] = self.span.trace_id
         return snap
 

@@ -23,7 +23,7 @@ topology    fabric introspection: role (gateway/shard), shard table and
             health on a gateway, worker/store view on a shard
 jobs        snapshot of the server's job table (single response)
 stats       server / store / pool counters (single response)
-metrics     live observability counters (protocol v5): queue depth and
+metrics     live observability counters: queue depth and
             per-client lanes, dedup split (warm hits vs coalesced),
             windowed sims/s / points/s / analytic-evals/s rates, store
             hit rate; per-shard health and requeues on a gateway
@@ -33,18 +33,16 @@ shutdown    acknowledge, then stop the server (single response)
 
 Submission ops optionally carry a ``client`` id (tenant tag for fair
 scheduling and request logs) and a ``priority`` (``interactive`` or
-``bulk``); both are omitted from the wire when unset, so a default
-submission stays byte-identical to protocol v4.  An overloaded server
-answers a submission with a typed ``error`` carrying
+``bulk``); both are omitted from the wire when unset.  An overloaded
+server answers a submission with a typed ``error`` carrying
 ``code="overloaded"`` and a ``retry_after_s`` backoff hint.
 
-Protocol v6 adds two more optional submission fields, ``trace_id`` and
-``span_id`` (see :mod:`repro.service.tracing`): the sender's span,
-propagated client → gateway → shard so request-log records across the
-fabric share one trace.  Like every optional tag before them they are
-omitted when unset — untraced v5 traffic stays byte-identical on the
-wire — and a traced ``accepted``/``done`` response echoes ``trace_id``
-so clients can surface it.
+Two more optional submission fields, ``trace_id`` and ``span_id`` (see
+:mod:`repro.service.tracing`), carry the sender's span, propagated
+client → gateway → shard so request-log records across the fabric share
+one trace.  They are omitted when unset, and a traced
+``accepted``/``done`` response echoes ``trace_id`` so clients can
+surface it.
 
 Submission ops (``simulate``/``sweep``/``tune``) stream several
 responses on the same connection: ``accepted`` → ``result`` per point
@@ -69,22 +67,13 @@ from ..baselines.configs import MAIN_CONFIGS, unknown_config_error
 from ..hw.config import GB, MIB
 from ..orchestrator.spec import SweepPoint, SweepSpec
 
-#: Bump on any wire-visible change (ops, field names, framing).
-#: v2 added the ``predict`` op; v3 the ``fidelity`` field on ``tune``
-#: (v2 daemons silently ignore unknown fields, so clients must check the
-#: ping version before relying on it); v4 the ``points`` and
-#: ``topology`` ops plus the ``requeued`` field on sweep ``done``
-#: messages — the sharded-fabric surface (a gateway requires protocol
-#: >= 4 of its shards); v5 the ``metrics`` op, optional
-#: ``client``/``priority`` submission fields, and typed ``overloaded``
-#: errors (``code`` + ``retry_after_s`` on ``error`` responses); v6
-#: optional ``trace_id``/``span_id`` submission fields (distributed
-#: tracing — a gateway only forwards them to shards that ping >= 6),
-#: the ``latency`` histogram block on ``metrics`` responses, and
-#: ``trace_id`` echoed on traced ``accepted``/``done`` messages.
+#: The one wire version this build speaks; bump it on any wire-visible
+#: change (ops, field names, framing).  Shards, gateway and client ship
+#: together, so there is no compatibility layer: a gateway marks a shard
+#: that pings with any other version DOWN until it runs this build.
 PROTOCOL_VERSION = 6
 
-#: ``code`` value of a typed load-shedding error (protocol v5).
+#: ``code`` value of a typed load-shedding error.
 ERROR_OVERLOADED = "overloaded"
 
 DEFAULT_HOST = "127.0.0.1"
@@ -165,8 +154,7 @@ def parse_request(line: "bytes | str") -> Dict[str, object]:
 
 def _submit_meta(req: Dict[str, object], client: Optional[str],
                  priority: Optional[str]) -> Dict[str, object]:
-    """Attach the v5 tenant tags, wire-omitted when unset so a default
-    submission stays byte-identical to what a v4 client sends."""
+    """Attach the tenant tags, omitted from the wire when unset."""
     if client is not None:
         req["client"] = str(client)
     if priority is not None:
@@ -216,8 +204,7 @@ def tune_request(workload: str,
         "include_baselines": bool(include_baselines),
     }
     if fidelity != "exact":
-        # Only non-default fidelities go on the wire: an "exact" request
-        # stays byte-identical to what a v2 client would send.
+        # Only non-default fidelities go on the wire.
         req["fidelity"] = str(fidelity)
     if objectives is not None:
         req["objectives"] = list(objectives)
@@ -227,8 +214,8 @@ def tune_request(workload: str,
 def points_request(points: Sequence[SweepPoint],
                    client: Optional[str] = None,
                    priority: Optional[str] = None) -> Dict[str, object]:
-    """An explicit-point submission (protocol v4; the gateway's fan-out
-    unit — shards receive the consistent-hash partition of a grid as a
+    """An explicit-point submission (the gateway's fan-out unit —
+    shards receive the consistent-hash partition of a grid as a
     point list, in the exact per-shard stream order).  The gateway
     forwards the tenant's ``client``/``priority`` tags so shard-side
     fair scheduling sees the originating tenant, not the gateway."""
@@ -288,12 +275,12 @@ def _int_field(req: Mapping[str, object], field: str, default: int) -> int:
 
 def parse_submit_fields(req: Mapping[str, object]
                         ) -> "Tuple[Optional[str], Optional[str]]":
-    """Validate the optional v5 tenant tags on a submission request;
+    """Validate the optional tenant tags on a submission request;
     returns ``(client, priority)`` with ``None`` for absent fields.
 
-    Older clients never send either field, so absence must stay cheap
-    and error-free; presence with a wrong type or an unknown priority is
-    a protocol error like any other malformed field.
+    Absence is the common case and never an error; presence with a wrong
+    type or an unknown priority is a protocol error like any other
+    malformed field.
     """
     client = req.get("client")
     if client is not None:

@@ -5,7 +5,7 @@ One JSON line per served request, written as it finishes: who asked
 ``sims`` / ``hits`` / ``coalesced``), how long it took (``duration_s``)
 and how it ended (``outcome``: ``ok``, ``done``, ``failed``,
 ``cancelled`` or ``shed``, plus ``error`` when there is one).  Traced
-requests (protocol v6, :mod:`repro.service.tracing`) additionally carry
+requests (:mod:`repro.service.tracing`) additionally carry
 ``trace_id`` / ``span_id`` / ``parent_span``, so one ``grep trace_id``
 across the fabric's logs reconstructs a request's hop tree.  The format
 is grep/jq-friendly by construction — no multi-line records, no prose.

@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
-import threading
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,54 +48,32 @@ from ..orchestrator.parallel import (PHASE_PROFILE_ENV, OrchestratorPool,
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
 from ..sim import engine as sim_engine
-from ..workloads.registry import all_workloads, is_resolvable, resolve_workload
-from .jobs import Job, JobRegistry, JobState, workload_family
+from ..workloads.registry import is_resolvable, resolve_workload
+from .endpoint import Endpoint, _consume_exception, _JobCancelled
+from .jobs import Job, JobState, workload_family
 from .metrics import DEFAULT_WINDOW_S, HistogramFamily, RateMeter
 from .protocol import (
     DEFAULT_HOST,
     ERROR_OVERLOADED,
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    SUBMIT_OPS,
     ProtocolError,
     default_port,
-    encode_message,
     parse_predict_fields,
-    parse_request,
     parse_submit_fields,
     parse_tune_fields,
-    request_to_points,
-    request_to_spec,
 )
-from .promexport import PromExporter
 from .reqlog import RequestLog
 from .tracing import parse_trace_fields
 from .scheduling import (
     DEFAULT_BULK_THRESHOLD,
     TUNE_SHED_FRACTION,
     FairQueue,
-    classify_priority,
 )
 
 
-class _JobCancelled(Exception):
-    """Internal control flow: a job observed its cancel event."""
-
-
-def _consume_exception(fut: "asyncio.Future[None]") -> None:
-    """Done-callback that retrieves an abandoned future's exception so
-    the event loop does not log 'exception was never retrieved'."""
-    if not fut.cancelled():
-        fut.exception()
-
-
-class SimulationService:
-    """The daemon behind ``repro serve``.
-
-    Run it on the current event loop with :meth:`run`, or from a plain
-    thread via ``asyncio.run(service.run())`` + :meth:`wait_started` /
-    :meth:`request_stop` (how the loopback tests drive it).
-    """
+class SimulationService(Endpoint):
+    """The daemon behind ``repro serve``: an :class:`Endpoint` that owns
+    the result store, the worker pool and the simulation queue."""
 
     def __init__(self,
                  host: str = DEFAULT_HOST,
@@ -116,8 +93,12 @@ class SimulationService:
                  metrics_window_s: float = DEFAULT_WINDOW_S,
                  prom_port: Optional[int] = None,
                  phase_profile: bool = False) -> None:
-        self.host = host
-        self.port = default_port() if port is None else port
+        super().__init__(host=host,
+                         port=default_port() if port is None else port,
+                         keep_jobs=keep_jobs,
+                         request_log=request_log,
+                         metrics_window_s=metrics_window_s,
+                         prom_port=prom_port)
         self.cache_dir = cache_dir
         self.use_store = use_store
         self.max_pending = max(1, max_pending)
@@ -127,49 +108,28 @@ class SimulationService:
         self.quota = quota
         self.weights = dict(weights or {})
         self.bulk_threshold = max(0, bulk_threshold)
-        self.request_log = request_log
         self.pool = OrchestratorPool(jobs)
-        self.registry = JobRegistry(keep=keep_jobs)
         self.store: Optional[ResultStore] = None
-        self.startup_error: Optional[BaseException] = None
-        self.points_streamed = 0
         self.hits_total = 0
         self.coalesced_total = 0
         self.shed_total = 0
-        self.prom_port = prom_port
         self.phase_profile = phase_profile
         self._sims_meter = RateMeter(metrics_window_s)
-        self._points_meter = RateMeter(metrics_window_s)
         self._analytic_meter = RateMeter(metrics_window_s)
-        self._latency = HistogramFamily(("op", "family", "priority"))
         self._phases = HistogramFamily(("phase",))
-        self._prom: Optional[PromExporter] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
         self._queue: Optional[FairQueue] = None
         #: Traffic keys with a simulation dispatched or queued, mapped to
         #: the future every interested job awaits (single-flight table).
         self._in_flight: Dict[str, "asyncio.Future[None]"] = {}
-        self._t0 = 0.0
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def run(self, announce=None) -> None:
-        """Serve until a ``shutdown`` op or :meth:`request_stop`."""
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
+    async def _start_role(self) -> List["asyncio.Task[None]"]:
+        assert self._loop is not None
+        # Everything up to the pool warm-up runs before the first await,
+        # so no connection is served without the queue and the store.
         self._queue = FairQueue(self.max_pending, quota=self.quota,
                                 weights=self.weights)
-        try:
-            server = await asyncio.start_server(
-                self._handle_conn, self.host, self.port or 0,
-                limit=MAX_LINE_BYTES)
-        except OSError as exc:
-            self.startup_error = exc
-            self._started.set()
-            raise
-        self.port = server.sockets[0].getsockname()[1]
         self.store = ResultStore(self.cache_dir) if self.use_store else None
         runner.set_store(self.store)
         set_shared_pool(self.pool)
@@ -183,69 +143,28 @@ class SimulationService:
             # Fork the workers before accepting work; a sandbox without
             # pool support degrades here, once, to all-serial batches.
             await self._loop.run_in_executor(None, self.pool.warm)
-        dispatcher = asyncio.create_task(self._dispatch_loop())
-        self._t0 = time.monotonic()
-        if self.prom_port is not None:
-            try:
-                self._prom = PromExporter(self.metrics_snapshot,
-                                          host=self.host,
-                                          port=self.prom_port)
-                self.prom_port = self._prom.start()
-            except OSError as exc:
-                self.startup_error = exc
-                self._started.set()
-                server.close()
-                dispatcher.cancel()
-                await asyncio.gather(dispatcher, return_exceptions=True)
-                raise
-        self._started.set()
-        if announce is not None:
-            width = self.pool.jobs if not self.pool.broken else 1
-            store_desc = (str(self.store.directory) if self.store is not None
-                          else "disabled")
-            prom_desc = (f", prometheus: :{self.prom_port}/metrics"
-                         if self._prom is not None else "")
-            announce(f"repro service listening on {self.host}:{self.port} "
-                     f"(pool: {width} worker(s), store: {store_desc}"
-                     f"{prom_desc})")
-        try:
-            await self._stop.wait()
-        finally:
-            # Close the listener without awaiting wait_closed(): since
-            # Python 3.12.1 that would block on every connection handler,
-            # and one idle client sitting in readline() would hang
-            # shutdown forever.  Lingering handler tasks are cancelled by
-            # asyncio.run()'s teardown instead.
-            server.close()
-            dispatcher.cancel()
-            await asyncio.gather(dispatcher, return_exceptions=True)
-            self._fail_pending("service shut down")
-            if self._prom is not None:
-                await self._loop.run_in_executor(None, self._prom.stop)
-                self._prom = None
-            if self.phase_profile:
-                sim_engine.set_phase_hook(None)
-                os.environ.pop(PHASE_PROFILE_ENV, None)
-            if self.store is not None:
-                self.store.save_stats()
-            runner.set_store(None)
-            set_shared_pool(None)
-            self.pool.close()
+        return [asyncio.create_task(self._dispatch_loop())]
 
-    def wait_started(self, timeout: Optional[float] = None) -> bool:
-        """Block (from another thread) until the server accepts
-        connections; check :attr:`startup_error` on ``True``."""
-        return self._started.wait(timeout)
+    async def _stop_role(self) -> None:
+        self._fail_pending("service shut down")
+        if self.phase_profile:
+            sim_engine.set_phase_hook(None)
+            os.environ.pop(PHASE_PROFILE_ENV, None)
+        if self.store is not None:
+            self.store.save_stats()
+        runner.set_store(None)
+        set_shared_pool(None)
+        self.pool.close()
 
-    def request_stop(self) -> None:
-        """Thread-safe shutdown trigger (SIGINT handler, test teardown)."""
-        loop, stop = self._loop, self._stop
-        if loop is None or stop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:
-            pass  # loop already closed — the server has stopped on its own
+    def _announce_line(self) -> str:
+        width = self.pool.jobs if not self.pool.broken else 1
+        store_desc = (str(self.store.directory) if self.store is not None
+                      else "disabled")
+        prom_desc = (f", prometheus: :{self.prom_port}/metrics"
+                     if self._prom is not None else "")
+        return (f"repro service listening on {self.host}:{self.port} "
+                f"(pool: {width} worker(s), store: {store_desc}"
+                f"{prom_desc})")
 
     @staticmethod
     def _abandon(futures: Dict[str, "asyncio.Future[None]"]) -> None:
@@ -262,60 +181,14 @@ class SimulationService:
                 fut.set_exception(RuntimeError(reason))
         self._in_flight.clear()
 
-    # -- connection handling ---------------------------------------------------
+    # -- role ops --------------------------------------------------------------
 
-    async def _send(self, writer: asyncio.StreamWriter,
-                    msg: Dict[str, object]) -> None:
-        writer.write(encode_message(msg))
-        await writer.drain()
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Line exceeded MAX_LINE_BYTES: protocol violation —
-                    # report and drop the connection (resync is hopeless).
-                    await self._send(writer, {
-                        "type": "error", "job": None,
-                        "error": f"request line exceeds {MAX_LINE_BYTES} "
-                                 "bytes"})
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    req = parse_request(line)
-                except ProtocolError as exc:
-                    await self._send(writer, {"type": "error", "job": None,
-                                              "error": str(exc)})
-                    continue
-                if await self._handle_request(req, writer):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; any job it owned keeps warming the store
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, req: Dict[str, object],
-                              writer: asyncio.StreamWriter) -> bool:
-        """Serve one request; ``True`` closes the connection."""
-        op = req["op"]
-        t_start = time.monotonic()
+    async def _handle_role_op(self, op: str, req: Dict[str, object],
+                              writer: asyncio.StreamWriter) -> None:
         if op == "ping":
             await self._send(writer, {"type": "pong",
                                       "server": "repro-service",
                                       "protocol": PROTOCOL_VERSION})
-        elif op == "jobs":
-            await self._send(writer, {"type": "jobs",
-                                      "jobs": self.registry.snapshots()})
         elif op == "stats":
             store_stats: Optional[Dict[str, object]] = None
             if self.store is not None:
@@ -332,43 +205,10 @@ class SimulationService:
             await self._handle_predict(req, writer)
         elif op == "topology":
             await self._send(writer, self._topology_msg())
-        elif op == "cancel":
-            await self._handle_cancel(req, writer)
-        elif op == "shutdown":
-            await self._send(writer, {"type": "ok", "stopping": True})
-            assert self._stop is not None
-            self._stop.set()
-            return True
         elif op == "metrics":
             await self._send(writer, self._metrics_msg())
-        elif op == "tune":
+        else:  # "tune"
             await self._tune_job(req, writer)
-        else:  # "simulate" / "sweep" / "points"
-            await self._sweep_job(req, writer)
-        if op not in SUBMIT_OPS:
-            # Submissions log themselves with job context at finish.
-            elapsed = time.monotonic() - t_start
-            self._latency.observe((str(op), "-", "-"), elapsed)
-            if self.request_log is not None:
-                client = req.get("client")
-                self.request_log.log(
-                    str(op),
-                    client=client if isinstance(client, str) else None,
-                    trace=self._query_trace(req),
-                    duration_s=elapsed)
-        return False
-
-    def _query_trace(self, req: Mapping[str, object]
-                     ) -> Optional[Dict[str, str]]:
-        """Span fields for a query op's log record: queries are leaf
-        hops, so the node span is minted here and never forwarded.
-        Malformed trace fields on a query never fail the (already
-        answered) request — they just go unlogged."""
-        try:
-            caller = parse_trace_fields(req)
-        except ProtocolError:
-            return None
-        return caller.child().log_fields() if caller is not None else None
 
     def _topology_msg(self) -> Dict[str, object]:
         """This node's view of itself for the ``topology`` op: a plain
@@ -387,25 +227,6 @@ class SimulationService:
             "store": (str(self.store.directory)
                       if self.store is not None else None),
         }
-
-    async def _handle_cancel(self, req: Dict[str, object],
-                             writer: asyncio.StreamWriter) -> None:
-        job = self.registry.get(req.get("job"))
-        if job is None:
-            await self._send(writer, {
-                "type": "error", "job": None,
-                "error": f"unknown job {req.get('job')!r}"})
-        elif job.kind == "tune":
-            await self._send(writer, {
-                "type": "error", "job": job.id,
-                "error": "tune jobs cannot be cancelled"})
-        elif job.finished_state:
-            await self._send(writer, {
-                "type": "error", "job": job.id,
-                "error": f"job {job.id} already {job.state.value}"})
-        else:
-            job.cancel_event.set()
-            await self._send(writer, {"type": "ok", "job": job.id})
 
     async def _handle_predict(self, req: Dict[str, object],
                               writer: asyncio.StreamWriter) -> None:
@@ -544,20 +365,6 @@ class SimulationService:
             "store": store,
         }
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Thread-safe :meth:`_metrics_msg` for the Prometheus exporter:
-        hops onto the event loop so scrape threads never read loop-owned
-        state (queue, registry) mid-mutation."""
-        loop = self._loop
-        if loop is None:
-            raise RuntimeError("service not running")
-
-        async def _snap() -> Dict[str, object]:
-            return self._metrics_msg()
-
-        return asyncio.run_coroutine_threadsafe(_snap(), loop).result(
-            timeout=10)
-
     def _observe_phase(self, phase: str, seconds: float) -> None:
         """Engine phase hook (``--phase-profile``): called in-process by
         the engines and replayed from pool-worker payloads."""
@@ -565,90 +372,30 @@ class SimulationService:
 
     # -- sweep jobs ------------------------------------------------------------
 
-    async def _sweep_job(self, req: Dict[str, object],
-                         writer: asyncio.StreamWriter) -> None:
-        try:
-            client, explicit_priority = parse_submit_fields(req)
-            caller_span = parse_trace_fields(req)
-            if req["op"] == "points":
-                points: Sequence[SweepPoint] = request_to_points(req)
-                summary = ", ".join(sorted({p.workload for p in points}))
-            else:
-                spec = request_to_spec(req)
-                points = spec.points()
-                summary = ", ".join(spec.workloads)
-            if not points:
-                raise ProtocolError(
-                    "sweep matched no (workload, config) points")
-            bad = sorted({p.workload for p in points
-                          if not is_resolvable(p.workload)})
-            if bad:
-                raise ProtocolError(
-                    f"unknown workload(s): {', '.join(bad)}; known: "
-                    f"{', '.join(sorted(all_workloads()))}")
-        except (ProtocolError, ValueError) as exc:
-            await self._send(writer, {"type": "error", "job": None,
-                                      "error": str(exc)})
-            return
-
-        client = client or "anon"
-        priority = classify_priority(explicit_priority, len(points),
-                                     self.bulk_threshold)
+    async def _admit(self, job: Job, points: Sequence[SweepPoint],
+                     writer: asyncio.StreamWriter) -> bool:
         await self._sync_store(points)
-        job = self.registry.create(str(req["op"]), summary=summary,
-                                   client=client, priority=priority)
-        job.total = len(points)
-        job.family = workload_family(p.workload for p in points)
-        if caller_span is not None:
-            job.span = caller_span.child()
         assert self._queue is not None
-        if priority == "bulk" and self._queue.free_slots(client) <= 0:
+        if job.priority == "bulk" and self._queue.free_slots(job.client) <= 0:
             # Tiered shedding: bulk work is refused while the client has
             # no free capacity at admission.  Interactive submissions are
             # never shed — they block on the bounded queue like before.
             await self._shed(job, writer,
-                             self._queue.overload_reason(client),
+                             self._queue.overload_reason(job.client),
                              self._queue.retry_after_s())
-            return
-        accepted: Dict[str, object] = {"type": "accepted", "job": job.id,
-                                       "kind": job.kind,
-                                       "points": job.total}
-        if job.span is not None:
-            accepted["trace_id"] = job.span.trace_id
-        await self._send(writer, accepted)
-        job.state = JobState.RUNNING
-        waiter = asyncio.ensure_future(job.cancel_event.wait())
+            return False
+        return True
+
+    async def _run_sweep(self, job: Job, points: Sequence[SweepPoint],
+                         waiter: "asyncio.Future[object]",
+                         writer: asyncio.StreamWriter) -> None:
         futures: Dict[str, asyncio.Future] = {}
         try:
             await self._claim_points(job, points, futures)
             await self._stream_results(job, points, futures, waiter, writer)
-        except _JobCancelled:
+        except BaseException:
             self._abandon(futures)
-            job.finish(JobState.CANCELLED)
-            await self._send(writer, {"type": "cancelled", "job": job.id,
-                                      "done": job.done, "total": job.total})
-        except (ConnectionError, asyncio.CancelledError):
-            self._abandon(futures)
-            job.finish(JobState.FAILED, "client disconnected")
             raise
-        except Exception as exc:  # simulation failure
-            self._abandon(futures)
-            job.finish(JobState.FAILED, str(exc))
-            await self._send(writer, {"type": "error", "job": job.id,
-                                      "error": str(exc)})
-        else:
-            job.finish(JobState.DONE)
-            done_msg: Dict[str, object] = {
-                "type": "done", "job": job.id, "points": job.total,
-                "simulations": job.simulations, "hits": job.hits,
-                "coalesced": job.coalesced,
-                "elapsed_s": round(job.elapsed_s(), 3)}
-            if job.span is not None:
-                done_msg["trace_id"] = job.span.trace_id
-            await self._send(writer, done_msg)
-        finally:
-            waiter.cancel()
-            self._log_job(job)
 
     async def _shed(self, job: Job, writer: asyncio.StreamWriter,
                     reason: str, retry_after_s: float) -> None:
@@ -660,23 +407,6 @@ class SimulationService:
         await self._send(writer, {
             "type": "error", "job": job.id, "code": ERROR_OVERLOADED,
             "error": error, "retry_after_s": retry_after_s})
-
-    def _log_job(self, job: Job, outcome: Optional[str] = None) -> None:
-        final = outcome or job.state.value
-        if final != "shed":
-            # Shed jobs are refused at admission in microseconds; folding
-            # them into the serve histogram would drag p50 down during
-            # exactly the overload storms the histogram should expose.
-            self._latency.observe((job.kind, job.family, job.priority),
-                                  job.elapsed_s())
-        if self.request_log is None:
-            return
-        self.request_log.log(
-            job.kind, client=job.client, job=job.id,
-            trace=job.span.log_fields() if job.span is not None else None,
-            points=job.total, sims=job.simulations, hits=job.hits,
-            coalesced=job.coalesced, duration_s=job.elapsed_s(),
-            outcome=final, error=job.error)
 
     async def _sync_store(self, points: Sequence[SweepPoint]) -> None:
         """Store-shard sync: merge records other writers appended before
@@ -910,12 +640,7 @@ class SimulationService:
                              "shed first under load",
                              self._queue.retry_after_s())
             return
-        tune_accepted: Dict[str, object] = {"type": "accepted",
-                                            "job": job.id,
-                                            "kind": "tune", "points": 0}
-        if job.span is not None:
-            tune_accepted["trace_id"] = job.span.trace_id
-        await self._send(writer, tune_accepted)
+        await self._send(writer, self._accepted_msg(job))
         job.state = JobState.RUNNING
         # The search runs on a worker thread; prewarm() inside the tuner
         # picks up the resident pool via the shared-pool hook.  While it
@@ -978,13 +703,7 @@ class SimulationService:
                 return
             job.finish(JobState.DONE)
             self._log_job(job)
-            tune_done: Dict[str, object] = {
-                "type": "done", "job": job.id, "points": job.total,
-                "simulations": job.simulations, "hits": job.hits,
-                "coalesced": 0, "elapsed_s": round(job.elapsed_s(), 3)}
-            if job.span is not None:
-                tune_done["trace_id"] = job.span.trace_id
-            await self._send(writer, tune_done)
+            await self._send(writer, self._done_msg(job))
         except (ConnectionError, asyncio.CancelledError):
             # Disconnect during delivery: never leave the job RUNNING.
             if not job.finished_state:

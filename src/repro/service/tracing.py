@@ -1,4 +1,4 @@
-"""Distributed tracing across the simulation fabric (protocol v6).
+"""Distributed tracing across the simulation fabric.
 
 A trace follows one client request through every hop it causes:
 client → gateway → shard partitions → requeued failover partitions.
@@ -11,12 +11,9 @@ traced request produces carries ``trace_id`` / ``span_id`` /
 logs reconstructs the full hop tree — including the extra spans the
 gateway mints when a dead shard's points are requeued onto survivors.
 
-Both fields are optional on the wire and *omitted when unset*: an
-untagged submission stays byte-identical to what a protocol-v5 client
-sends, the same compatibility discipline ``client``/``priority`` (v5)
-and ``fidelity`` (v3) follow.  Servers ignore unknown fields, so traced
-requests degrade gracefully against old daemons; a gateway only
-forwards trace fields to shards that ping protocol >= 6.
+Both fields are optional on the wire and *omitted when unset*, like
+``client``/``priority`` and ``fidelity``: an untraced submission carries
+no trace fields at all.
 """
 
 from __future__ import annotations
@@ -80,10 +77,9 @@ class SpanContext:
 
 def attach_trace(req: Dict[str, object],
                  ctx: Optional[SpanContext]) -> Dict[str, object]:
-    """Tag a wire request with the sender's span (v6 fields).
+    """Tag a wire request with the sender's span.
 
-    ``None`` attaches nothing — the request stays byte-identical to an
-    untraced v5 submission.  The *sender's* span id travels; the
+    ``None`` attaches nothing — the request stays untraced.  The *sender's* span id travels; the
     receiver minting a child from it is what links the hops.
     """
     if ctx is not None:
@@ -93,7 +89,7 @@ def attach_trace(req: Dict[str, object],
 
 
 def parse_trace_fields(req: Mapping[str, object]) -> Optional[SpanContext]:
-    """Validate the optional v6 trace fields of an incoming request.
+    """Validate the optional trace fields of an incoming request.
 
     Returns the *caller's* span context (the receiver should mint its
     own span via :meth:`SpanContext.child`), or ``None`` for untraced

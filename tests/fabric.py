@@ -4,10 +4,11 @@ Everything the chaos tests (and ``tools/fabric_smoke.py``) need to stand
 up a real fabric and break it deterministically:
 
 * :class:`ShardProcess` — a genuine ``repro serve`` subprocess on an
-  ephemeral port.  Subprocesses, not threads: the runner's memo cache
-  and store hook are process-global, so only separate processes exercise
-  the store-mediated shard sync the gateway relies on — and only a
-  process can be SIGKILLed mid-stream.
+  ephemeral port (an :class:`EndpointProcess`, which runs either role).
+  Subprocesses, not threads: the runner's memo cache and store hook are
+  process-global, so only separate processes exercise the store-mediated
+  shard sync the gateway relies on — and only a process can be
+  SIGKILLed mid-stream.
 * :class:`ChaosProxy` — a line-aware TCP proxy wrapped around one shard.
   It counts streamed ``result`` lines and fires a :class:`FaultPlan` at
   an exact count: **kill** the shard process at step K, **drop** the
@@ -73,19 +74,17 @@ RESULT_MARKER = b'"type":"result"'
 # -- real shard daemons --------------------------------------------------------
 
 
-class ShardProcess:
-    """One ``repro serve`` daemon subprocess on an ephemeral port."""
+class EndpointProcess:
+    """One ``python -m repro <argv>`` endpoint subprocess (``serve`` or
+    ``gateway``); ``port`` is parsed from its announce line."""
 
-    def __init__(self, cache_dir: str, jobs: int = 1,
-                 host: str = "127.0.0.1",
-                 extra_args: Sequence[str] = ()) -> None:
+    def __init__(self, argv: Sequence[str],
+                 host: str = "127.0.0.1") -> None:
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         env["PYTHONUNBUFFERED"] = "1"
         self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--host", host,
-             "--port", "0", "--jobs", str(jobs),
-             "--cache-dir", str(cache_dir), *extra_args],
+            [sys.executable, "-m", "repro", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env)
         self.host = host
@@ -106,12 +105,12 @@ class ShardProcess:
         reader.start()
         if not done.wait(timeout_s) or not lines or not lines[0]:
             self.proc.kill()
-            raise RuntimeError("shard daemon never announced its port")
+            raise RuntimeError("endpoint never announced its port")
         match = _ANNOUNCE_RE.search(lines[0])
         if match is None:
             self.proc.kill()
             raise RuntimeError(
-                f"unexpected shard announce line: {lines[0]!r}")
+                f"unexpected announce line: {lines[0]!r}")
         return int(match.group(2))
 
     @property
@@ -133,6 +132,17 @@ class ShardProcess:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait(timeout=30)
+
+
+class ShardProcess(EndpointProcess):
+    """One ``repro serve`` daemon subprocess on an ephemeral port."""
+
+    def __init__(self, cache_dir: str, jobs: int = 1,
+                 host: str = "127.0.0.1",
+                 extra_args: Sequence[str] = ()) -> None:
+        super().__init__(["serve", "--host", host, "--port", "0",
+                          "--jobs", str(jobs), "--cache-dir",
+                          str(cache_dir), *extra_args], host=host)
 
 
 # -- the chaos proxy -----------------------------------------------------------

@@ -6,7 +6,7 @@ Three layers:
 
 * ``TestGatewayFabric`` — one healthy 3-shard fabric shared by the
   module: byte-identity against the direct engines, cluster-wide
-  single-flight, the v4 ``points``/``topology`` ops, predict/tune
+  single-flight, the ``points``/``topology`` ops, predict/tune
   forwarding, and listener fuzzing.
 * ``TestChaos`` — one fabric per test, each broken differently: shard
   SIGKILLed mid-stream, connection dropped mid-stream, acks delayed past
@@ -21,6 +21,8 @@ Three layers:
 
 import io
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -28,6 +30,7 @@ import time
 import pytest
 
 from fabric import (
+    EndpointProcess,
     Fabric,
     GatewayThread,
     busiest_proxy,
@@ -42,7 +45,7 @@ from repro.hw.config import GB, MIB, AcceleratorConfig
 from repro.orchestrator.spec import SweepSpec
 from repro.orchestrator.store import ResultStore
 from repro.service import JobFailed, RequestLog, ServiceError
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.protocol import PROTOCOL_VERSION, encode_message
 from repro.workloads.registry import resolve_workload
 from test_service import (
     BANDWIDTH_GB,
@@ -184,7 +187,7 @@ class TestGatewayFabric:
         assert duplicate_store_keys(fabric3.results_file()) == []
 
     def test_points_op_streams_in_submission_order(self, fabric3):
-        """An explicit v4 point list through the gateway: results come
+        """An explicit point list through the gateway: results come
         back in the submitted order even though the points scatter
         across shards, and match the direct engines byte for byte."""
         points = SweepSpec(
@@ -556,15 +559,17 @@ class TestChaos:
 class _SilentShard:
     """A listener that accepts connections and never answers: a stalled
     shard process that the kernel still accepts connections for.
-    ``accepted`` counts the connections it took."""
+    ``accepted`` counts the connections it took.  With ``reply`` it
+    answers every request line with that message instead."""
 
-    def __init__(self, port: int = 0) -> None:
+    def __init__(self, port: int = 0, reply=None) -> None:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind(("127.0.0.1", port))
         self._sock.listen(16)
         self.addr = self._sock.getsockname()
         self.accepted = 0
+        self._reply = reply
         self._held = []
         self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
@@ -577,6 +582,16 @@ class _SilentShard:
                 return  # closed
             self.accepted += 1
             self._held.append(conn)
+            if self._reply is not None:
+                threading.Thread(target=self._answer, args=(conn,),
+                                 daemon=True).start()
+
+    def _answer(self, conn: socket.socket) -> None:
+        try:
+            for _ in conn.makefile("rb"):
+                conn.sendall(encode_message(self._reply))
+        except OSError:
+            pass  # closed
 
     def close(self) -> None:
         self._sock.close()
@@ -671,3 +686,94 @@ class TestStalledShard:
             _reset_runner()
             if silent is not None:
                 silent.close()
+
+
+class TestProtocolMismatch:
+    """Shards, gateway and client ship from one build: a shard that
+    pings with another protocol version is DOWN, with a reason that
+    names both versions, and jobs route around it."""
+
+    def test_a_shard_on_another_protocol_is_down_and_routed_around(
+            self, tmp_path):
+        stale = _SilentShard(reply={"type": "pong",
+                                    "server": "repro-service",
+                                    "protocol": PROTOCOL_VERSION - 1})
+        _reset_runner()
+        try:
+            with ServerThread(cache_dir=str(tmp_path / "cache")) as srv, \
+                    GatewayThread([("127.0.0.1", srv.port), stale.addr],
+                                  health_interval_s=60.0) as gw:
+                with gw.client() as client:
+                    topo = client.topology()
+                    out = client.submit_sweep(
+                        [WORKLOAD], configs=list(CONFIGS),
+                        bandwidth_gb=list(BANDWIDTH_GB))
+                    assert client.ping()["shards_healthy"] == 1
+                live_id = f"127.0.0.1:{srv.port}"
+        finally:
+            _reset_runner()
+            stale.close()
+        shards = {s["id"]: s for s in topo["shards"]}
+        down = shards[f"127.0.0.1:{stale.addr[1]}"]
+        assert down["healthy"] is False
+        assert down["protocol"] == PROTOCOL_VERSION - 1
+        assert f"v{PROTOCOL_VERSION - 1}" in down["error"]
+        assert f"v{PROTOCOL_VERSION}" in down["error"]
+        assert "restart the shard with this build" in down["error"]
+        assert shards[live_id]["healthy"] is True
+        assert len(out.points) == len(CONFIGS) * len(BANDWIDTH_GB)
+        assert out.simulations == DISTINCT_KEYS
+        assert out.requeued == 0
+
+
+def _proc_stat(pid: int):
+    """Fields of ``/proc/<pid>/stat`` after the command name, or
+    ``None`` when the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads worker pids from /proc")
+class TestSigterm:
+    """SIGTERM stops either role like a ``shutdown`` op: exit status 0,
+    and every pool worker exits with the daemon."""
+
+    @pytest.mark.parametrize("role", ["serve", "gateway"])
+    def test_sigterm_exits_cleanly_with_its_workers(self, role):
+        if role == "serve":
+            argv = ["serve", "--jobs", "2", "--no-cache", "--port", "0"]
+        else:
+            argv = ["gateway", "--port", "0",
+                    "--shards", f"127.0.0.1:{_free_port()}"]
+        endpoint = EndpointProcess(argv)
+        try:
+            workers = _children(endpoint.proc.pid)
+            if role == "serve":
+                assert len(workers) >= 2
+            endpoint.proc.send_signal(signal.SIGTERM)
+            assert endpoint.proc.wait(timeout=30) == 0
+        finally:
+            if endpoint.alive:
+                endpoint.proc.kill()
+                endpoint.proc.wait(timeout=30)
+        assert wait_until(lambda: not any(_running(w) for w in workers),
+                          timeout_s=10.0)

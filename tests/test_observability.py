@@ -16,7 +16,7 @@ Three layers, mirroring how the observability tentpole is built:
   request-log record of the sweep shares one ``trace_id``, the client
   learns it from ``accepted``/``done``, the latency histograms pick up
   the request, ``--phase-profile`` fills the phase histograms, and an
-  untraced client stays byte-identical to protocol v5.
+  untraced client's messages carry no trace fields.
 """
 
 import importlib.util
@@ -264,7 +264,7 @@ class TestSpanContext:
 
 class TestWireTraceFields:
     def test_attach_none_leaves_the_request_untouched(self):
-        """The v5 byte-identity guarantee at its source: an untraced
+        """The untraced byte-identity guarantee at its source: an untraced
         request gains no keys at all."""
         req = {"type": "sweep", "workloads": ["cg/*"]}
         before = json.dumps(req, sort_keys=True)

@@ -361,7 +361,7 @@ class TestPredict:
 
 
 class TestTuneFidelity:
-    """The protocol-v3 ``fidelity`` tune field, end to end."""
+    """The ``fidelity`` tune field, end to end."""
 
     def test_hybrid_tune_over_wire_matches_exact_front(self, server):
         from repro.tuner import TuneResult
@@ -380,8 +380,8 @@ class TestTuneFidelity:
             == [(e.point, e.vector) for e in exact.front]
 
     def test_exact_request_has_no_fidelity_field(self):
-        # Default requests must stay byte-identical to protocol v2 so
-        # old daemons keep accepting them.
+        # Only a non-default fidelity goes on the wire: the default
+        # request shape is pinned.
         assert "fidelity" not in tune_request(WORKLOAD)
         assert tune_request(WORKLOAD, fidelity="hybrid")["fidelity"] \
             == "hybrid"
@@ -392,12 +392,6 @@ class TestTuneFidelity:
                     b'"fidelity": "psychic"}\n')
         assert reply["type"] == "error"
         assert "fidelity" in reply["error"]
-
-    def test_old_daemon_rejected_client_side(self, server):
-        with server.client() as client:
-            client.ping = lambda: {"type": "pong", "protocol": 2}
-            with pytest.raises(ServiceError, match="protocol v2.*v3"):
-                client.submit_tune(WORKLOAD, fidelity="hybrid")
 
     def test_submit_tune_fidelity_verb(self, server, capsys):
         assert main(["submit", "--port", str(server.port),
@@ -728,7 +722,7 @@ class TestServiceCli:
 
 
 class TestPointsOp:
-    """The protocol-v4 explicit-point-list op against a lone daemon —
+    """The explicit-point-list op against a lone daemon —
     the op a gateway uses to ship ring partitions to its shards."""
 
     def _points(self):

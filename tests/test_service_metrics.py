@@ -1,6 +1,6 @@
 """Observability-layer tests: rate meters, the fair queue, priority
 classification, structured request logs, the ``metrics`` wire op, load
-shedding with client retry, multi-tenant fairness, and protocol-v4
+shedding with client retry, multi-tenant fairness, and the
 byte-stability of the streamed sweep messages.
 
 The unit tests pin the scheduling/counting primitives with injected
@@ -530,8 +530,8 @@ class TestProtocolV4Stability:
                 if line.strip()]
 
     def test_v4_sweep_replies_carry_no_new_fields(self, server):
-        """A protocol-v4 client sends no ``client``/``priority`` and
-        must read back exactly the v4 message shapes — the scheduling
+        """A client that sends no ``client``/``priority`` must read
+        back exactly the base message shapes — the scheduling
         and metrics work must not leak fields into the stream."""
         messages = self._exchange(server.port, {
             "op": "sweep", "workloads": [WORKLOAD],

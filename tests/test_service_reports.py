@@ -80,15 +80,17 @@ class TestJobsTable:
 class TestServiceStats:
     def test_fresh_server_stats_do_not_divide_by_zero(self):
         out = render_service_stats({"uptime_s": 0.0, "points_streamed": 0,
-                                    "simulations": 0})
+                                    "simulations": 0, "hits_total": 0,
+                                    "coalesced_total": 0, "shed_total": 0})
         assert "0.00 points/s" in out
-        assert "0% answered without simulating" in out
+        assert "0 warm hit(s), 0 coalesced, 0 shed" in out
         assert "jobs:            none" in out
         assert "store:           disabled" in out
 
     def test_store_and_broken_pool_sections(self):
         out = render_service_stats({
             "uptime_s": 10.0, "points_streamed": 20, "simulations": 5,
+            "hits_total": 12, "coalesced_total": 3, "shed_total": 0,
             "jobs": {"done": 2, "error": 1},
             "pool": {"jobs": 4, "batches": 3, "payloads": 20, "broken": True},
             "store": {"entries": 7, "schema_version": 3,
@@ -98,11 +100,11 @@ class TestServiceStats:
         assert "[broken: serial fallback]" in out
         assert "2 done, 1 error" in out
         assert "7 entries" in out and "cg/fv1/N=1" in out
-        assert "75% answered without simulating" in out
+        assert "12 warm hit(s), 3 coalesced, 0 shed" in out
 
     def test_v5_stats_split_warm_hits_from_coalesced(self):
-        # A v5 daemon reports the dedup sources separately; the
-        # aggregate-ratio line is the pre-v5 fallback only.
+        # The daemon reports the dedup sources separately; there is no
+        # aggregate-ratio line.
         out = render_service_stats({
             "uptime_s": 10.0, "points_streamed": 20, "simulations": 5,
             "hits_total": 9, "coalesced_total": 6, "shed_total": 2,
