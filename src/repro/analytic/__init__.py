@@ -27,7 +27,6 @@ from .backend import (
     family_of,
     model_cache_size,
     model_for,
-    predict_config,
     predict_workload_config,
     schedule_cfg_key,
     supports_config,
@@ -87,7 +86,6 @@ __all__ = [
     "model_for",
     "no_pressure_peaks",
     "onchip_accesses_of",
-    "predict_config",
     "predict_workload_config",
     "replay_chord",
     "replay_chord_batch",

@@ -29,7 +29,7 @@ the same model — the source of the ≥100× speedup the bench gate holds.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..baselines.configs import (
     CACHE_POLICIES,
@@ -41,7 +41,6 @@ from ..baselines.set_sched import set_schedule
 from ..hw.config import AcceleratorConfig
 from ..score.scheduler import Score, ScoreOptions
 from ..sim.engine import EngineOptions
-from ..sim.results import SimResult
 from ..workloads.registry import Workload, workload_dag
 from .canonical import canonicalize, canonicalize_oracle
 from .compiler import AnalyticEvaluation, AnalyticModel
@@ -174,12 +173,6 @@ def predict_workload_config(
         cfg=cfg,
         detail=detail,
     )
-
-
-def predict_config(workload: Workload, config: str,
-                   cfg: AcceleratorConfig) -> SimResult:
-    """Convenience: just the predicted :class:`SimResult`."""
-    return predict_workload_config(workload, config, cfg).result
 
 
 def clear_model_cache() -> None:

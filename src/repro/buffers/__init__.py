@@ -1,9 +1,10 @@
-"""On-chip buffer mechanisms — Table III's comparison set, executable:
-set-associative cache (LRU/SRRIP/BRRIP policies), explicit scratchpad,
-credit-based buffet, Tailors-style overbooking buffer, pipeline buffer
-with hold slots, and register file."""
+"""Buffer models the simulator runs: the set-associative cache behind the
+Flex+LRU/BRRIP baselines (LRU/SRRIP/BRRIP policies) and the credit-based
+buffet that table3's live check drives.  CHORD lives in
+:mod:`repro.chord`; the pipeline-buffer, hold and register-file capacity
+rules live in :mod:`repro.score.binding`."""
 
-from .base import AccessType, BufferStats
+from .base import BufferStats
 from .cache import (
     ReplacementPolicy,
     SetAssociativeCache,
@@ -13,14 +14,9 @@ from .cache import (
 from .lru import LruPolicy
 from .brrip import BrripPolicy
 from .srrip import SrripPolicy
-from .tailors import TailorsBuffer
-from .scratchpad import AllocationError, Scratchpad
 from .buffet import Buffet, BuffetError
-from .pipeline_buffer import PipelineBuffer, PipelineBufferError
-from .register_file import RegisterFile, RegisterFileError
 
 __all__ = [
-    "AccessType",
     "BufferStats",
     "ReplacementPolicy",
     "SetAssociativeCache",
@@ -29,13 +25,6 @@ __all__ = [
     "LruPolicy",
     "BrripPolicy",
     "SrripPolicy",
-    "TailorsBuffer",
-    "AllocationError",
-    "Scratchpad",
     "Buffet",
     "BuffetError",
-    "PipelineBuffer",
-    "PipelineBufferError",
-    "RegisterFile",
-    "RegisterFileError",
 ]

@@ -7,14 +7,8 @@ are different mechanisms, same interface).
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
-
-
-class AccessType(enum.Enum):
-    READ = "read"
-    WRITE = "write"
 
 
 @dataclass

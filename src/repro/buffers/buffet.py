@@ -14,8 +14,6 @@ have no implicit overflow path (that's what Tailors adds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base import BufferStats
 
 

@@ -37,7 +37,7 @@ and the array-state (``vec_*``) protocol.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, List, Protocol
 
 import numpy as np
 
@@ -160,11 +160,6 @@ class SetAssociativeCache:
         if backend == "vector":
             self._vstate = policy.make_vector_state(self.n_sets, self.assoc)
             self._tick = 0  # global access-order clock (LRU timestamps)
-            # Reusable singleton argument arrays for the access_line fast
-            # path (policy hooks only read them).
-            self._one_row = np.empty(1, dtype=np.int64)
-            self._one_way = np.empty(1, dtype=np.int64)
-            self._one_time = np.empty(1, dtype=np.int64)
         else:
             self._pol_state: List[object] = [
                 policy.make_set_state(self.assoc) for _ in range(self.n_sets)
@@ -178,43 +173,9 @@ class SetAssociativeCache:
         ``block`` is the address divided by ``line_bytes``.
         """
         if self.backend == "vector":
-            return self._access_line_vector(block, is_write)
+            return bool(self._run_batch(np.array([block], dtype=np.int64),
+                                        np.array([is_write]))[0])
         return self._access_line_reference(block, is_write)
-
-    def _access_line_vector(self, block: int, is_write: bool) -> bool:
-        """Scalar access against the array state (no batch machinery) —
-        the same transitions as a one-element ``_run_batch``."""
-        set_idx = int(block % self.n_sets)
-        tag = int(block // self.n_sets)
-        rows, ways, times = self._one_row, self._one_way, self._one_time
-        rows[0] = set_idx
-        times[0] = self._tick
-        self._tick += 1
-        self.stats.accesses += 1
-        row = self._tags[set_idx]
-        hit_ways = np.nonzero(row == tag)[0]
-        if hit_ways.size:
-            ways[0] = hit_ways[0]
-            self.stats.hits += 1
-            self.policy.vec_on_hit(self._vstate, rows, ways, times)
-            if is_write:
-                self._dirty[set_idx, ways[0]] = True
-            return True
-        self.stats.misses += 1
-        self.stats.dram_read_bytes += self.line_bytes
-        invalid = np.nonzero(row == -1)[0]
-        if invalid.size:
-            ways[0] = invalid[0]
-        else:
-            ways[0] = self.policy.vec_choose_victims(self._vstate, rows)[0]
-            self.stats.evictions += 1
-            if self._dirty[set_idx, ways[0]]:
-                self.stats.writebacks += 1
-                self.stats.dram_write_bytes += self.line_bytes
-        row[ways[0]] = tag
-        self._dirty[set_idx, ways[0]] = is_write
-        self.policy.vec_on_fill(self._vstate, rows, ways, times)
-        return False
 
     def _access_line_reference(self, block: int, is_write: bool) -> bool:
         set_idx = block % self.n_sets
@@ -434,19 +395,6 @@ class SetAssociativeCache:
             s = e
 
     # -- streams ------------------------------------------------------------------
-
-    def access_stream(self, blocks: Sequence[int], is_write: bool) -> None:
-        """Access a sequence of block addresses with one read/write flavour."""
-        if self.backend == "vector":
-            arr = np.asarray(blocks, dtype=np.int64)
-            for s in range(0, arr.shape[0], DEFAULT_CHUNK_ACCESSES):
-                chunk = arr[s: s + DEFAULT_CHUNK_ACCESSES]
-                self._simulate_blocks(
-                    chunk, np.full(chunk.shape[0], is_write, dtype=bool)
-                )
-            return
-        for b in blocks:
-            self.access_line(int(b), is_write)
 
     def access_range(self, start_byte: int, n_bytes: int, is_write: bool) -> None:
         """Stream all lines overlapping byte range [start, start+n)."""

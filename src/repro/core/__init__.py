@@ -27,7 +27,6 @@ from .intensity import (
     effective_intensity,
     gemm_macs,
     gemm_min_dram_words,
-    op_arithmetic_intensity,
     skewed_limit_words,
 )
 
@@ -62,6 +61,5 @@ __all__ = [
     "effective_intensity",
     "gemm_macs",
     "gemm_min_dram_words",
-    "op_arithmetic_intensity",
     "skewed_limit_words",
 ]

@@ -8,9 +8,7 @@ shapes, and the roofline throughput ``min(peak, AI × BW)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
-
-from .einsum import EinsumOp
+from typing import Sequence, Tuple
 
 
 def gemm_macs(m: int, k: int, n: int) -> int:
@@ -40,11 +38,6 @@ def skewed_limit_words(n: int) -> float:
     any realistic machine (Fig. 2).
     """
     return n / 2.0
-
-
-def op_arithmetic_intensity(op: EinsumOp) -> float:
-    """Best-case ops/byte of an arbitrary einsum op (cold operands)."""
-    return op.macs / op.io_bytes_cold
 
 
 @dataclass(frozen=True)

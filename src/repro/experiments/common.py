@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ..baselines.runner import run_workload_config
 from ..hw.config import GB, AcceleratorConfig
-from ..sim.results import SimResult
 from ..workloads.registry import Workload
 
 
@@ -42,24 +40,6 @@ def prewarm_grid(
         ],
         jobs=jobs,
     )
-
-
-def run_configs(
-    workload: Workload,
-    configs: Sequence[str],
-    cfg: AcceleratorConfig,
-    cache_granularity: Optional[int] = None,
-    jobs: Optional[int] = 1,
-) -> Dict[str, SimResult]:
-    """Run several Table IV configurations on one workload."""
-    prewarm_grid([workload], configs, [cfg],
-                 cache_granularity=cache_granularity, jobs=jobs)
-    return {
-        c: run_workload_config(
-            workload, c, cfg, cache_granularity=cache_granularity
-        )
-        for c in configs
-    }
 
 
 #: Cache-simulation coarsening used by the heavyweight experiments: keeps

@@ -30,8 +30,7 @@ import bisect
 import threading
 import time
 from collections import deque
-from typing import (Callable, Deque, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import Callable, Deque, Dict, List, Mapping, Sequence, Tuple
 
 #: Default sliding window for every exported rate.
 DEFAULT_WINDOW_S = 60.0
@@ -96,8 +95,7 @@ class Histogram:
     Prometheus ``_sum``/``_count`` series and exact means.
     """
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("bucket bounds must be strictly increasing")
@@ -106,25 +104,12 @@ class Histogram:
         self.counts: List[int] = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
-        self._clock = clock
 
     def observe(self, value: float) -> None:
         value = float(value)
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-
-    def start_timer(self) -> Callable[[], float]:
-        """Start timing now; the returned callable observes (and
-        returns) the elapsed seconds when invoked."""
-        t0 = self._clock()
-
-        def stop() -> float:
-            elapsed = self._clock() - t0
-            self.observe(elapsed)
-            return elapsed
-
-        return stop
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other`` into this histogram in place (same bounds)."""
@@ -191,11 +176,9 @@ class HistogramFamily:
     SEP = "|"
 
     def __init__(self, label_names: Sequence[str],
-                 buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         self.label_names = tuple(label_names)
         self._buckets = tuple(float(b) for b in buckets)
-        self._clock = clock
         self._series: Dict[Tuple[str, ...], Histogram] = {}
         self._lock = threading.Lock()
 
@@ -207,7 +190,7 @@ class HistogramFamily:
         with self._lock:
             hist = self._series.get(key)
             if hist is None:
-                hist = Histogram(self._buckets, clock=self._clock)
+                hist = Histogram(self._buckets)
                 self._series[key] = hist
             hist.observe(value)
 

@@ -31,8 +31,11 @@ Three fidelities select how a batch is priced (``docs/analytic.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
+
+import numpy as np
 
 from ..baselines import runner
 from ..hw.config import AcceleratorConfig, default_config
@@ -175,6 +178,77 @@ class TuneResult:
         )
 
 
+def _price_geometry(
+    workload: Workload,
+    names: Tuple[str, ...],
+    first: TunePoint,
+    base_cfg: AcceleratorConfig,
+    use_riff: object,
+    explicit_retire: object,
+    charge_swizzle: object,
+    chord_entries: np.ndarray,
+) -> Tuple[Mapping[str, np.ndarray], Callable[[int, TunePoint], TuneEval]]:
+    """Price one (SRAM, line) group of CELLO rows in one
+    :func:`~repro.analytic.batch.evaluate_batch` call.
+
+    ``first`` is any point of the group: it fixes the geometry and the
+    compiled model.  The four columns hold one entry per row.  Returns
+    the objective arrays (one entry per row) and ``eval_at(i, point)``,
+    which builds row ``i``'s analytic :class:`TuneEval`.  Raises
+    :class:`~repro.analytic.AnalyticUnsupported` when the model does not
+    compile and :class:`~repro.analytic.batch.BatchUnsupported` when the
+    program does not fit the packed batch encoding.
+    """
+    from ..analytic import model_for
+    from ..analytic.batch import (
+        BatchKnobs,
+        batch_objective_arrays,
+        evaluate_batch,
+        onchip_accesses_of,
+    )
+    from ..sim.perf import compute_seconds, memory_seconds
+
+    cfg = first.accel_cfg(base_cfg)
+    model = model_for(workload, first.config_name(), cfg)
+    knobs = BatchKnobs.from_columns(
+        len(chord_entries),
+        use_riff=use_riff,
+        explicit_retire=explicit_retire,
+        charge_swizzle=charge_swizzle,
+        chord_entries=chord_entries,
+        capacity_bytes=cfg.chord_data_bytes,
+    )
+    ev = evaluate_batch(model, knobs)
+    arrs = batch_objective_arrays(names, model, ev, cfg,
+                                  chord_entries=chord_entries)
+    macs = model.program.total_macs
+    compute_s = compute_seconds(macs, cfg)
+    onchip = onchip_accesses_of(model, cfg)
+
+    def eval_at(i: int, p: TunePoint) -> TuneEval:
+        read = int(ev.dram_read_bytes[i])
+        write = int(ev.dram_write_bytes[i])
+        result = SimResult(
+            config=p.config_name(),
+            workload=workload.name,
+            total_macs=macs,
+            dram_read_bytes=read,
+            dram_write_bytes=write,
+            compute_s=compute_s,
+            memory_s=memory_seconds(read + write, cfg),
+            onchip_accesses=dict(onchip),
+        )
+        return TuneEval(
+            point=p,
+            config=p.config_name(),
+            objectives={n: float(arrs[n][i]) for n in names},
+            result=result,
+            fidelity="analytic",
+        )
+
+    return arrs, eval_at
+
+
 class _BatchEvaluator:
     """Memoising batch evaluator dispatching through the orchestrator.
 
@@ -238,17 +312,8 @@ class _BatchEvaluator:
         per-point :meth:`_predict`.  Cache-policy points (no analytic
         model) are simply absent from the returned mapping.
         """
-        import numpy as np
-
-        from ..analytic import AnalyticUnsupported, model_for
-        from ..analytic.batch import (
-            BatchKnobs,
-            BatchUnsupported,
-            batch_objective_arrays,
-            evaluate_batch,
-            onchip_accesses_of,
-        )
-        from ..sim.perf import compute_seconds, memory_seconds
+        from ..analytic import AnalyticUnsupported
+        from ..analytic.batch import BatchUnsupported
 
         groups: Dict[Tuple[int, int], List[TunePoint]] = {}
         for p in points:
@@ -256,53 +321,25 @@ class _BatchEvaluator:
                 groups.setdefault((p.sram_bytes, p.line_bytes), []).append(p)
         out: Dict[TunePoint, TuneEval] = {}
         for ps in groups.values():
-            cfg = ps[0].accel_cfg(self.base_cfg)
             try:
-                model = model_for(self.workload, ps[0].config_name(), cfg)
+                _, eval_at = _price_geometry(
+                    self.workload, self.objectives, ps[0], self.base_cfg,
+                    use_riff=[p.use_riff for p in ps],
+                    explicit_retire=[p.explicit_retire for p in ps],
+                    charge_swizzle=[p.charge_swizzle for p in ps],
+                    chord_entries=np.asarray([p.chord_entries for p in ps],
+                                             dtype=np.int64),
+                )
             except AnalyticUnsupported:  # pragma: no cover - CELLO compiles
                 continue
-            entries = np.asarray([p.chord_entries for p in ps], dtype=np.int64)
-            knobs = BatchKnobs.from_columns(
-                len(ps),
-                use_riff=[p.use_riff for p in ps],
-                explicit_retire=[p.explicit_retire for p in ps],
-                charge_swizzle=[p.charge_swizzle for p in ps],
-                chord_entries=entries,
-                capacity_bytes=cfg.chord_data_bytes,
-            )
-            try:
-                ev = evaluate_batch(model, knobs)
             except BatchUnsupported:
                 for p in ps:
                     e = self._predict(p)
                     if e is not None:
                         out[p] = e
                 continue
-            arrs = batch_objective_arrays(
-                self.objectives, model, ev, cfg, chord_entries=entries)
-            compute_s = compute_seconds(model.program.total_macs, cfg)
-            onchip = onchip_accesses_of(model, cfg)
             for i, p in enumerate(ps):
-                read = int(ev.dram_read_bytes[i])
-                write = int(ev.dram_write_bytes[i])
-                result = SimResult(
-                    config=p.config_name(),
-                    workload=self.workload.name,
-                    total_macs=model.program.total_macs,
-                    dram_read_bytes=read,
-                    dram_write_bytes=write,
-                    compute_s=compute_s,
-                    memory_s=memory_seconds(read + write, cfg),
-                    onchip_accesses=dict(onchip),
-                )
-                out[p] = TuneEval(
-                    point=p,
-                    config=p.config_name(),
-                    objectives={n: float(arrs[n][i])
-                                for n in self.objectives},
-                    result=result,
-                    fidelity="analytic",
-                )
+                out[p] = eval_at(i, p)
         return out
 
     def _note_error(self, predicted: SimResult, exact: SimResult) -> None:
@@ -415,17 +452,8 @@ def _columnar_grid_tune(
     (:class:`BatchUnsupported`); the caller falls back to the point-wise
     strategy path.
     """
-    import numpy as np
-
-    from ..analytic import AnalyticUnsupported, model_for
-    from ..analytic.batch import (
-        BatchKnobs,
-        BatchUnsupported,
-        batch_objective_arrays,
-        evaluate_batch,
-        onchip_accesses_of,
-    )
-    from ..sim.perf import compute_seconds, memory_seconds
+    from ..analytic import AnalyticUnsupported
+    from ..analytic.batch import BatchUnsupported
     from .pareto import nondominated_mask
 
     grid = space.columnar()
@@ -439,59 +467,27 @@ def _columnar_grid_tune(
     uniq, group_of = np.unique(geom, axis=0, return_inverse=True)
     obj_matrix = np.empty((n_cello, len(names)), dtype=np.float64)
     pos_in_group = np.empty(n_cello, dtype=np.int64)
-    group_data: List[tuple] = []
+    eval_at: List[Callable[[int, TunePoint], TuneEval]] = []
     for g in range(uniq.shape[0]):
         rows = np.flatnonzero(group_of == g)
         pos_in_group[rows] = np.arange(rows.size)
-        first = grid.point_at(int(rows[0]))
-        cfg = first.accel_cfg(base_cfg)
         try:
-            model = model_for(workload, first.config_name(), cfg)
-        except AnalyticUnsupported:  # pragma: no cover - CELLO compiles
+            arrs, group_eval = _price_geometry(
+                workload, names, grid.point_at(int(rows[0])), base_cfg,
+                use_riff=grid.use_riff[rows],
+                explicit_retire=grid.explicit_retire[rows],
+                charge_swizzle=grid.charge_swizzle[rows],
+                chord_entries=grid.chord_entries[rows],
+            )
+        except (AnalyticUnsupported, BatchUnsupported):
             return None
-        entries = grid.chord_entries[rows]
-        knobs = BatchKnobs.from_columns(
-            rows.size,
-            use_riff=grid.use_riff[rows],
-            explicit_retire=grid.explicit_retire[rows],
-            charge_swizzle=grid.charge_swizzle[rows],
-            chord_entries=entries,
-            capacity_bytes=cfg.chord_data_bytes,
-        )
-        try:
-            ev = evaluate_batch(model, knobs)
-        except BatchUnsupported:
-            return None
-        arrs = batch_objective_arrays(names, model, ev, cfg,
-                                      chord_entries=entries)
         for j, name in enumerate(names):
             obj_matrix[rows, j] = arrs[name]
-        group_data.append((model, cfg, ev))
+        eval_at.append(group_eval)
 
     def analytic_eval(row: int) -> TuneEval:
-        model, cfg, ev = group_data[int(group_of[row])]
-        i = int(pos_in_group[row])
-        p = grid.point_at(row)
-        read = int(ev.dram_read_bytes[i])
-        write = int(ev.dram_write_bytes[i])
-        result = SimResult(
-            config=p.config_name(),
-            workload=workload.name,
-            total_macs=model.program.total_macs,
-            dram_read_bytes=read,
-            dram_write_bytes=write,
-            compute_s=compute_seconds(model.program.total_macs, cfg),
-            memory_s=memory_seconds(read + write, cfg),
-            onchip_accesses=onchip_accesses_of(model, cfg),
-        )
-        return TuneEval(
-            point=p,
-            config=p.config_name(),
-            objectives={name: float(obj_matrix[row, j])
-                        for j, name in enumerate(names)},
-            result=result,
-            fidelity="analytic",
-        )
+        return eval_at[int(group_of[row])](int(pos_in_group[row]),
+                                           grid.point_at(row))
 
     # Vectorised dominance pass over the CELLO block, in enumeration
     # order (minus the incumbent, which is pinned to exact fidelity and

@@ -1,57 +1,8 @@
-"""Tests for the explicit buffers: scratchpad, buffet, pipeline buffer, RF."""
+"""Tests for the buffet, the explicit buffer table3's live check drives."""
 
 import pytest
 
 from repro.buffers.buffet import Buffet, BuffetError
-from repro.buffers.pipeline_buffer import PipelineBuffer, PipelineBufferError
-from repro.buffers.register_file import RegisterFile, RegisterFileError
-from repro.buffers.scratchpad import AllocationError, Scratchpad
-
-
-class TestScratchpad:
-    def test_allocate_free_cycle(self):
-        sp = Scratchpad(100)
-        sp.allocate("a", 60)
-        assert sp.used_bytes == 60
-        sp.free("a")
-        assert sp.used_bytes == 0
-
-    def test_overflow_raises(self):
-        sp = Scratchpad(100)
-        sp.allocate("a", 60)
-        with pytest.raises(AllocationError):
-            sp.allocate("b", 50)
-
-    def test_double_allocate_raises(self):
-        sp = Scratchpad(100)
-        sp.allocate("a", 10)
-        with pytest.raises(AllocationError):
-            sp.allocate("a", 10)
-
-    def test_free_unknown_raises(self):
-        with pytest.raises(AllocationError):
-            Scratchpad(100).free("a")
-
-    def test_fill_and_drain_count_dram_traffic(self):
-        sp = Scratchpad(100)
-        sp.allocate("a", 40)
-        sp.fill("a")
-        sp.drain("a", 10)
-        assert sp.stats.dram_read_bytes == 40
-        assert sp.stats.dram_write_bytes == 10
-
-    def test_fill_beyond_allocation_raises(self):
-        sp = Scratchpad(100)
-        sp.allocate("a", 40)
-        with pytest.raises(AllocationError):
-            sp.fill("a", 50)
-
-    def test_touch_is_free_of_dram(self):
-        sp = Scratchpad(100)
-        sp.allocate("a", 40)
-        sp.touch("a")
-        assert sp.stats.dram_bytes == 0
-        assert sp.stats.hits == 1
 
 
 class TestBuffet:
@@ -93,71 +44,3 @@ class TestBuffet:
             b.read(i)
             b.shrink(1)
         assert b.head == b.tail == 10
-
-
-class TestPipelineBuffer:
-    def test_stage_double_buffers(self):
-        pb = PipelineBuffer(100)
-        assert pb.can_stage(50)
-        assert not pb.can_stage(51)
-        pb.stage(40)
-        assert pb.used_bytes == 80
-        pb.release_stage()
-        assert pb.used_bytes == 0
-
-    def test_stage_overflow_raises(self):
-        with pytest.raises(PipelineBufferError):
-            PipelineBuffer(100).stage(60)
-
-    def test_hold_and_release(self):
-        pb = PipelineBuffer(100)
-        pb.hold("T0", 30, release_stage=3)
-        pb.hold("T0", 30, release_stage=4)
-        assert pb.held_bytes == 60
-        freed = pb.release_holds(3)
-        assert freed == 30
-        assert pb.held_bytes == 30
-        freed = pb.release_holds(10)
-        assert freed == 30
-        assert pb.held_bytes == 0
-
-    def test_can_hold_accounts_for_depth(self):
-        pb = PipelineBuffer(100)
-        assert pb.can_hold(20, depth=3)      # (3+2)*20 = 100
-        assert not pb.can_hold(20, depth=4)  # 120 > 100
-
-    def test_hold_overflow_raises(self):
-        pb = PipelineBuffer(50)
-        with pytest.raises(PipelineBufferError):
-            pb.hold("T", 60, 1)
-
-
-class TestRegisterFile:
-    def test_load_and_stream(self):
-        rf = RegisterFile(1024)
-        rf.load("Lambda", 256)
-        assert rf.is_resident("Lambda")
-        rf.stream("Lambda", times=5)
-        assert rf.stats.hits == 5
-
-    def test_load_too_big_raises(self):
-        rf = RegisterFile(100)
-        with pytest.raises(RegisterFileError):
-            rf.load("big", 200)
-
-    def test_stream_unloaded_raises(self):
-        with pytest.raises(RegisterFileError):
-            RegisterFile(100).stream("x")
-
-    def test_reload_is_idempotent(self):
-        rf = RegisterFile(100)
-        rf.load("t", 60)
-        rf.load("t", 60)
-        assert rf.used_bytes == 60
-
-    def test_evict_frees_space(self):
-        rf = RegisterFile(100)
-        rf.load("a", 60)
-        rf.evict("a")
-        rf.load("b", 80)
-        assert rf.used_bytes == 80

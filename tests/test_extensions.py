@@ -1,5 +1,5 @@
-"""Tests for the extension modules: Tailors, SRRIP, CHORD timeline/audit,
-cluster timing, the MLP chain negative control, and multi-node scaling."""
+"""Tests for the extension modules: SRRIP, CHORD timeline/audit, cluster
+timing, the MLP chain negative control, and multi-node scaling."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.analysis.scaling import (
 from repro.buffers.cache import SetAssociativeCache
 from repro.buffers.lru import LruPolicy
 from repro.buffers.srrip import SrripPolicy
-from repro.buffers.tailors import TailorsBuffer
 from repro.baselines.runner import run_workload_config
 from repro.chord.buffer import ChordBuffer
 from repro.chord.hints import ReuseHints, TensorHints
@@ -32,47 +31,6 @@ from repro.workloads.matrices import FV1, SHALLOW_WATER1
 from repro.workloads.registry import Workload, cg_workload, resnet_workload
 
 CFG = AcceleratorConfig()
-
-
-class TestTailors:
-    def test_within_booking_is_explicit(self):
-        t = TailorsBuffer(100, overbook_fraction=0.2)
-        t.begin_tile()
-        assert t.fill(80) == 0
-        assert not t.tile_overflowed()
-
-    def test_overbooked_words_spill_implicitly(self):
-        t = TailorsBuffer(100, overbook_fraction=0.2)
-        t.begin_tile()
-        over = t.fill(100)
-        assert over == 20
-        assert t.tile_overflowed()
-        assert t.overbooked_words == 20
-        # Overbooked words round-trip: staging + refetch.
-        assert t.stats.dram_read_bytes == 100 + 20
-
-    def test_incremental_fills_cross_boundary_once(self):
-        t = TailorsBuffer(100, overbook_fraction=0.0)
-        t.begin_tile()
-        assert t.fill(60) == 0
-        assert t.fill(60) == 20
-        assert t.fill(10) == 10
-
-    def test_new_tile_resets(self):
-        t = TailorsBuffer(100, overbook_fraction=0.5)
-        t.begin_tile()
-        t.fill(100)
-        t.begin_tile()
-        assert not t.tile_overflowed()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TailorsBuffer(0)
-        with pytest.raises(ValueError):
-            TailorsBuffer(10, overbook_fraction=1.5)
-        t = TailorsBuffer(10)
-        with pytest.raises(ValueError):
-            t.fill(-1)
 
 
 class TestSrrip:

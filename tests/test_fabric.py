@@ -594,6 +594,12 @@ class _SilentShard:
             pass  # closed
 
     def close(self) -> None:
+        # Closing a listener does not wake a thread blocked in accept()
+        # on Linux; shutting it down does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # platforms that refuse shutdown on a listener
         self._sock.close()
         for conn in self._held:
             conn.close()

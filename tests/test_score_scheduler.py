@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.classify import classify_dependencies
 from repro.hw.config import AcceleratorConfig
+from repro.score.binding import BindingOptions, realize_holds, realize_pipelines
 from repro.score.loop_order import natural_loop_order, schedule_adjacent
 from repro.score.schedule_ir import LoopOrder, Route
 from repro.score.scheduler import Score, ScoreOptions
+from repro.score.swizzle import choose_all_layouts
 from repro.score.tiling import choose_tiling, tile_bytes_of
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.gnn import build_gnn_dag, cora_problem, protein_problem
@@ -154,6 +156,51 @@ class TestResNetPlacements:
         hold = next(iter(resnet_sched.holds.values()))
         assert hold.depth == 3
         assert hold.window_bytes <= CFG.pipeline_buffer_bytes
+
+
+def _cfg_with_pipeline_buffer(nbytes):
+    """A config whose pipeline buffer holds exactly ``nbytes``."""
+    cfg = AcceleratorConfig(sram_bytes=2 * nbytes, pipeline_fraction=0.5)
+    assert cfg.pipeline_buffer_bytes == nbytes
+    return cfg
+
+
+class TestCapacityBoundary:
+    """``score.binding`` is the one home of the pipeline and hold
+    capacity rules: a stage needs ``2·tile`` bytes, a hold of depth d
+    ``(d+2)·tile``.  Each must fit at exactly that size and not one byte
+    below it."""
+
+    def _pipelines(self, sched, cfg):
+        orders = {name: s.loop_order for name, s in sched.op_schedules.items()}
+        layouts = choose_all_layouts(sched.dag, orders)
+        return realize_pipelines(sched.classified, sched.op_schedules,
+                                 layouts, cfg, BindingOptions())
+
+    def test_stage_fits_at_exactly_two_tiles(self, resnet_sched):
+        assert resnet_sched.pipelines
+        for key, stage in resnet_sched.pipelines.items():
+            need = 2 * stage.tile_bytes
+            assert key in self._pipelines(
+                resnet_sched, _cfg_with_pipeline_buffer(need))
+            assert key not in self._pipelines(
+                resnet_sched, _cfg_with_pipeline_buffer(need - 1))
+
+    def test_hold_fits_at_exactly_depth_plus_two_tiles(self, resnet_sched):
+        (key, hold), = resnet_sched.holds.items()
+        tile = tile_bytes_of(resnet_sched.dag.op(hold.src),
+                             resnet_sched.op_schedule(hold.src))
+        need = (hold.depth + 2) * tile
+        assert hold.window_bytes == need
+
+        def holds(cfg):
+            return realize_holds(resnet_sched.classified,
+                                 resnet_sched.op_schedules,
+                                 resnet_sched.pipelines, cfg, BindingOptions())
+
+        realized = holds(_cfg_with_pipeline_buffer(need))
+        assert realized[key].window_bytes == need
+        assert key not in holds(_cfg_with_pipeline_buffer(need - 1))
 
 
 class TestGnnPlacements:
