@@ -27,14 +27,15 @@ from repro.analytic import (
     evaluate_batch,
     model_for,
 )
+from repro.analytic.batch import BatchUnsupported
 from repro.baselines import runner
 from repro.baselines.configs import cello_variant_name
-from repro.hw.config import KIB, MIB, AcceleratorConfig
+from repro.hw.config import KIB, MIB, AcceleratorConfig, default_config
 from repro.sim.engine import EngineOptions
 from repro.tuner.pareto import ParetoFront, dominates, nondominated_mask, objective_values
 from repro.tuner.space import TunePoint, TuneSpace
 from repro.tuner.strategies import make_strategy
-from repro.tuner.tuner import _BatchEvaluator, tune
+from repro.tuner.tuner import _BatchEvaluator, _price_geometry, tune
 from repro.tuner import tuner as tuner_mod
 from repro.workloads.registry import random_dag_workload, resolve_workload
 
@@ -393,3 +394,84 @@ class TestColumnarTune:
         # (the incumbent is always priced exactly, even when its vector
         # ties a frontier entry), never the other ~100k points.
         assert hybrid.n_simulations <= len(hybrid.front) + 1
+
+
+def _batch_unsupported(*args, **kwargs):
+    raise BatchUnsupported("program does not fit the packed encoding")
+
+
+class TestPriceGeometry:
+    """``_price_geometry`` is the one analytic batch-pricing path that
+    both ``_batch_predict`` and ``_columnar_grid_tune`` use."""
+
+    WORKLOAD = "gmres/fv1/m=8/N=1"
+    NAMES = ("runtime", "dram", "energy", "area")
+
+    def _space(self):
+        return TuneSpace(chord_entries=(64, 8, 16, 32),
+                         sram_bytes=(4 * MIB, MIB), line_bytes=(16, 32),
+                         cache_policies=("LRU",))
+
+    def _evaluator(self):
+        return _BatchEvaluator(resolve_workload(self.WORKLOAD), self.NAMES,
+                               default_config(None), jobs=1,
+                               fidelity="analytic")
+
+    @pytest.mark.parametrize("sram,line", [(MIB, 16), (4 * MIB, 32)])
+    def test_group_rows_match_predict(self, sram, line):
+        evaluator = self._evaluator()
+        pts = [p for p in self._space().points() if p.is_cello
+               and p.sram_bytes == sram and p.line_bytes == line]
+        assert len(pts) > 1
+        arrs, eval_at = _price_geometry(
+            evaluator.workload, self.NAMES, pts[0], evaluator.base_cfg,
+            use_riff=[p.use_riff for p in pts],
+            explicit_retire=[p.explicit_retire for p in pts],
+            charge_swizzle=[p.charge_swizzle for p in pts],
+            chord_entries=np.asarray([p.chord_entries for p in pts],
+                                     dtype=np.int64),
+        )
+        assert all(len(arrs[n]) == len(pts) for n in self.NAMES)
+        for i, p in enumerate(pts):
+            ref = evaluator._predict(p)
+            got = eval_at(i, p)
+            assert got.point == p and got.fidelity == "analytic"
+            assert got.objectives == ref.objectives, p
+            assert got.result == ref.result, p
+            assert {n: float(arrs[n][i]) for n in self.NAMES} \
+                == ref.objectives
+
+    def test_batch_predict_falls_back_per_point(self, monkeypatch):
+        evaluator = self._evaluator()
+        pts = [p for p in self._space().points() if p.is_cello][:6]
+        expected = {p: evaluator._predict(p) for p in pts}
+        monkeypatch.setattr(tuner_mod, "_price_geometry", _batch_unsupported)
+        got = evaluator._batch_predict(pts)
+        assert set(got) == set(pts)
+        for p in pts:
+            assert got[p].objectives == expected[p].objectives
+            assert got[p].result == expected[p].result
+
+    def test_columnar_grid_tune_declines_when_batch_unsupported(
+            self, monkeypatch):
+        monkeypatch.setattr(tuner_mod, "_price_geometry", _batch_unsupported)
+        assert tuner_mod._columnar_grid_tune(
+            resolve_workload(self.WORKLOAD), self._space(),
+            make_strategy("grid"), self.NAMES, default_config(None),
+            jobs=1, fidelity="analytic") is None
+
+    def test_tune_falls_back_to_pointwise_when_batch_unsupported(
+            self, monkeypatch):
+        kwargs = dict(space=self._space(), strategy=make_strategy("grid"),
+                      objectives=("runtime", "dram", "area"),
+                      fidelity="analytic")
+        runner.clear_cache()
+        fast = tune(self.WORKLOAD, **kwargs)
+        runner.clear_cache()
+        monkeypatch.setattr(tuner_mod, "_price_geometry", _batch_unsupported)
+        slow = tune(self.WORKLOAD, **kwargs)
+        runner.clear_cache()
+        assert [(e.point, e.vector) for e in fast.front] \
+            == [(e.point, e.vector) for e in slow.front]
+        assert fast.best.point == slow.best.point
+        assert fast.best.objectives == slow.best.objectives

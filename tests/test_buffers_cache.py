@@ -5,11 +5,17 @@ the simulator must match exactly, and behavioural checks of BRRIP's
 scan resistance (the property the paper's Fig. 11 leans on).
 """
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.buffers.brrip import BrripPolicy
 from repro.buffers.cache import SetAssociativeCache
 from repro.buffers.lru import LruPolicy
+from repro.buffers.srrip import SrripPolicy
+
+POLICIES = {"lru": LruPolicy, "brrip": BrripPolicy, "srrip": SrripPolicy}
 
 
 def lru_cache(capacity=1024, line=16, assoc=4):
@@ -177,3 +183,46 @@ class TestBrrip:
             BrripPolicy(bits=0)
         with pytest.raises(ValueError):
             BrripPolicy(bimodal_throttle=0)
+
+
+class TestVectorSingleAccess:
+    """On the vector backend ``access_line`` is a one-element batch; it
+    must leave exactly the state the reference backend leaves, also when
+    single accesses interleave with range replays and flushes."""
+
+    def _pair(self, policy):
+        return tuple(
+            SetAssociativeCache(2048, 16, 4, POLICIES[policy](),
+                                backend=backend)
+            for backend in ("reference", "vector"))
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_hit_flag_and_dirty_writeback(self, policy):
+        _, vec = self._pair(policy)
+        assert vec.access_line(5, True) is False
+        assert vec.access_line(5, False) is True
+        assert vec.stats.hits == 1 and vec.stats.misses == 1
+        assert vec.resident_lines() == 1
+        vec.flush()
+        assert vec.stats.dram_write_bytes == 16  # the one dirty line
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_interleaved_with_ranges_matches_reference(self, policy):
+        rng = random.Random(23)
+        ref, vec = self._pair(policy)
+        for _ in range(600):
+            write = rng.random() < 0.3
+            if rng.random() < 0.6:
+                block = rng.randrange(0, 400)
+                assert vec.access_line(block, write) \
+                    == ref.access_line(block, write)
+            else:
+                start, n = rng.randrange(0, 6400), rng.randrange(1, 200)
+                ref.access_range(start, n, write)
+                vec.access_range(start, n, write)
+            if rng.random() < 0.01:
+                ref.flush()
+                vec.flush()
+        assert vec.stats.as_dict() == ref.stats.as_dict()
+        np.testing.assert_array_equal(vec._tags, ref._tags)
+        np.testing.assert_array_equal(vec._dirty, ref._dirty)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.classify import classify_dependencies
 from repro.hw.config import AcceleratorConfig
-from repro.score.binding import BindingOptions, realize_holds, realize_pipelines
+from repro.score.binding import (
+    BindingOptions,
+    place_tensors,
+    realize_holds,
+    realize_pipelines,
+)
 from repro.score.loop_order import natural_loop_order, schedule_adjacent
 from repro.score.schedule_ir import LoopOrder, Route
 from repro.score.scheduler import Score, ScoreOptions
@@ -177,14 +182,27 @@ class TestCapacityBoundary:
         return realize_pipelines(sched.classified, sched.op_schedules,
                                  layouts, cfg, BindingOptions())
 
-    def test_stage_fits_at_exactly_two_tiles(self, resnet_sched):
-        assert resnet_sched.pipelines
-        for key, stage in resnet_sched.pipelines.items():
+    def _assert_stage_boundary(self, sched):
+        assert sched.pipelines
+        for key, stage in sched.pipelines.items():
             need = 2 * stage.tile_bytes
             assert key in self._pipelines(
-                resnet_sched, _cfg_with_pipeline_buffer(need))
+                sched, _cfg_with_pipeline_buffer(need))
             assert key not in self._pipelines(
-                resnet_sched, _cfg_with_pipeline_buffer(need - 1))
+                sched, _cfg_with_pipeline_buffer(need - 1))
+
+    def _holds(self, sched, pipelines, cfg=CFG, options=BindingOptions()):
+        return realize_holds(sched.classified, sched.op_schedules,
+                             pipelines, cfg, options)
+
+    def test_stage_fits_at_exactly_two_tiles(self, resnet_sched):
+        self._assert_stage_boundary(resnet_sched)
+
+    def test_cg_stages_fit_at_exactly_two_tiles(self, cg_sched):
+        self._assert_stage_boundary(cg_sched)
+
+    def test_gnn_stages_fit_at_exactly_two_tiles(self, gnn_sched):
+        self._assert_stage_boundary(gnn_sched)
 
     def test_hold_fits_at_exactly_depth_plus_two_tiles(self, resnet_sched):
         (key, hold), = resnet_sched.holds.items()
@@ -201,6 +219,70 @@ class TestCapacityBoundary:
         realized = holds(_cfg_with_pipeline_buffer(need))
         assert realized[key].window_bytes == need
         assert key not in holds(_cfg_with_pipeline_buffer(need - 1))
+
+    def test_hold_needs_every_hop_pipelined(self, resnet_sched):
+        (key, hold), = resnet_sched.holds.items()
+        path = resnet_sched.dag.longest_path(hold.src, hold.dst)
+        assert key in self._holds(resnet_sched, resnet_sched.pipelines)
+        for a, b in zip(path, path[1:]):
+            hop = (a, b, resnet_sched.dag.path_edge_tensor(a, b))
+            assert hop in resnet_sched.pipelines
+            broken = {k: v for k, v in resnet_sched.pipelines.items()
+                      if k != hop}
+            assert key not in self._holds(resnet_sched, broken)
+
+    def test_disabled_pipelining_realizes_no_stage(self, resnet_sched):
+        orders = {name: s.loop_order
+                  for name, s in resnet_sched.op_schedules.items()}
+        layouts = choose_all_layouts(resnet_sched.dag, orders)
+        assert realize_pipelines(
+            resnet_sched.classified, resnet_sched.op_schedules, layouts,
+            CFG, BindingOptions(enable_pipelining=False)) == {}
+
+    def test_disabled_holds_realize_no_hold(self, resnet_sched):
+        assert self._holds(resnet_sched, resnet_sched.pipelines,
+                           options=BindingOptions(enable_holds=False)) == {}
+
+
+def _cfg_with_rf(nbytes):
+    """A config whose register file holds exactly ``nbytes``."""
+    cfg = AcceleratorConfig(rf_bytes=nbytes)
+    assert cfg.rf_bytes == nbytes
+    return cfg
+
+
+class TestRegisterFileBoundary:
+    """``place_tensors`` keeps a tensor in the register file when its
+    whole footprint fits ``rf_bytes``: a register file of exactly the
+    tensor's size holds it, one byte less does not."""
+
+    def _placements(self, sched, cfg):
+        orders = {name: s.loop_order for name, s in sched.op_schedules.items()}
+        layouts = choose_all_layouts(sched.dag, orders)
+        return place_tensors(sched.classified, sched.pipelines, sched.holds,
+                             layouts, cfg)
+
+    def test_tensor_at_exactly_rf_capacity_lives_in_rf(self, cg_sched):
+        nbytes = cg_sched.dag.tensor("Lambda@0").bytes
+        p = self._placements(cg_sched, _cfg_with_rf(nbytes))["Lambda@0"]
+        assert p.write_route is Route.REGISTER_FILE
+        assert p.consumer_routes
+        assert all(r is Route.REGISTER_FILE
+                   for r in p.consumer_routes.values())
+
+    def test_tensor_one_byte_over_rf_capacity_leaves_rf(self, cg_sched):
+        nbytes = cg_sched.dag.tensor("Lambda@0").bytes
+        p = self._placements(cg_sched, _cfg_with_rf(nbytes - 1))["Lambda@0"]
+        assert p.write_route is not Route.REGISTER_FILE
+        assert Route.REGISTER_FILE not in p.consumer_routes.values()
+
+    def test_small_program_input_is_still_born_in_dram(self, cg_sched):
+        nbytes = cg_sched.dag.tensor("Gamma@0").bytes
+        assert cg_sched.dag.producer_of("Gamma@0") is None
+        p = self._placements(cg_sched, _cfg_with_rf(nbytes))["Gamma@0"]
+        assert p.write_route is Route.DRAM
+        assert all(r is Route.REGISTER_FILE
+                   for r in p.consumer_routes.values())
 
 
 class TestGnnPlacements:
