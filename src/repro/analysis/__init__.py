@@ -10,12 +10,6 @@ from .tables import (
     config_capabilities,
     scheduler_capability_table,
 )
-from .scaling import (
-    ScalingPoint,
-    noc_seconds_per_run,
-    scaling_report,
-    simulate_cg_scaling,
-)
 from .roofline import (
     REGULAR_GEMM,
     SKEWED_GEMM,
@@ -48,10 +42,6 @@ __all__ = [
     "gemm_roofline_rows",
     "result_on_roofline",
     "roofline_for",
-    "ScalingPoint",
-    "noc_seconds_per_run",
-    "scaling_report",
-    "simulate_cg_scaling",
     "render_tune_result",
     "tune_results_json",
     "render_jobs",

@@ -6,8 +6,8 @@ run.  This module times them with a small self-contained harness (no
 pytest-benchmark dependency so the CLI can run it anywhere), renders a
 table, and writes ``BENCH_kernels.json`` so the repo's performance
 trajectory is tracked from run to run (CI uploads the file as an
-artifact; ``benchmarks/bench_perf_kernels.py`` wraps the same harness
-under pytest).
+artifact and ``tools/check_bench.py`` gates it against the committed
+baseline).
 
 The headline number is the vector-vs-reference cache speedup on a
 streaming trace — the rewrite this file exists to guard — expected to be

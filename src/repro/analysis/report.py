@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment reports.
 
 Every experiment module prints the same rows/series its paper figure
-shows; this renderer keeps those reports aligned and diff-friendly
-(EXPERIMENTS.md embeds them verbatim).
+shows; this renderer keeps those reports aligned and diff-friendly (the
+``repro all`` digest pins them byte for byte).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """One experiment module per paper table/figure.
 
 Each module exposes ``run(...)`` (structured results) and ``report(...)``
-(the text table matching the paper's rows/series).  The benchmark harness
-under ``benchmarks/`` regenerates every one; EXPERIMENTS.md records
-paper-vs-measured.
+(the text table matching the paper's rows/series).  ``repro all``
+renders every report, and ``tests/golden/repro_all_digest.json`` pins
+each rendering byte for byte (``tools/check_report_digest.py``).
 """
 
 from . import (

@@ -16,7 +16,6 @@ def prewarm_grid(
     workloads: Iterable[Workload],
     configs: Sequence[str],
     cfgs: Iterable[AcceleratorConfig],
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> int:
     """Pre-simulate workloads × configs × cfgs across processes.
@@ -33,7 +32,7 @@ def prewarm_grid(
 
     return prewarm(
         [
-            SweepPoint(w.name, c, cfg, cache_granularity)
+            SweepPoint(w.name, c, cfg)
             for w in workloads
             for c in configs
             for cfg in cfgs
@@ -41,8 +40,3 @@ def prewarm_grid(
         jobs=jobs,
     )
 
-
-#: Cache-simulation coarsening used by the heavyweight experiments: keeps
-#: line-exactness where affordable and bounds trace length elsewhere (see
-#: ``repro.sim.trace.auto_granularity``).  ``None`` = choose automatically.
-DEFAULT_CACHE_GRANULARITY: Optional[int] = None

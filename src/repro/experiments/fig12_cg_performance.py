@@ -41,7 +41,6 @@ def run(
     datasets=CG_DATASETS,
     n_values: Sequence[int] = CG_N_VALUES,
     iterations: int = 10,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> Tuple[Fig12Panel, ...]:
     # Bandwidth variants share one simulation, so the prewarm grid only
@@ -50,7 +49,7 @@ def run(
     prewarm_grid(
         [cg_workload(ds, n, iterations=iterations)
          for ds in datasets for n in n_values],
-        configs, [cfg], cache_granularity=cache_granularity, jobs=jobs,
+        configs, [cfg], jobs=jobs,
     )
     panels = []
     for ds in datasets:
@@ -59,10 +58,7 @@ def run(
             for bw in bandwidths:
                 c = cfg.with_bandwidth(bw)
                 results = {
-                    name: run_workload_config(
-                        w, name, c, cache_granularity=cache_granularity
-                    )
-                    for name in configs
+                    name: run_workload_config(w, name, c) for name in configs
                 }
                 panels.append(Fig12Panel(ds.name, n, bw, results))
     return tuple(panels)
@@ -76,13 +72,11 @@ def cello_geomean_speedup(panels: Sequence[Fig12Panel],
 def report(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = MAIN_CONFIGS,
-    cache_granularity: Optional[int] = None,
     iterations: int = 10,
     jobs: Optional[int] = 1,
 ) -> str:
     cfg = default_config(cfg)
-    panels = run(cfg, configs=configs, iterations=iterations,
-                 cache_granularity=cache_granularity, jobs=jobs)
+    panels = run(cfg, configs=configs, iterations=iterations, jobs=jobs)
     rows = []
     for p in panels:
         row = [p.dataset, p.n, bandwidth_label(p.bandwidth)]

@@ -33,17 +33,15 @@ class Fig13Panel:
 def run(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = MAIN_CONFIGS,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> Tuple[Fig13Panel, ...]:
     cfg = default_config(cfg)
     workloads = (*all_gnn_workloads(), *all_bicgstab_workloads())
-    prewarm_grid(workloads, configs, [cfg],
-                 cache_granularity=cache_granularity, jobs=jobs)
+    prewarm_grid(workloads, configs, [cfg], jobs=jobs)
     panels = []
     for w in workloads:
         results = {
-            c: run_workload_config(w, c, cfg, cache_granularity=cache_granularity)
+            c: run_workload_config(w, c, cfg)
             for c in configs
         }
         panels.append(Fig13Panel(w.name, w.family, results))
@@ -53,12 +51,10 @@ def run(
 def report(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = MAIN_CONFIGS,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> str:
     cfg = default_config(cfg)
-    panels = run(cfg, configs=configs, cache_granularity=cache_granularity,
-                 jobs=jobs)
+    panels = run(cfg, configs=configs, jobs=jobs)
     rows = []
     for p in panels:
         row = [p.workload]

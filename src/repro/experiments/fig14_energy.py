@@ -42,20 +42,19 @@ def _family_workloads():
 def run(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = MAIN_CONFIGS,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> Tuple[Fig14Row, ...]:
     cfg = default_config(cfg)
     prewarm_grid(
         [w for workloads in _family_workloads().values() for w in workloads],
-        configs, [cfg], cache_granularity=cache_granularity, jobs=jobs,
+        configs, [cfg], jobs=jobs,
     )
     rows = []
     for family, workloads in _family_workloads().items():
         ratios: Dict[str, list] = {c: [] for c in configs}
         for w in workloads:
             res = {
-                c: run_workload_config(w, c, cfg, cache_granularity=cache_granularity)
+                c: run_workload_config(w, c, cfg)
                 for c in configs
             }
             base = res["Flexagon"].dram_bytes
@@ -77,12 +76,10 @@ def cello_reduction_range(rows: Sequence[Fig14Row]) -> Tuple[float, float]:
 def report(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = MAIN_CONFIGS,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> str:
     cfg = default_config(cfg)
-    rows = run(cfg, configs=configs, cache_granularity=cache_granularity,
-               jobs=jobs)
+    rows = run(cfg, configs=configs, jobs=jobs)
     table_rows = [
         [r.family] + [r.relative[c] for c in configs] for r in rows
     ]

@@ -32,18 +32,16 @@ def run(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = CONFIGS,
     bandwidths: Sequence[float] = BANDWIDTH_POINTS,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> Tuple[Fig16aPanel, ...]:
     cfg = default_config(cfg)
     w = resnet_workload()
-    prewarm_grid([w], configs, [cfg],
-                 cache_granularity=cache_granularity, jobs=jobs)
+    prewarm_grid([w], configs, [cfg], jobs=jobs)
     panels = []
     for bw in bandwidths:
         c = cfg.with_bandwidth(bw)
         results = {
-            name: run_workload_config(w, name, c, cache_granularity=cache_granularity)
+            name: run_workload_config(w, name, c)
             for name in configs
         }
         panels.append(Fig16aPanel(bw, results))
@@ -53,12 +51,10 @@ def run(
 def report(
     cfg: Optional[AcceleratorConfig] = None,
     configs: Sequence[str] = CONFIGS,
-    cache_granularity: Optional[int] = None,
     jobs: Optional[int] = 1,
 ) -> str:
     cfg = default_config(cfg)
-    panels = run(cfg, configs=configs, cache_granularity=cache_granularity,
-                 jobs=jobs)
+    panels = run(cfg, configs=configs, jobs=jobs)
     perf_rows = []
     for p in panels:
         perf_rows.append(

@@ -20,12 +20,7 @@ from .sram_model import (
     chord_table_bits,
     scratchpad_cost,
 )
-from .noc import (
-    NocConfig,
-    op_split_traffic_words,
-    rank_split_traffic_words,
-    traffic_advantage,
-)
+from .noc import NocConfig, op_split_traffic_words, rank_split_traffic_words
 
 __all__ = [
     "BANDWIDTH_POINTS",
@@ -47,5 +42,4 @@ __all__ = [
     "NocConfig",
     "op_split_traffic_words",
     "rank_split_traffic_words",
-    "traffic_advantage",
 ]

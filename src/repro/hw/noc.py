@@ -57,7 +57,3 @@ def rank_split_traffic_words(n: int, n_prime: int, noc: NocConfig) -> int:
     N×N' results reduced)."""
     return n * n_prime * (noc.broadcast_hops + noc.reduce_hops)
 
-
-def traffic_advantage(m: int, n: int, n_prime: int, noc: NocConfig) -> float:
-    """op-split traffic / rank-split traffic (>> 1 for skewed shapes)."""
-    return op_split_traffic_words(m, n) / rank_split_traffic_words(n, n_prime, noc)

@@ -88,10 +88,11 @@ class OrchestratorPool:
     """A persistent process pool reused across sweep batches.
 
     ``ProcessPoolExecutor`` is thread-safe, so a daemon may push batches
-    from several threads concurrently.  The first infrastructure failure
-    marks the pool ``broken`` permanently and every later call returns
-    ``None`` — callers then run the serial path, mirroring
-    :func:`prewarm`'s transient-pool fallback.
+    from several threads concurrently.  An infrastructure failure discards
+    the executor and the next batch rebuilds it; after
+    :data:`_MAX_STRIKES` failures the pool is ``broken`` for good and every
+    later call returns ``None`` — callers then run the serial path,
+    mirroring :func:`prewarm`'s transient-pool fallback.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:

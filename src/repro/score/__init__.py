@@ -16,7 +16,7 @@ from .loop_order import (
     producer_streams_outermost,
     schedule_adjacent,
 )
-from .tiling import choose_tiling, occupancy_tiles, tile_bytes_of, tile_nnz
+from .tiling import choose_tiling, tile_bytes_of
 from .swizzle import (
     LayoutChoice,
     choose_all_layouts,
@@ -37,13 +37,7 @@ from .searchspace import (
     log10_scratchpad_space,
     log10_slice_allocation,
 )
-from .multinode import (
-    MultiNodePlan,
-    NocTrafficComparison,
-    NodePlan,
-    compare_noc_traffic,
-    split_dominant_rank,
-)
+from .multinode import NocTrafficComparison, compare_noc_traffic
 
 __all__ = [
     "LoopOrder",
@@ -59,9 +53,7 @@ __all__ = [
     "producer_streams_outermost",
     "schedule_adjacent",
     "choose_tiling",
-    "occupancy_tiles",
     "tile_bytes_of",
-    "tile_nnz",
     "LayoutChoice",
     "choose_all_layouts",
     "choose_layout",
@@ -83,9 +75,6 @@ __all__ = [
     "log10_op_by_op_space",
     "log10_scratchpad_space",
     "log10_slice_allocation",
-    "MultiNodePlan",
     "NocTrafficComparison",
-    "NodePlan",
     "compare_noc_traffic",
-    "split_dominant_rank",
 ]

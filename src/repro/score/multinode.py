@@ -3,68 +3,15 @@
 SCORE parallelises the *dominant* rank across nodes so pipelining stays
 inside a node and only small tensors cross the NoC: each node owns an
 ``M/nodes`` slab of every skewed tensor and the N×N' Greek tensors are
-broadcast/reduced.  This module produces the per-node plan and compares its
-NoC traffic against the naive operator-split (top of Fig. 8).
+broadcast/reduced.  This module compares that split's NoC traffic against
+the naive operator-split (top of Fig. 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
-from ..core.dag import TensorDag
 from ..hw.noc import NocConfig, op_split_traffic_words, rank_split_traffic_words
-
-
-@dataclass(frozen=True)
-class NodePlan:
-    """One node's share of a dominant-rank-split schedule."""
-
-    node_id: int
-    rank: str
-    start: int
-    stop: int
-
-    @property
-    def extent(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class MultiNodePlan:
-    """A dominant-rank split of a program across ``noc.n_nodes`` nodes."""
-
-    rank: str
-    rank_extent: int
-    nodes: Tuple[NodePlan, ...]
-    noc: NocConfig
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def describe(self) -> str:
-        return (
-            f"split rank {self.rank!r} ({self.rank_extent}) across "
-            f"{self.n_nodes} nodes: ~{self.nodes[0].extent} each"
-        )
-
-
-def split_dominant_rank(rank: str, extent: int, noc: NocConfig) -> MultiNodePlan:
-    """Even contiguous split of ``rank`` across nodes (cluster rows of the
-    skewed tensors stay local, Fig. 8 bottom)."""
-    if extent <= 0:
-        raise ValueError("extent must be positive")
-    n = noc.n_nodes
-    base = extent // n
-    rem = extent % n
-    nodes = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < rem else 0)
-        nodes.append(NodePlan(node_id=i, rank=rank, start=start, stop=start + size))
-        start += size
-    return MultiNodePlan(rank=rank, rank_extent=extent, nodes=tuple(nodes), noc=noc)
 
 
 @dataclass(frozen=True)

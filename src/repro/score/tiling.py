@@ -1,19 +1,14 @@
-"""Tiling of skewed operations (Sec. V-B "Tiling" and "Handling sparsity").
+"""Tiling of skewed operations (Sec. V-B "Tiling").
 
 Skewed GEMMs have one large tensor (tiled along the dominant rank, one tile
 stationary at a time) and one small tensor (resident in the register file,
-streamed).  Sparse operands tile by *occupancy*: row ranges are chosen so
-each tile carries roughly equal nnz, which achieves the best possible
-arithmetic intensity for the SpMM (each stored entry is touched once).
+streamed).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..core.classify import ClassifiedDag
 from ..core.einsum import EinsumOp
@@ -79,41 +74,3 @@ def tile_bytes_of(op: EinsumOp, sched: OpSchedule) -> int:
         return per_unit * sched.tile_size
     return out.bytes
 
-
-def occupancy_tiles(row_nnz: Sequence[int], n_tiles: int) -> List[Tuple[int, int]]:
-    """Split rows into ``n_tiles`` contiguous ranges of ~equal nnz.
-
-    Returns half-open row ranges ``[(start, end), ...]`` covering all rows.
-    Greedy prefix-sum splitting: each tile closes once it reaches the ideal
-    share, guaranteeing every tile holds < ideal + max_row_nnz entries.
-    """
-    if n_tiles <= 0:
-        raise ValueError("n_tiles must be positive")
-    rows = len(row_nnz)
-    if rows == 0:
-        return [(0, 0)] * n_tiles
-    total = int(np.sum(row_nnz))
-    ideal = total / n_tiles if total else 0
-    tiles: List[Tuple[int, int]] = []
-    start = 0
-    acc = 0
-    for r, c in enumerate(row_nnz):
-        acc += int(c)
-        remaining_tiles = n_tiles - len(tiles)
-        remaining_rows = rows - r - 1
-        if (acc >= ideal and remaining_tiles > 1) or remaining_rows < remaining_tiles - 1:
-            tiles.append((start, r + 1))
-            start = r + 1
-            acc = 0
-            if len(tiles) == n_tiles - 1:
-                break
-    tiles.append((start, rows))
-    while len(tiles) < n_tiles:
-        tiles.append((rows, rows))
-    return tiles
-
-
-def tile_nnz(row_nnz: Sequence[int], tiles: Sequence[Tuple[int, int]]) -> List[int]:
-    """nnz per occupancy tile (for load-balance checks)."""
-    arr = np.asarray(row_nnz)
-    return [int(arr[s:e].sum()) for s, e in tiles]

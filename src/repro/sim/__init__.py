@@ -26,7 +26,6 @@ from .cluster_timing import (
     cluster_seconds,
     describe_clusters,
     form_clusters,
-    pipeline_aware_time,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "cluster_seconds",
     "describe_clusters",
     "form_clusters",
-    "pipeline_aware_time",
 ]

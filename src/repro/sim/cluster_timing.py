@@ -10,15 +10,13 @@ slowest stage (rate-limiting step) plus the pipeline fill/drain:
 
     t_cluster = (n_tiles + depth − 1) × t_stage_max
 
-Sequential ops serialise.  The global DRAM stream still overlaps with
-compute, so total time = max(Σ cluster compute, DRAM time) — a refinement
-that equals the roofline bound whenever one op dominates.
+Sequential ops serialise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..hw.config import AcceleratorConfig
 from ..score.schedule_ir import Schedule
@@ -95,16 +93,6 @@ def cluster_seconds(cluster: Cluster, schedule: Schedule,
     # (depth - 1) single-tile steps.
     per_tile = t_stage / n_tiles
     return t_stage + (cluster.depth - 1) * per_tile
-
-
-def pipeline_aware_time(schedule: Schedule, cfg: AcceleratorConfig,
-                        dram_bytes: int) -> float:
-    """Total execution time under the cluster model, overlapped with DRAM."""
-    compute = sum(
-        cluster_seconds(c, schedule, cfg) for c in form_clusters(schedule)
-    )
-    memory = dram_bytes / cfg.dram_bandwidth_bytes_per_s
-    return max(compute, memory)
 
 
 def describe_clusters(schedule: Schedule, cfg: AcceleratorConfig) -> str:

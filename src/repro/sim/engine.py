@@ -46,10 +46,6 @@ class EngineOptions:
     explicit_retire: bool = True    # free dead tensors at last use
     charge_swizzle: bool = True     # charge a DRAM round trip per swizzle
     chord_entries: Optional[int] = None  # override index-table capacity
-    #: Record the CHORD occupancy timeline (bounded; feeds the timeline
-    #: renderer).  The recorder is opt-in at the buffer level — the engine
-    #: opts in by default because post-mortem observability is its job.
-    record_history: bool = True
 
 
 class ScheduleEngine:
@@ -79,7 +75,9 @@ class ScheduleEngine:
             use_riff=self.options.use_riff,
             table=RiffIndexTable(entries, cfg.chord_entry_bits),
             base_addrs=amap.base_addrs(),
-            record_history=self.options.record_history,
+            # The recorder is opt-in at the buffer level; the engine always
+            # opts in because post-mortem observability is its job.
+            record_history=True,
         )
         dram = DramChannel()
         rf_bytes_touched = 0

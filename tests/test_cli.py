@@ -21,7 +21,7 @@ class TestCli:
         from repro.analysis import kernel_bench
 
         # Shrink the harness so the CLI test stays fast; the real bars run
-        # in benchmarks/bench_perf_kernels.py and the CI bench-smoke job.
+        # in the CI bench-smoke job (tools/check_bench.py).
         def tiny_bench(quick=False):
             return {
                 "schema": kernel_bench.BENCH_SCHEMA,

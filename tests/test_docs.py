@@ -1,6 +1,6 @@
-"""Docs consistency: intra-repo links resolve and the workload gallery
-covers every registry name (same checks CI's docs job runs via
-``tools/check_docs.py``)."""
+"""Docs consistency: intra-repo links resolve, the workload gallery
+covers every registry name and every ``*.md`` file the code cites exists
+(same checks CI's docs job runs via ``tools/check_docs.py``)."""
 
 import importlib.util
 import sys
@@ -66,6 +66,48 @@ class TestDocs:
         monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
         errors = mod.check_docs_reachable()
         assert len(errors) == 1 and "orphan.md" in errors[0]
+
+    def test_cited_docs_exist(self):
+        assert _checker().check_cited_docs() == []
+
+    def test_checker_catches_cited_missing_doc(self, tmp_path, monkeypatch):
+        mod = _checker()
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "testing.md").write_text("# testing\n")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text(
+            '"""See docs/testing.md and NOTES.md."""\n'
+        )
+        monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
+        assert mod.check_cited_docs() == ["src/mod.py:1: cites missing NOTES.md"]
+
+    def test_checker_scans_tests_and_tools(self, tmp_path, monkeypatch):
+        mod = _checker()
+        for top in ("tests", "tools"):
+            (tmp_path / top).mkdir()
+            (tmp_path / top / "helper.py").write_text("# see NOTES.md\n")
+        monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
+        assert mod.check_cited_docs() == [
+            "tests/helper.py:1: cites missing NOTES.md",
+            "tools/helper.py:1: cites missing NOTES.md",
+        ]
+
+    def test_checker_exempts_its_own_tests(self, tmp_path, monkeypatch):
+        mod = _checker()
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_docs.py").write_text("# NOTES.md\n")
+        monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
+        assert mod.check_cited_docs() == []
+
+    def test_checker_resolves_root_documents(self, tmp_path, monkeypatch):
+        mod = _checker()
+        (tmp_path / "README.md").write_text("# readme\n")
+        (tmp_path / "tools").mkdir()
+        (tmp_path / "tools" / "gate.py").write_text(
+            '"""Documented in README.md and layerbench/README.md."""\n'
+        )
+        monkeypatch.setattr(mod, "REPO_ROOT", tmp_path)
+        assert mod.check_cited_docs() == []
 
     def test_key_docs_exist(self):
         for rel in ("README.md", "PAPER.md", "docs/architecture.md",

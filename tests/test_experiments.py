@@ -104,6 +104,13 @@ class TestFig12:
         gm = fig12_cg_performance.cello_geomean_speedup(panels)
         assert gm > 2.0
 
+    def test_report_states_the_geomean(self):
+        configs = ("Flexagon", "CELLO")
+        text = fig12_cg_performance.report(CFG, configs=configs, iterations=2)
+        panels = fig12_cg_performance.run(CFG, configs=configs, iterations=2)
+        gm = fig12_cg_performance.cello_geomean_speedup(panels)
+        assert f"CELLO geomean speedup over Flexagon: {gm:.2f}x" in text
+
 
 class TestFig13:
     def test_gnn_parity(self):
@@ -114,6 +121,15 @@ class TestFig13:
             flat = p.results["FLAT"].dram_bytes
             cello = p.results["CELLO"].dram_bytes
             assert cello <= flat
+
+    def test_report_states_gnn_parity(self):
+        configs = ("Flexagon", "FLAT", "CELLO")
+        text = fig13_gnn_bicgstab.report(CFG, configs=configs)
+        for p in fig13_gnn_bicgstab.run(CFG, configs=configs):
+            if p.family == "gnn":
+                ratio = (p.results["CELLO"].throughput_gmacs
+                         / p.results["FLAT"].throughput_gmacs)
+                assert f"{p.workload}: CELLO/FLAT = {ratio:.2f}" in text
 
 
 class TestFig14:
@@ -127,6 +143,13 @@ class TestFig14:
         rows = fig14_energy.run(CFG, configs=("Flexagon", "CELLO"))
         lo, hi = fig14_energy.cello_reduction_range(rows)
         assert 0 < lo <= hi < 100
+
+    def test_report_states_the_reduction_range(self):
+        configs = ("Flexagon", "CELLO")
+        text = fig14_energy.report(CFG, configs=configs)
+        lo, hi = fig14_energy.cello_reduction_range(
+            fig14_energy.run(CFG, configs=configs))
+        assert f"CELLO off-chip energy reduction: {lo:.0f}% .. {hi:.0f}%" in text
 
 
 class TestFig15:
@@ -143,6 +166,11 @@ class TestFig16:
         fast = panels[1] if panels[1].bandwidth > panels[0].bandwidth else panels[0]
         # At 1 TB/s all pipelined configs tie (compute bound).
         assert fast.results["SET"].time_s == pytest.approx(fast.results["CELLO"].time_s)
+
+    def test_resnet_report_states_set_equals_cello(self):
+        text = fig16a_resnet.report(
+            CFG, configs=("Flexagon", "FLAT", "SET", "CELLO"))
+        assert "SET/CELLO traffic ratio: 1.000" in text
 
     def test_sram_sweep_monotone(self):
         points = fig16b_sram_sweep.run(CFG, iterations=3)

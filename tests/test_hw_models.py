@@ -7,7 +7,6 @@ from repro.hw.noc import (
     NocConfig,
     op_split_traffic_words,
     rank_split_traffic_words,
-    traffic_advantage,
 )
 from repro.hw.sram_model import (
     all_structure_costs,
@@ -110,7 +109,6 @@ class TestNoc:
         noc = NocConfig(n_nodes=16)
         assert op_split_traffic_words(1000, 16) == 16000
         assert rank_split_traffic_words(16, 16, noc) == 16 * 16 * 12
-        assert traffic_advantage(100000, 16, 16, noc) > 100
 
     def test_single_node(self):
         noc = NocConfig(n_nodes=1)

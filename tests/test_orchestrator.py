@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.baselines import runner
+from repro.experiments.common import prewarm_grid
 from repro.hw.config import MIB, AcceleratorConfig
 from repro.orchestrator import (
     ResultStore,
@@ -321,6 +322,36 @@ class TestOrchestratorPool:
         runner.clear_cache()
         assert prewarm(points, pool=pool) == 1  # still works, serially
 
+    def test_pool_rebuilds_after_a_dead_worker(self):
+        """A dead worker costs one batch (run serially by the caller) and
+        one strike; the next batch runs on a rebuilt executor."""
+        import os
+        import signal
+        import time
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.orchestrator import OrchestratorPool
+
+        payloads = [("cg/fv1/N=1@it2", "CELLO", CFG, None)]
+        with OrchestratorPool(jobs=2) as pool:
+            if not pool.warm():
+                pytest.skip("no process-pool support on this platform")
+            executor = pool._pool
+            os.kill(executor.submit(os.getpid).result(), signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                try:
+                    executor.submit(int)
+                except BrokenProcessPool:
+                    break
+                time.sleep(0.01)
+            assert pool.run_payloads(payloads) is None
+            assert pool.strikes == 1 and not pool.broken
+            encoded = pool.run_payloads(payloads)
+            assert encoded is not None and len(encoded) == 1
+            assert pool._pool is not executor
+            assert pool.snapshot()["batches"] == 1
+
     def test_shared_pool_routes_prewarm(self):
         from repro.orchestrator import (
             OrchestratorPool,
@@ -343,3 +374,23 @@ class TestOrchestratorPool:
             set_shared_pool(None)
             pool.close()
         assert get_shared_pool() is None
+
+
+class TestPrewarmGrid:
+    """``experiments.common.prewarm_grid``, the figures' parallel warm-up."""
+
+    WORKLOADS = (cg_workload(FV1, n=1, iterations=2),
+                 cg_workload(FV1, n=16, iterations=2))
+    CONFIGS = ("Flexagon", "CELLO")
+
+    def test_serial_is_a_no_op(self):
+        assert prewarm_grid(self.WORKLOADS, self.CONFIGS, [CFG], jobs=1) == 0
+        assert runner.simulation_count() == 0
+
+    def test_parallel_warms_every_point_once(self):
+        assert prewarm_grid(self.WORKLOADS, self.CONFIGS, [CFG], jobs=2) == 4
+        assert runner.simulation_count() == 4
+        for w in self.WORKLOADS:
+            for c in self.CONFIGS:
+                assert runner.peek(SweepPoint(w.name, c, CFG).key()) is not None
+        assert prewarm_grid(self.WORKLOADS, self.CONFIGS, [CFG], jobs=2) == 0

@@ -6,7 +6,6 @@ Invariants covered:
 * ChordBuffer never overflows, never loses bytes (hit + miss == request),
   and a full write-then-read round trip conserves tensor bytes;
 * the LRU cache matches a reference stack model on arbitrary streams;
-* occupancy tiling always partitions the rows with bounded imbalance;
 * geomean bounds; address-map extents never overlap.
 """
 
@@ -23,7 +22,6 @@ from repro.chord.buffer import ChordBuffer
 from repro.chord.hints import ReuseHints, TensorHints
 from repro.chord.prelude import prelude_fill
 from repro.score.searchspace import log10_comb
-from repro.score.tiling import occupancy_tiles, tile_nnz
 from repro.sim.address_map import AddressMap
 from repro.sim.results import geomean
 
@@ -141,30 +139,6 @@ class TestLruProperty:
                 st_.pop(0)
             st_.append(b)
             assert cache.access_line(b, False) == expected
-
-
-class TestTilingProperties:
-    @given(
-        st.lists(st.integers(0, 50), min_size=1, max_size=300),
-        st.integers(1, 16),
-    )
-    @settings(max_examples=60)
-    def test_partition_and_balance(self, row_nnz, n_tiles):
-        tiles = occupancy_tiles(row_nnz, n_tiles)
-        assert len(tiles) == n_tiles
-        # Partition: contiguous cover of [0, rows).
-        assert tiles[0][0] == 0
-        for (s1, e1), (s2, e2) in zip(tiles, tiles[1:]):
-            assert e1 == s2
-            assert s2 <= e2
-        assert max(e for _, e in tiles) == len(row_nnz)
-        # Conservation of nnz.
-        assert sum(tile_nnz(row_nnz, tiles)) == sum(row_nnz)
-        # Balance bound: no tile exceeds ideal + one max row.
-        total = sum(row_nnz)
-        if total:
-            ideal = total / n_tiles
-            assert max(tile_nnz(row_nnz, tiles)) <= ideal + max(row_nnz) + 1
 
 
 class TestMathProperties:

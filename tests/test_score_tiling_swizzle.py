@@ -1,15 +1,14 @@
-"""Tests for occupancy tiling, swizzle minimization, search space and
-multi-node planning."""
+"""Tests for swizzle minimization, search space and Fig. 8 multi-node
+NoC traffic."""
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.classify import classify_dependencies
-from repro.hw.noc import NocConfig
+from repro.hw.noc import NocConfig, op_split_traffic_words, rank_split_traffic_words
 from repro.score.loop_order import natural_loop_order
-from repro.score.multinode import compare_noc_traffic, split_dominant_rank
+from repro.score.multinode import compare_noc_traffic
 from repro.score.searchspace import (
     chord_design_points,
     compare_search_spaces,
@@ -20,45 +19,8 @@ from repro.score.searchspace import (
     log10_slice_allocation,
 )
 from repro.score.swizzle import choose_all_layouts, choose_layout, total_swizzles
-from repro.score.tiling import occupancy_tiles, tile_nnz
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.matrices import FV1
-
-
-class TestOccupancyTiles:
-    def test_covers_all_rows_contiguously(self):
-        row_nnz = [3, 1, 4, 1, 5, 9, 2, 6]
-        tiles = occupancy_tiles(row_nnz, 3)
-        assert tiles[0][0] == 0
-        assert tiles[-1][1] == len(row_nnz)
-        for (s1, e1), (s2, e2) in zip(tiles, tiles[1:]):
-            assert e1 == s2
-
-    def test_balances_nnz(self):
-        rng = np.random.default_rng(0)
-        row_nnz = rng.integers(0, 20, size=500)
-        n_tiles = 8
-        tiles = occupancy_tiles(row_nnz, n_tiles)
-        counts = tile_nnz(row_nnz, tiles)
-        ideal = row_nnz.sum() / n_tiles
-        assert max(counts) <= ideal + row_nnz.max() + 1
-
-    def test_single_tile(self):
-        assert occupancy_tiles([1, 2, 3], 1) == [(0, 3)]
-
-    def test_more_tiles_than_rows(self):
-        tiles = occupancy_tiles([5, 5], 4)
-        assert len(tiles) == 4
-        assert tiles[0][0] == 0
-        assert max(e for _, e in tiles) == 2
-
-    def test_empty_rows(self):
-        tiles = occupancy_tiles([], 3)
-        assert all(t == (0, 0) for t in tiles)
-
-    def test_invalid_tiles(self):
-        with pytest.raises(ValueError):
-            occupancy_tiles([1], 0)
 
 
 class TestSwizzle:
@@ -147,26 +109,19 @@ class TestSearchSpace:
 
 
 class TestMultiNode:
-    def test_split_covers_extent(self):
-        plan = split_dominant_rank("m", 1000, NocConfig(n_nodes=7))
-        assert sum(n.extent for n in plan.nodes) == 1000
-        assert plan.nodes[0].start == 0
-        assert plan.nodes[-1].stop == 1000
-
-    def test_split_is_balanced(self):
-        plan = split_dominant_rank("m", 1000, NocConfig(n_nodes=7))
-        extents = [n.extent for n in plan.nodes]
-        assert max(extents) - min(extents) <= 1
-
     def test_rank_split_wins_for_skewed_shapes(self):
         c = compare_noc_traffic(m=81920, n=16, n_prime=16, noc=NocConfig(16))
         assert c.advantage > 100  # orders of magnitude (Sec. V-B)
+
+    def test_advantage_is_the_traffic_ratio(self):
+        noc = NocConfig(16)
+        c = compare_noc_traffic(m=100000, n=16, n_prime=8, noc=noc)
+        assert c.op_split_words == op_split_traffic_words(100000, 16)
+        assert c.rank_split_words == rank_split_traffic_words(16, 8, noc)
+        assert c.advantage == c.op_split_words / c.rank_split_words
+        assert "op-split moves 1600000 words" in c.describe()
 
     def test_op_split_scales_with_m(self):
         small = compare_noc_traffic(m=1000, n=16, n_prime=16)
         big = compare_noc_traffic(m=100000, n=16, n_prime=16)
         assert big.advantage > small.advantage
-
-    def test_invalid_extent(self):
-        with pytest.raises(ValueError):
-            split_dominant_rank("m", 0, NocConfig(4))

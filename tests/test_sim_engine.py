@@ -1,6 +1,8 @@
 """Tests for the schedule-driven engine (CELLO executor) and the cache
 engine: conservation invariants and option behaviour."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.buffers.lru import LruPolicy
@@ -62,6 +64,36 @@ class TestScheduleEngine:
             CFG, EngineOptions(explicit_retire=False, chord_entries=1024)
         ).run(sched)
         assert retire.dram_bytes <= hoard.dram_bytes
+
+    def test_dropping_riff_and_retire_together_is_worst(self):
+        dag = cg_dag()
+        sched = Score(CFG).schedule(dag)
+        no_riff = ScheduleEngine(CFG, EngineOptions(use_riff=False)).run(sched)
+        no_retire = ScheduleEngine(
+            CFG, EngineOptions(explicit_retire=False, chord_entries=4096)
+        ).run(sched)
+        neither = ScheduleEngine(CFG, EngineOptions(
+            use_riff=False, explicit_retire=False, chord_entries=4096
+        )).run(sched)
+        assert neither.dram_bytes >= no_riff.dram_bytes
+        assert neither.dram_bytes >= no_retire.dram_bytes
+
+    def test_forced_bad_layout_pays_swizzle_round_trips(self):
+        """CG's natural layouts agree, so swizzle minimization costs no
+        traffic; forcing a transform on every streaming consumer of a
+        skewed tensor charges a DRAM round trip each time."""
+        dag = cg_dag()
+        sched = Score(CFG).schedule(dag)
+        good = ScheduleEngine(CFG).run(sched).dram_bytes
+        raw = Score(CFG, ScoreOptions(minimize_swizzle=False)).schedule(dag)
+        assert ScheduleEngine(CFG).run(raw).dram_bytes == good
+        sched.placements = {
+            name: replace(p, swizzled_consumers=tuple(p.consumer_routes))
+            if dag.tensor(name).bytes > CFG.rf_bytes and p.consumer_routes
+            else p
+            for name, p in sched.placements.items()
+        }
+        assert ScheduleEngine(CFG).run(sched).dram_bytes > 1.5 * good
 
     def test_macs_independent_of_engine_options(self):
         dag = cg_dag()

@@ -2,7 +2,7 @@
 """Docs consistency checker (run by the CI ``docs`` job and the tier-1
 test ``tests/test_docs.py``).
 
-Three checks:
+Four checks:
 
 1. **Links** — every intra-repo markdown link in the repository's
    ``*.md`` files (root + ``docs/``) must point at a file that exists.
@@ -15,6 +15,10 @@ Three checks:
 3. **Docs reachability** — every file in ``docs/`` must be linked from
    ``README.md`` or ``docs/architecture.md``, so new documents (e.g.
    ``docs/tuner.md``, ``docs/testing.md``) can never be orphaned.
+4. **Cited docs exist** — every ``*.md`` file name that a ``.py`` file
+   under ``src/``, ``tests/`` or ``tools/`` cites must exist at the repo
+   root or under ``docs/``, so code comments and docstrings can never
+   point readers at a document that was deleted or never written.
 
 Exit status 0 when clean; 1 with a per-problem report otherwise.
 """
@@ -32,6 +36,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Link targets that are not intra-repo file references.
 _EXTERNAL = ("http://", "https://", "mailto:", "#")
+#: A markdown file name, optionally behind a relative directory path.
+_MD_NAME = re.compile(r"(?<![\w.-])(?:[\w.-]+/)*([\w-]+\.md)\b")
+#: Code trees whose ``*.md`` citations must resolve.
+_CITING_DIRS = ("src", "tests", "tools")
+#: The checker's own tests cite missing files on purpose.
+_CITATION_EXEMPT = ("tests/test_docs.py",)
 
 
 def markdown_files() -> List[Path]:
@@ -108,8 +118,27 @@ def check_docs_reachable() -> List[str]:
     return errors
 
 
+def check_cited_docs() -> List[str]:
+    """Return one error string per ``*.md`` name a ``.py`` file cites that
+    exists neither at the repo root nor under ``docs/``."""
+    errors = []
+    for top in _CITING_DIRS:
+        for py in sorted((REPO_ROOT / top).rglob("*.py")):
+            rel = py.relative_to(REPO_ROOT).as_posix()
+            if rel in _CITATION_EXEMPT:
+                continue
+            text = py.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in _MD_NAME.findall(line):
+                    if not ((REPO_ROOT / name).is_file()
+                            or (REPO_ROOT / "docs" / name).is_file()):
+                        errors.append(f"{rel}:{lineno}: cites missing {name}")
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_workload_coverage() + check_docs_reachable()
+    errors = (check_links() + check_workload_coverage()
+              + check_docs_reachable() + check_cited_docs())
     if errors:
         print("docs check FAILED:")
         for e in errors:
