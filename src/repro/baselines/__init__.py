@@ -19,7 +19,6 @@ from .cello import cello_schedule, run_cello, run_prelude_only
 from .runner import (
     clear_cache,
     get_store,
-    run_matrix,
     run_workload_config,
     set_store,
     simulation_count,
@@ -48,7 +47,6 @@ __all__ = [
     "run_prelude_only",
     "clear_cache",
     "get_store",
-    "run_matrix",
     "run_workload_config",
     "set_store",
     "simulation_count",

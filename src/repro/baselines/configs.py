@@ -167,7 +167,6 @@ def run_config(
     dag: TensorDag,
     cfg: AcceleratorConfig,
     workload_name: str = "workload",
-    cache_granularity: int | None = None,
 ) -> SimResult:
     """Run one named configuration on ``dag`` (Table IV row, ``Flex+<policy>``
     cache baseline, or parameterised ``CELLO[...]`` schedule variant)."""
@@ -175,8 +174,8 @@ def run_config(
         return run_flexagon(dag, cfg, workload_name)
     if name.startswith("Flex+") and name[len("Flex+"):] in CACHE_POLICIES:
         policy = CACHE_POLICIES[name[len("Flex+"):]]()
-        eng = CacheEngine(cfg, policy, granularity=cache_granularity)
-        return eng.run(dag, config_name=name, workload_name=workload_name)
+        return CacheEngine(cfg, policy).run(dag, config_name=name,
+                                            workload_name=workload_name)
     if name == "FLAT":
         return run_flat(dag, cfg, workload_name)
     if name == "SET":

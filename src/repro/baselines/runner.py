@@ -21,14 +21,14 @@ without re-simulating.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..hw.config import AcceleratorConfig, default_config
+from ..hw.config import AcceleratorConfig
 from ..orchestrator.store import ResultStore, result_key
 from ..sim.perf import make_result
 from ..sim.results import SimResult
 from ..workloads.registry import Workload, workload_dag
-from .configs import MAIN_CONFIGS, run_config
+from .configs import run_config
 
 _CACHE: Dict[Tuple, SimResult] = {}
 _STORE: Optional[ResultStore] = None
@@ -73,11 +73,6 @@ def count_simulations(n: int = 1) -> None:
             _STORE.simulations += n
 
 
-def _traffic_key(config: str, workload: Workload, cfg: AcceleratorConfig,
-                 cache_granularity: Optional[int]) -> Tuple:
-    return result_key(config, workload.name, cfg, cache_granularity)
-
-
 def peek(key: Tuple) -> Optional[SimResult]:
     """Cached base result for ``key``, consulting both tiers; no simulation.
 
@@ -103,19 +98,14 @@ def run_workload_config(
     workload: Workload,
     config: str,
     cfg: AcceleratorConfig,
-    cache_granularity: Optional[int] = None,
 ) -> SimResult:
     """Run (memoised on traffic) and time under ``cfg``'s bandwidth."""
-    key = _traffic_key(config, workload, cfg, cache_granularity)
+    key = result_key(config, workload.name, cfg)
     base = peek(key)
     if base is None:
         dag = workload_dag(workload)
         count_simulations()
-        base = run_config(
-            config, dag, cfg,
-            workload_name=workload.name,
-            cache_granularity=cache_granularity,
-        )
+        base = run_config(config, dag, cfg, workload_name=workload.name)
         seed_cache(key, base)
     # Re-time for this bandwidth (traffic is bandwidth-independent).
     return make_result(
@@ -128,39 +118,3 @@ def run_workload_config(
         onchip_accesses=base.onchip_accesses,
     )
 
-
-def run_matrix(
-    workloads: Sequence[Workload],
-    configs: Sequence[str] = MAIN_CONFIGS,
-    cfg: Optional[AcceleratorConfig] = None,
-    cache_granularity: Optional[int] = None,
-    jobs: Optional[int] = 1,
-) -> Dict[str, Dict[str, SimResult]]:
-    """Run every (workload, config) pair: result[workload][config].
-
-    With ``jobs > 1`` (or ``jobs=None`` for one worker per core) the
-    uncached pairs are simulated in parallel first (registry-resolvable
-    workloads only — see
-    :func:`repro.workloads.registry.resolve_workload`); assembly then
-    replays from the warm cache, so the output is identical to ``jobs=1``.
-    """
-    cfg = default_config(cfg)
-    if jobs is None or jobs > 1:
-        from ..orchestrator.parallel import prewarm
-        from ..orchestrator.spec import SweepPoint
-
-        prewarm(
-            [
-                SweepPoint(w.name, c, cfg, cache_granularity)
-                for w in workloads
-                for c in configs
-            ],
-            jobs=jobs,
-        )
-    out: Dict[str, Dict[str, SimResult]] = {}
-    for w in workloads:
-        out[w.name] = {
-            c: run_workload_config(w, c, cfg, cache_granularity=cache_granularity)
-            for c in configs
-        }
-    return out

@@ -285,7 +285,11 @@ def _sweep_main(argv: List[str]) -> int:
         sram_bytes=tuple(int(m * MIB) for m in _parse_floats(args.sram_mb)),
         bandwidths=tuple(g * GB for g in _parse_floats(args.bandwidth_gb)),
     )
-    points = spec.points()
+    try:
+        points = spec.points()
+    except ValueError as exc:
+        print(f"invalid sweep grid: {exc}", file=sys.stderr)
+        return 2
     if not points:
         print("sweep matched no (workload, config) points", file=sys.stderr)
         return 2

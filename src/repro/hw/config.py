@@ -51,6 +51,8 @@ class AcceleratorConfig:
             raise ValueError("associativity must be positive")
         if not (0.0 <= self.pipeline_fraction < 1.0):
             raise ValueError("pipeline_fraction must be in [0, 1)")
+        if not self.dram_bandwidth_bytes_per_s > 0:
+            raise ValueError("dram_bandwidth_bytes_per_s must be positive")
 
     # -- derived geometry -------------------------------------------------------
 

@@ -2,10 +2,9 @@
 
 The simulators are pure Python and CPU-bound, so sweeps parallelise
 across processes, not threads.  Workers receive only picklable payloads
-— (workload *name*, config name, :class:`AcceleratorConfig`, granularity)
-— rebuild the DAG via
-:func:`repro.workloads.registry.resolve_workload`, and ship the finished
-:class:`SimResult` back as a plain dict.
+— (workload *name*, config name, :class:`AcceleratorConfig`) — rebuild
+the DAG via :func:`repro.workloads.registry.resolve_workload`, and ship
+the finished :class:`SimResult` back as a plain dict.
 
 Two guarantees:
 
@@ -54,7 +53,7 @@ from .spec import SweepPoint, SweepSpec
 PHASE_PROFILE_ENV = "REPRO_PHASE_PROFILE"
 
 #: Payload shipped to a worker: everything needed to rebuild + simulate.
-_Payload = Tuple[str, str, AcceleratorConfig, Optional[int]]
+_Payload = Tuple[str, str, AcceleratorConfig]
 
 #: Pool-infrastructure failures that trigger the serial fallback.
 #: Simulation errors are deliberately NOT in this set — they propagate
@@ -234,7 +233,7 @@ def _simulate_payload(payload: _Payload) -> Dict[str, object]:
     (not the parent's env) decides unwrapping, so a flag flipped after
     the fork can never desynchronise the two processes.
     """
-    name, config, cfg, granularity = payload
+    name, config, cfg = payload
     workload = resolve_workload(name)
     phases: Optional[Dict[str, float]] = None
     if os.environ.get(PHASE_PROFILE_ENV):
@@ -244,11 +243,8 @@ def _simulate_payload(payload: _Payload) -> Dict[str, object]:
             lambda phase, dt: sink.__setitem__(
                 phase, sink.get(phase, 0.0) + dt))
     try:
-        result = run_config(
-            config, workload_dag(workload), cfg,
-            workload_name=workload.name,
-            cache_granularity=granularity,
-        )
+        result = run_config(config, workload_dag(workload), cfg,
+                            workload_name=workload.name)
     finally:
         if phases is not None:
             sim_engine.set_phase_hook(None)
@@ -297,9 +293,7 @@ def prewarm(points: Sequence[SweepPoint], jobs: Optional[int] = None,
     if not todo:
         return 0
 
-    payloads: List[_Payload] = [
-        (p.workload, p.config, p.cfg, p.cache_granularity) for p in todo
-    ]
+    payloads: List[_Payload] = [(p.workload, p.config, p.cfg) for p in todo]
     encoded: Optional[List[Dict[str, object]]] = None
     if pool is not None:
         encoded = pool.run_payloads(payloads)
@@ -318,10 +312,8 @@ def prewarm(points: Sequence[SweepPoint], jobs: Optional[int] = None,
     # Serial path: pool infrastructure unavailable (sandbox without fork/
     # semaphores, dead worker, unpicklable payload) or 1-wide request.
     for p in todo:
-        runner.run_workload_config(
-            resolve_workload(p.workload), p.config, p.cfg,
-            cache_granularity=p.cache_granularity,
-        )
+        runner.run_workload_config(resolve_workload(p.workload), p.config,
+                                   p.cfg)
     return len(todo)
 
 
@@ -343,12 +335,7 @@ def run_points(points: Sequence[SweepPoint],
                 f"sweep point {p.workload!r} is not registry-resolvable; "
                 "run custom workloads through baselines.run_workload_config"
             ) from exc
-        out.append(
-            runner.run_workload_config(
-                workload, p.config, p.cfg,
-                cache_granularity=p.cache_granularity,
-            )
-        )
+        out.append(runner.run_workload_config(workload, p.config, p.cfg))
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..baselines.configs import MAIN_CONFIGS
 from ..hw.config import AcceleratorConfig
@@ -40,29 +40,26 @@ class SweepPoint:
     workload: str
     config: str
     cfg: AcceleratorConfig = field(default_factory=AcceleratorConfig)
-    cache_granularity: Optional[int] = None
 
     def key(self) -> Tuple:
         """Traffic-memoisation key (shared with the runner's cache tiers
         and the persistent store; bandwidth-independent by design)."""
-        return result_key(self.config, self.workload, self.cfg,
-                          self.cache_granularity)
+        return result_key(self.config, self.workload, self.cfg)
 
     def to_wire(self) -> dict:
         """JSON-safe form for the service's ``points`` op.
 
         Carries exactly the axes a ``sweep`` request varies (SRAM,
-        bandwidth, granularity) over a default base config — the same
-        reconstruction :func:`repro.service.protocol.request_to_spec`
-        performs, so a point round-tripped through a gateway keys the
-        store identically to one enumerated by a single daemon.
+        bandwidth) over a default base config — the same reconstruction
+        :func:`repro.service.protocol.request_to_spec` performs, so a point
+        round-tripped through a gateway keys the store identically to one
+        enumerated by a single daemon.
         """
         return {
             "workload": self.workload,
             "config": self.config,
             "sram_bytes": self.cfg.sram_bytes,
             "bandwidth_bytes_per_s": self.cfg.dram_bandwidth_bytes_per_s,
-            "cache_granularity": self.cache_granularity,
         }
 
     @classmethod
@@ -84,17 +81,11 @@ class SweepPoint:
                 or not isinstance(bandwidth, (int, float)) or bandwidth <= 0):
             raise ValueError("'bandwidth_bytes_per_s' must be a positive "
                              "number")
-        granularity = data.get("cache_granularity")
-        if granularity is not None and (isinstance(granularity, bool)
-                                        or not isinstance(granularity, int)
-                                        or granularity < 1):
-            raise ValueError("'cache_granularity' must be a positive integer")
         return cls(
             workload=workload,
             config=config,
             cfg=replace(cfg, sram_bytes=sram,
                         dram_bandwidth_bytes_per_s=float(bandwidth)),
-            cache_granularity=granularity,
         )
 
 
@@ -113,7 +104,6 @@ class SweepSpec:
     base_cfg: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     sram_bytes: Tuple[int, ...] = ()
     bandwidths: Tuple[float, ...] = ()
-    cache_granularity: Optional[int] = None
 
     def expand_workloads(self) -> Tuple[str, ...]:
         """Expand patterns to concrete names, preserving first-seen order.
@@ -143,7 +133,7 @@ class SweepSpec:
     def points(self) -> Tuple[SweepPoint, ...]:
         """Deterministic enumeration: workload-major, then config, then cfg."""
         return tuple(
-            SweepPoint(w, c, cfg, self.cache_granularity)
+            SweepPoint(w, c, cfg)
             for w in self.expand_workloads()
             for c in self.configs
             for cfg in self.cfg_variants()

@@ -57,13 +57,15 @@ def result_key(
     config: str,
     workload_name: str,
     cfg: AcceleratorConfig,
-    cache_granularity: Optional[int],
+    cache_granularity: Optional[int] = None,
 ) -> Tuple:
     """Canonical memoisation key for one simulated traffic point.
 
     DRAM bandwidth is deliberately absent: traffic is bandwidth-independent
     and results are re-timed per bandwidth point (see
-    :mod:`repro.baselines.runner`).
+    :mod:`repro.baselines.runner`).  ``cache_granularity`` is a retired
+    override that every caller leaves ``None``; its slot stays so result
+    stores written with it remain valid.
     """
     return (
         config,

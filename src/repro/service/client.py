@@ -72,7 +72,6 @@ class PointResult:
     config: str
     sram_bytes: int
     bandwidth_bytes_per_s: float
-    cache_granularity: Optional[int]
     result: SimResult
 
 
@@ -225,8 +224,8 @@ class ServiceClient:
     def request(self, msg: Mapping[str, object]) -> Dict[str, object]:
         """Send one single-response op; raise on an ``error`` reply."""
         if self.client_id is not None and "client" not in msg:
-            # Tag query ops too, so the server's request log attributes
-            # them; servers of any version ignore unknown fields.
+            # Tag query ops too: the server's request log attributes
+            # every op by its ``client`` field.
             msg = {**msg, "client": self.client_id}
         msg = self._traced(msg)
         self._send(msg)
@@ -296,7 +295,6 @@ class ServiceClient:
                      configs: Optional[Sequence[str]] = None,
                      sram_mb: Sequence[float] = (),
                      bandwidth_gb: Sequence[float] = (),
-                     cache_granularity: Optional[int] = None,
                      on_message: Optional[
                          Callable[[Dict[str, object]], None]] = None,
                      priority: Optional[str] = None,
@@ -314,7 +312,6 @@ class ServiceClient:
         """
         req = sweep_request(workloads, configs=configs, sram_mb=sram_mb,
                             bandwidth_gb=bandwidth_gb,
-                            cache_granularity=cache_granularity,
                             client=self.client_id, priority=priority)
         return self._submit_with_retry(self._traced(req), on_message,
                                        overload_retries, on_retry)
@@ -383,8 +380,6 @@ class ServiceClient:
                     sram_bytes=int(point["sram_bytes"]),  # type: ignore[arg-type]
                     bandwidth_bytes_per_s=float(
                         point["bandwidth_bytes_per_s"]),  # type: ignore[arg-type]
-                    cache_granularity=point.get(  # type: ignore[assignment]
-                        "cache_granularity"),
                     result=SimResult.from_dict(
                         msg["result"]),  # type: ignore[arg-type]
                 ))

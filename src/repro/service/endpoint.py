@@ -274,7 +274,7 @@ class Endpoint:
             assert self._stop is not None
             self._stop.set()
             return True
-        elif op in ("simulate", "sweep", "points"):
+        elif op in ("sweep", "points"):
             await self._sweep_job(req, writer)
         else:
             await self._handle_role_op(str(op), req, writer)
@@ -377,7 +377,7 @@ class Endpoint:
 
     async def _sweep_job(self, req: Dict[str, object],
                          writer: asyncio.StreamWriter) -> None:
-        """One ``simulate``/``sweep``/``points`` job, start to finish."""
+        """One ``sweep``/``points`` job, start to finish."""
         try:
             client, explicit_priority = parse_submit_fields(req)
             caller_span = parse_trace_fields(req)

@@ -1,6 +1,6 @@
 """Job records and the server-side job table.
 
-A job is one client submission (``simulate``/``sweep``/``tune``).  Its
+A job is one client submission (``sweep``/``points``/``tune``).  Its
 lifecycle::
 
     pending ──▶ running ──▶ done
@@ -57,7 +57,7 @@ class Job:
     (except ``cancel_event``, which is loop-safe by design)."""
 
     id: str
-    kind: str                     # "simulate" | "sweep" | "tune"
+    kind: str                     # "sweep" | "points" | "tune"
     summary: str                  # short human description for listings
     client: str = "anon"          # tenant tag (fair scheduling, req logs)
     priority: str = "interactive"  # scheduling class: interactive | bulk

@@ -11,7 +11,6 @@ Request ops
 op          meaning
 ========== =============================================================
 ping        liveness + protocol version (single ``pong`` response)
-simulate    one (workload, config) point — sugar for a 1-point sweep
 sweep       a (workloads × configs × sram × bandwidth) grid
 points      an explicit list of sweep points (the gateway's fan-out
             unit: a consistent-hash partition of a grid is not itself
@@ -44,7 +43,7 @@ one trace.  They are omitted when unset, and a traced
 ``accepted``/``done`` response echoes ``trace_id`` so clients can
 surface it.
 
-Submission ops (``simulate``/``sweep``/``tune``) stream several
+Submission ops (``sweep``/``points``/``tune``) stream several
 responses on the same connection: ``accepted`` → ``result`` per point
 (sweeps) or ``tune-result`` (tunes) → ``done``; a failed job ends with
 ``error`` and a cancelled one with ``cancelled`` instead.  Every other
@@ -71,7 +70,7 @@ from ..orchestrator.spec import SweepPoint, SweepSpec
 #: change (ops, field names, framing).  Shards, gateway and client ship
 #: together, so there is no compatibility layer: a gateway marks a shard
 #: that pings with any other version DOWN until it runs this build.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: ``code`` value of a typed load-shedding error.
 ERROR_OVERLOADED = "overloaded"
@@ -84,7 +83,7 @@ DEFAULT_PORT = 8642
 MAX_LINE_BYTES = 1 << 20
 
 #: Ops that stream multiple responses (job submissions).
-SUBMIT_OPS = ("simulate", "sweep", "points", "tune")
+SUBMIT_OPS = ("sweep", "points", "tune")
 #: Ops answered by exactly one response line.
 QUERY_OPS = ("ping", "predict", "topology", "jobs", "stats", "metrics",
              "cancel", "shutdown")
@@ -166,7 +165,6 @@ def sweep_request(workloads: Sequence[str],
                   configs: Optional[Sequence[str]] = None,
                   sram_mb: Sequence[float] = (),
                   bandwidth_gb: Sequence[float] = (),
-                  cache_granularity: Optional[int] = None,
                   client: Optional[str] = None,
                   priority: Optional[str] = None,
                   ) -> Dict[str, object]:
@@ -177,8 +175,6 @@ def sweep_request(workloads: Sequence[str],
         req["sram_mb"] = [float(m) for m in sram_mb]
     if bandwidth_gb:
         req["bandwidth_gb"] = [float(g) for g in bandwidth_gb]
-    if cache_granularity is not None:
-        req["cache_granularity"] = int(cache_granularity)
     return _submit_meta(req, client, priority)
 
 
@@ -398,44 +394,29 @@ def request_to_points(req: Mapping[str, object]) -> "Tuple[SweepPoint, ...]":
 
 
 def request_to_spec(req: Mapping[str, object]) -> SweepSpec:
-    """Validate a ``simulate``/``sweep`` request into a :class:`SweepSpec`.
+    """Validate a ``sweep`` request into a :class:`SweepSpec`.
 
     Workload *names* are not resolved here (that needs the registry and
-    produces a better server-side error listing); config names are,
-    since :data:`~repro.baselines.configs` is cheap and static.
+    produces a better server-side error listing); config names and the
+    SRAM/bandwidth grid are, since both are cheap and static.
     """
-    op = req.get("op")
-    if op == "simulate":
-        workload = req.get("workload")
-        config = req.get("config")
-        if not isinstance(workload, str) or not workload.strip():
-            raise ProtocolError("'workload' must be a workload name")
-        if not isinstance(config, str) or not config.strip():
-            raise ProtocolError("'config' must be a configuration name")
-        workloads, configs = [workload], [config]
-    else:
-        workloads = _str_list(req, "workloads")
-        configs = _str_list(req, "configs", default=MAIN_CONFIGS)
-        if not workloads:
-            raise ProtocolError("'workloads' must name at least one workload")
-        if not configs:
-            raise ProtocolError("'configs' must name at least one config")
+    workloads = _str_list(req, "workloads")
+    configs = _str_list(req, "configs", default=MAIN_CONFIGS)
+    if not workloads:
+        raise ProtocolError("'workloads' must name at least one workload")
+    if not configs:
+        raise ProtocolError("'configs' must name at least one config")
     config_error = unknown_config_error(configs)
     if config_error is not None:
         raise ProtocolError(config_error)
-    granularity = req.get("cache_granularity")
-    if granularity is not None and (isinstance(granularity, bool)
-                                    or not isinstance(granularity, int)
-                                    or granularity < 1):
-        raise ProtocolError("'cache_granularity' must be a positive integer")
+    spec = SweepSpec(
+        workloads=tuple(workloads),
+        configs=tuple(configs),
+        sram_bytes=tuple(int(m * MIB) for m in _num_list(req, "sram_mb")),
+        bandwidths=tuple(g * GB for g in _num_list(req, "bandwidth_gb")),
+    )
     try:
-        return SweepSpec(
-            workloads=tuple(workloads),
-            configs=tuple(configs),
-            sram_bytes=tuple(int(m * MIB)
-                             for m in _num_list(req, "sram_mb")),
-            bandwidths=tuple(g * GB for g in _num_list(req, "bandwidth_gb")),
-            cache_granularity=granularity,
-        )
+        spec.cfg_variants()
     except ValueError as exc:
         raise ProtocolError(f"invalid sweep grid: {exc}") from exc
+    return spec

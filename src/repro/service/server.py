@@ -4,7 +4,7 @@ One long-lived asyncio process owns what every one-shot CLI invocation
 used to rebuild from scratch: a persistent
 :class:`~repro.orchestrator.store.ResultStore` and a pre-warmed
 :class:`~repro.orchestrator.parallel.OrchestratorPool`.  Clients connect
-over local TCP, submit ``simulate``/``sweep``/``tune`` jobs as JSON
+over local TCP, submit ``sweep``/``points``/``tune`` jobs as JSON
 lines (see :mod:`repro.service.protocol`), and receive streamed
 per-point results.
 
@@ -285,7 +285,8 @@ class SimulationService(Endpoint):
                 str(fields["config"]), cfg)
         except AnalyticUnsupported as exc:
             raise RuntimeError(
-                f"{exc}; submit a 'simulate' job for exact results"
+                f"{exc}; for exact results run 'repro submit --workloads "
+                f"{fields['workload']} --configs {fields['config']}'"
             ) from exc
 
     def _store_stats(self) -> Dict[str, object]:
@@ -492,8 +493,7 @@ class SimulationService(Endpoint):
             # is warm, so this only re-times for this point's bandwidth —
             # byte-identical to a direct engine run.
             result = runner.run_workload_config(
-                resolve_workload(p.workload), p.config, p.cfg,
-                cache_granularity=p.cache_granularity)
+                resolve_workload(p.workload), p.config, p.cfg)
             job.done = index + 1
             self.points_streamed += 1
             self._points_meter.record(1)
@@ -506,7 +506,6 @@ class SimulationService(Endpoint):
                     "sram_bytes": p.cfg.sram_bytes,
                     "bandwidth_bytes_per_s":
                         p.cfg.dram_bandwidth_bytes_per_s,
-                    "cache_granularity": p.cache_granularity,
                 },
                 "result": result.to_dict(),
             })
@@ -580,8 +579,7 @@ class SimulationService(Endpoint):
         for ks, p in batch:
             try:
                 runner.run_workload_config(
-                    resolve_workload(p.workload), p.config, p.cfg,
-                    cache_granularity=p.cache_granularity)
+                    resolve_workload(p.workload), p.config, p.cfg)
                 outcome[ks] = None
             except Exception as exc:
                 outcome[ks] = exc

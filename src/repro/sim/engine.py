@@ -181,8 +181,8 @@ class CacheEngine:
     """Replays the best-intra-op trace through an implicit cache
     (the Flex+LRU / Flex+BRRIP baselines).
 
-    The trace depends on the DAG, ``interleave_chunk``, ``rf_bytes`` and
-    the line size alone, never on the cache, so it is kept on the DAG
+    The trace depends on the DAG, ``rf_bytes`` and the line size alone,
+    never on the cache, so it is kept on the DAG
     (:meth:`TensorDag.derived`) as three compact segment arrays
     (:func:`~repro.sim.trace.program_trace_arrays`) and every later run
     of the DAG replays it without regenerating it.  The expanded block
@@ -200,13 +200,11 @@ class CacheEngine:
         cfg: AcceleratorConfig,
         policy: ReplacementPolicy,
         granularity: Optional[int] = None,
-        interleave_chunk: int = 4096,
         backend: str = "auto",
     ) -> None:
         self.cfg = cfg
         self.policy = policy
         self.granularity = granularity
-        self.interleave_chunk = interleave_chunk
         self.backend = backend
 
     def run(self, dag: TensorDag, config_name: str = "cache",
@@ -222,13 +220,11 @@ class CacheEngine:
             policy=self.policy,
             backend=self.backend,
         )
-        key = ("cache-trace", self.interleave_chunk, cfg.rf_bytes,
-               cfg.line_bytes)
+        key = ("cache-trace", cfg.rf_bytes, cfg.line_bytes)
         hook = get_phase_hook()
         t0 = time.perf_counter() if hook is not None else 0.0
         starts, nbytes, writes = dag.derived(key, lambda: program_trace_arrays(
-            dag, address_map(dag, cfg.line_bytes),
-            interleave_chunk=self.interleave_chunk, rf_bytes=cfg.rf_bytes))
+            dag, address_map(dag, cfg.line_bytes), rf_bytes=cfg.rf_bytes))
         if hook is not None:
             t1 = time.perf_counter()
             hook("trace-gen", t1 - t0)

@@ -9,7 +9,7 @@ policy — the comparison Fig. 12 makes.
 
 Traces are sequences of :class:`StreamSegment` (byte ranges + R/W flavour),
 packed for replay into three parallel arrays (:func:`program_trace_arrays`).
-``interleave_chunk`` controls how finely concurrent operand streams are
+:data:`INTERLEAVE_CHUNK` sets how finely concurrent operand streams are
 woven together (real engines fetch tiles round-robin).
 """
 
@@ -23,6 +23,10 @@ import numpy as np
 from ..core.dag import TensorDag
 from ..core.einsum import EinsumOp
 from .address_map import AddressMap
+
+#: Bytes of each large operand (and of the output) streamed per
+#: round-robin turn when an op's streams are interleaved.
+INTERLEAVE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -51,17 +55,15 @@ def op_trace(
     op: EinsumOp,
     dag: TensorDag,
     amap: AddressMap,
-    interleave_chunk: int = 4096,
     rf_bytes: int = 32 * 1024,
 ) -> List[StreamSegment]:
     """The access stream of one op under the best-intra-op schedule.
 
     Small operands (≤ ``rf_bytes``) are read whole up front (they park in
-    the RF); large operands and the output stream in ``interleave_chunk``
-    slices, round-robin, modelling tile-synchronous dataflow.
+    the RF); large operands and the output stream in
+    :data:`INTERLEAVE_CHUNK` slices, round-robin, modelling
+    tile-synchronous dataflow.
     """
-    if interleave_chunk <= 0:
-        raise ValueError("interleave_chunk must be positive")
     segments: List[StreamSegment] = []
     small: List[StreamSegment] = []
     streams: List[Iterator[Tuple[int, int]]] = []
@@ -72,13 +74,13 @@ def op_trace(
         if t.bytes <= rf_bytes:
             small.append(StreamSegment(t.name, ext.base, ext.nbytes, is_write=False))
         else:
-            streams.append(_chunks(ext.base, ext.nbytes, interleave_chunk))
+            streams.append(_chunks(ext.base, ext.nbytes, INTERLEAVE_CHUNK))
             stream_meta.append((t.name, False))
     out_ext = amap.get(op.output.name)
     if op.output.bytes <= rf_bytes:
         small.append(StreamSegment(op.output.name, out_ext.base, out_ext.nbytes, is_write=True))
     else:
-        streams.append(_chunks(out_ext.base, out_ext.nbytes, interleave_chunk))
+        streams.append(_chunks(out_ext.base, out_ext.nbytes, INTERLEAVE_CHUNK))
         stream_meta.append((op.output.name, True))
 
     segments.extend(small)
@@ -100,7 +102,6 @@ def op_trace(
 def iter_program_trace(
     dag: TensorDag,
     amap: AddressMap,
-    interleave_chunk: int = 4096,
     rf_bytes: int = 32 * 1024,
 ) -> Iterator[StreamSegment]:
     """Whole-program trace as a generator: ops in program order.
@@ -111,15 +112,12 @@ def iter_program_trace(
     tests).
     """
     for op in dag.ops:
-        yield from op_trace(
-            op, dag, amap, interleave_chunk=interleave_chunk, rf_bytes=rf_bytes
-        )
+        yield from op_trace(op, dag, amap, rf_bytes=rf_bytes)
 
 
 def program_trace_arrays(
     dag: TensorDag,
     amap: AddressMap,
-    interleave_chunk: int = 4096,
     rf_bytes: int = 32 * 1024,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whole-program trace as three parallel arrays, one row a segment:
@@ -133,8 +131,7 @@ def program_trace_arrays(
     starts: List[int] = []
     sizes: List[int] = []
     writes: List[bool] = []
-    for seg in iter_program_trace(dag, amap, interleave_chunk=interleave_chunk,
-                                  rf_bytes=rf_bytes):
+    for seg in iter_program_trace(dag, amap, rf_bytes=rf_bytes):
         starts.append(seg.start)
         sizes.append(seg.nbytes)
         writes.append(seg.is_write)
@@ -145,15 +142,10 @@ def program_trace_arrays(
 def program_trace(
     dag: TensorDag,
     amap: AddressMap,
-    interleave_chunk: int = 4096,
     rf_bytes: int = 32 * 1024,
 ) -> List[StreamSegment]:
     """Whole-program trace: ops in program order (eager list form)."""
-    return list(
-        iter_program_trace(
-            dag, amap, interleave_chunk=interleave_chunk, rf_bytes=rf_bytes
-        )
-    )
+    return list(iter_program_trace(dag, amap, rf_bytes=rf_bytes))
 
 
 def trace_bytes(segments: Iterable[StreamSegment]) -> int:

@@ -7,9 +7,10 @@ to a sentence in the paper's evaluation section.
 
 import pytest
 
-from repro.baselines.configs import config_names, run_config
-from repro.baselines.runner import clear_cache, run_matrix, run_workload_config
+from repro.baselines.configs import CACHE_POLICIES, config_names, run_config
+from repro.baselines.runner import clear_cache, run_workload_config
 from repro.hw.config import AcceleratorConfig, MIB
+from repro.sim.engine import CacheEngine
 from repro.sim.results import geomean
 from repro.workloads.matrices import FV1, SHALLOW_WATER1
 from repro.workloads.registry import (
@@ -180,8 +181,10 @@ class TestCaches:
     def test_cache_baselines_below_cello(self):
         w = cg_workload(FV1, n=16, iterations=3)
         cello = run_workload_config(w, "CELLO", CFG)
-        for c in ("Flex+LRU", "Flex+BRRIP", "Flex+SRRIP"):
-            r = run_workload_config(w, c, CFG, cache_granularity=4)
+        dag = w.build()
+        for policy in ("LRU", "BRRIP", "SRRIP"):
+            r = CacheEngine(CFG, CACHE_POLICIES[policy](),
+                            granularity=4).run(dag)
             assert r.dram_bytes > cello.dram_bytes
 
     def test_caches_below_explicit_on_large_working_sets(self):
@@ -194,15 +197,6 @@ class TestCaches:
 
 
 class TestRunnerInfra:
-    def test_run_matrix_shape(self):
-        out = run_matrix(
-            [cg_workload(FV1, n=16, iterations=1)],
-            configs=("Flexagon", "CELLO"),
-            cfg=CFG,
-        )
-        assert set(out) == {"cg/fv1/N=16@it1"}
-        assert set(out["cg/fv1/N=16@it1"]) == {"Flexagon", "CELLO"}
-
     def test_memoisation_is_bandwidth_transparent(self):
         w = cg_workload(FV1, n=16, iterations=1)
         fast = run_workload_config(w, "CELLO", CFG)
@@ -218,6 +212,10 @@ class TestRunnerInfra:
     def test_all_config_names_runnable_on_small_cg(self):
         dag = cg_workload(FV1, n=1, iterations=1).build()
         for name in config_names():
-            r = run_config(name, dag, CFG, cache_granularity=8)
+            if name.startswith("Flex+"):
+                policy = CACHE_POLICIES[name[len("Flex+"):]]
+                r = CacheEngine(CFG, policy(), granularity=8).run(dag)
+            else:
+                r = run_config(name, dag, CFG)
             assert r.dram_bytes > 0
             assert r.total_macs > 0

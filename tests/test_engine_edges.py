@@ -95,16 +95,6 @@ class TestCacheEngineShapes:
         coarse = CacheEngine(CFG, policy_cls(), granularity=4).run(dag)
         assert 0.7 < coarse.dram_bytes / exact.dram_bytes < 1.3
 
-    def test_interleave_chunk_configurable(self):
-        dag = build_cg_dag(CgProblem(matrix=FV1, n=1, iterations=1))
-        fine = CacheEngine(CFG, LruPolicy(), granularity=4,
-                           interleave_chunk=1024).run(dag)
-        wide = CacheEngine(CFG, LruPolicy(), granularity=4,
-                           interleave_chunk=65536).run(dag)
-        # Both are valid simulations of the same schedule.
-        assert fine.total_macs == wide.total_macs
-        assert fine.dram_bytes > 0 and wide.dram_bytes > 0
-
 
 class TestEngineAudit:
     def test_last_chord_exposed(self):

@@ -230,8 +230,7 @@ class TestGatewayFabric:
         assert reply["fidelity"] == "analytic"
         workload = resolve_workload(WORKLOAD)
         direct = run_config("CELLO", workload.build(), AcceleratorConfig(),
-                            workload_name=workload.name,
-                            cache_granularity=None)
+                            workload_name=workload.name)
         assert reply["result"]["dram_read_bytes"] == direct.dram_read_bytes
         assert reply["result"]["dram_write_bytes"] == direct.dram_write_bytes
 

@@ -57,6 +57,9 @@ class TestConfig:
             AcceleratorConfig(line_bytes=17)
         with pytest.raises(ValueError):
             AcceleratorConfig(pipeline_fraction=1.5)
+        for bandwidth in (0, -5e9):
+            with pytest.raises(ValueError, match="bandwidth"):
+                AcceleratorConfig(dram_bandwidth_bytes_per_s=bandwidth)
 
 
 class TestSramModel:

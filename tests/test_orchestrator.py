@@ -132,13 +132,6 @@ class TestParallelExecution:
         with pytest.raises(KeyError):
             run_points([SweepPoint("not/registered", "CELLO", CFG)], jobs=1)
 
-    def test_run_matrix_parallel_matches_serial(self):
-        w = cg_workload(FV1, n=1, iterations=2)
-        serial = runner.run_matrix([w], configs=("Flexagon", "CELLO"), jobs=1)
-        runner.clear_cache()
-        parallel = runner.run_matrix([w], configs=("Flexagon", "CELLO"), jobs=2)
-        assert serial == parallel
-
 
 class TestResultStore:
     def test_put_get_round_trip(self, tmp_path):
@@ -259,6 +252,16 @@ class TestCliIntegration:
         assert main(["sweep", "--configs", "NotAConfig"]) == 2
         assert "unknown config" in capsys.readouterr().err
 
+    def test_invalid_sweep_grid_errors(self, capsys):
+        from repro.cli import main
+
+        for flag, value, needle in (("--sram-mb", "0", "sram_bytes"),
+                                    ("--bandwidth-gb", "-5", "bandwidth")):
+            assert main(["sweep", "--workloads", "cg/fv1/N=1",
+                         "--configs", "CELLO", flag, value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid sweep grid: ") and needle in err
+
     def test_unknown_sweep_workload_errors(self, capsys):
         from repro.cli import main
 
@@ -276,7 +279,7 @@ class TestOrchestratorPool:
         with OrchestratorPool(jobs=1) as pool:
             assert pool.warm() is False
             assert pool.run_payloads(
-                [("cg/fv1/N=1@it2", "CELLO", CFG, None)]) is None
+                [("cg/fv1/N=1@it2", "CELLO", CFG)]) is None
             assert pool.snapshot()["batches"] == 0
 
     def test_pool_reused_across_batches(self):
@@ -332,7 +335,7 @@ class TestOrchestratorPool:
 
         from repro.orchestrator import OrchestratorPool
 
-        payloads = [("cg/fv1/N=1@it2", "CELLO", CFG, None)]
+        payloads = [("cg/fv1/N=1@it2", "CELLO", CFG)]
         with OrchestratorPool(jobs=2) as pool:
             if not pool.warm():
                 pytest.skip("no process-pool support on this platform")

@@ -27,6 +27,7 @@ from repro.service import (
     SimulationService,
 )
 from repro.service.protocol import (
+    KNOWN_OPS,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -109,8 +110,7 @@ def expected_results():
     workload = resolve_workload(WORKLOAD)
     for config in CONFIGS:
         base = run_config(config, workload.build(), AcceleratorConfig(),
-                          workload_name=workload.name,
-                          cache_granularity=None)
+                          workload_name=workload.name)
         for bw in BANDWIDTH_GB:
             cfg = AcceleratorConfig(dram_bandwidth_bytes_per_s=bw * GB)
             out.append(make_result(
@@ -146,10 +146,12 @@ class TestProtocol:
         assert spec.sram_bytes == (4 * MIB, 1 * MIB)
         assert len(spec.points()) == 4
 
-    def test_simulate_is_one_point_sweep(self):
-        spec = request_to_spec({"op": "simulate", "workload": WORKLOAD,
-                                "config": "CELLO"})
-        assert len(spec.points()) == 1
+    def test_simulate_op_is_retired(self):
+        assert "simulate" not in KNOWN_OPS
+        with pytest.raises(ProtocolError, match="unknown op 'simulate'"):
+            parse_request(encode_message({"op": "simulate",
+                                          "workload": WORKLOAD,
+                                          "config": "CELLO"}))
 
     def test_rejects_unknown_config_and_bad_fields(self):
         with pytest.raises(ProtocolError, match="unknown config"):
@@ -160,9 +162,10 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="sram_mb"):
             request_to_spec({"op": "sweep", "workloads": [WORKLOAD],
                              "sram_mb": ["big"]})
-        with pytest.raises(ProtocolError, match="cache_granularity"):
+        with pytest.raises(ProtocolError,
+                           match="invalid sweep grid: dram_bandwidth"):
             request_to_spec({"op": "sweep", "workloads": [WORKLOAD],
-                             "cache_granularity": 0})
+                             "bandwidth_gb": [-5]})
 
 
 class TestServiceEndToEnd:
@@ -182,6 +185,16 @@ class TestServiceEndToEnd:
         want = [json.dumps(r.to_dict(), sort_keys=True)
                 for r in expected_results()]
         assert got == want
+
+    def test_result_point_carries_exactly_the_sweep_axes(self, server):
+        seen = []
+        with server.client() as client:
+            client.submit_sweep([WORKLOAD], configs=["CELLO"],
+                                on_message=seen.append)
+        points = [m["point"] for m in seen if m["type"] == "result"]
+        assert len(points) == 1
+        assert set(points[0]) == {"workload", "config", "sram_bytes",
+                                  "bandwidth_bytes_per_s"}
 
     def test_warm_resubmission_zero_simulations(self, server):
         with server.client() as client:
@@ -317,8 +330,7 @@ class TestPredict:
         assert reply["fidelity"] == "analytic"
         workload = resolve_workload(WORKLOAD)
         direct = run_config("CELLO", workload.build(), AcceleratorConfig(),
-                            workload_name=workload.name,
-                            cache_granularity=None)
+                            workload_name=workload.name)
         assert reply["result"]["dram_read_bytes"] == direct.dram_read_bytes
         assert reply["result"]["dram_write_bytes"] == direct.dram_write_bytes
         # The whole point of the op: nothing was simulated.
@@ -335,7 +347,9 @@ class TestPredict:
 
     def test_predict_unsupported_config_errors(self, server):
         with server.client() as client:
-            with pytest.raises(ServiceError, match="no analytic model"):
+            with pytest.raises(ServiceError, match="no analytic model.*"
+                               "'repro submit --workloads cg/fv1/N=1 "
+                               "--configs Flex\\+LRU'"):
                 client.predict(WORKLOAD, "Flex+LRU")
         assert runner.simulation_count() == 0
 
@@ -598,6 +612,14 @@ class TestWireErrors:
         reply = self._raw(
             server, b'{"op": "sweep", "workloads": ["zz-no-match-*"]}\n')
         assert reply["type"] == "error"
+
+    def test_non_positive_bandwidth_errors_before_simulating(self, server):
+        reply = self._raw(
+            server, b'{"op": "sweep", "workloads": ["cg/fv1/N=1"], '
+                    b'"configs": ["CELLO"], "bandwidth_gb": [-5]}\n')
+        assert reply["type"] == "error"
+        assert "dram_bandwidth_bytes_per_s must be positive" in reply["error"]
+        assert runner.simulation_count() == 0
 
     def test_tune_bad_field_types_error(self, server):
         for payload, field in (

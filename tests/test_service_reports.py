@@ -216,8 +216,7 @@ class TestSweepOutcome:
     def _outcome(self, n_points):
         points = [
             PointResult(workload="w", config="CELLO", sram_bytes=4 * MIB,
-                        bandwidth_bytes_per_s=256 * GB,
-                        cache_granularity=None, result=_result())
+                        bandwidth_bytes_per_s=256 * GB, result=_result())
             for _ in range(n_points)
         ]
         return SweepOutcome(job_id="j9", points=points, simulations=1,

@@ -72,7 +72,7 @@ class TestTrace:
     def test_large_streams_interleave(self, cg):
         dag, amap = cg
         op = dag.op("1:spmm@0")
-        segs = [s for s in op_trace(op, dag, amap, interleave_chunk=4096)
+        segs = [s for s in op_trace(op, dag, amap)
                 if s.tensor in ("A", "P@0")]
         # Chunks of A and P alternate rather than A finishing first.
         first_ten = [s.tensor for s in segs[:10]]

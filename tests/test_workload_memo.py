@@ -181,11 +181,11 @@ class TestSecondPointCount:
         process's memo the same way."""
         cfg = AcceleratorConfig(sram_bytes=3 * MIB)
         for config in ("CELLO", "Flex+LRU"):
-            _simulate_payload(("cg/fv1/N=1", config, cfg, None))
+            _simulate_payload(("cg/fv1/N=1", config, cfg))
         spies.update(dag=0, classify=0, op_trace=0)
         for config in ("CELLO", "Flex+LRU"):
             _simulate_payload(("cg/fv1/N=1", config,
-                               cfg.with_sram(3 * MIB + 512), None))
+                               cfg.with_sram(3 * MIB + 512)))
         assert spies == {"dag": 0, "classify": 0, "op_trace": 0}
 
 
