@@ -495,6 +495,9 @@ GOLDEN_CACHE_TRAFFIC = (
     ("cg/fv1/N=1", "Flex+LRU", 1 * MIB, 3578496, 1537280),
     ("cg/fv1/N=1", "Flex+BRRIP", 1 * MIB, 3542576, 1537280),
     ("cg/fv1/N=1", "Flex+SRRIP", 1 * MIB, 5180976, 1537280),
+    # fig16a's two cache points at the default config.
+    ("resnet/conv3_x", "Flex+LRU", 4 * MIB, 4694016, 2809856),
+    ("resnet/conv3_x", "Flex+BRRIP", 4 * MIB, 4694016, 2809856),
 )
 
 
