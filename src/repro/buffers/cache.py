@@ -15,13 +15,17 @@ Two backends produce byte-identical :class:`BufferStats`:
     chunk's distinct non-resident blocks in it fit the associativity, no
     access can evict, so misses are the distinct new blocks and the
     policy only sees one fill per new block and one hit per re-touched
-    line.  Deciding that costs O(chunk + cache lines) — a presence mask
-    and a per-set count, no sort — so chunks that overflow fall through
-    almost for free.  Those are resolved in *conflict-free batches* —
-    maximal contiguous runs of the trace in which every set index
-    appears at most once — so hit detection, victim choice, fills and
-    writeback accounting are whole-batch numpy ops instead of a Python
-    loop with an ``np.nonzero`` per access.  Within a batch the per-set
+    line.  The closed form reads the chunk's :class:`ChunkFacts` (its
+    distinct blocks with their first and last touch and write flag), a
+    function of the trace alone that the caller may keep across cache
+    geometries (``access_arrays``' ``memo``); per cache it does
+    O(distinct blocks) work.  A chunk with more distinct blocks than the
+    cache has lines is rejected on its count alone.  Chunks that do not
+    fit are resolved in *conflict-free batches* — maximal contiguous
+    runs of the trace in which every set index appears at most once —
+    so hit detection, victim choice, fills and writeback accounting are
+    whole-batch numpy ops instead of a Python loop with an
+    ``np.nonzero`` per access.  Within a batch the per-set
     states cannot interact, and batches are processed in trace order,
     so the result is exactly the sequential simulation.
 
@@ -37,7 +41,10 @@ and the array-state (``vec_*``) protocol.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Protocol
+import functools
+from dataclasses import dataclass
+from typing import (Any, Callable, Hashable, Iterable, List, Optional,
+                    Protocol, Tuple)
 
 import numpy as np
 
@@ -105,6 +112,85 @@ class VectorReplacementPolicy(Protocol):
 def supports_vector(policy: object) -> bool:
     """Whether ``policy`` implements the array-state protocol."""
     return all(callable(getattr(policy, m, None)) for m in _VECTOR_METHODS)
+
+
+Memo = Callable[[Hashable, Callable[[], Any]], Any]
+
+
+@dataclass(frozen=True)
+class ChunkFacts:
+    """What the eviction-free closed form needs of one expanded chunk.
+
+    They depend on the trace, the block size and the chunk bounds alone,
+    never on the cache, so one DAG's facts serve every cache geometry
+    that replays it.  ``blocks`` are the chunk's distinct blocks in
+    first-touch order; ``first`` and ``last`` each block's first and last
+    position in the chunk, ``dirty`` whether any of its accesses writes,
+    and ``by_last`` the indices into ``blocks`` in last-touch order.
+    """
+
+    blocks: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    dirty: np.ndarray
+    by_last: np.ndarray
+
+    @classmethod
+    def of(cls, blocks: np.ndarray, writes: np.ndarray) -> "ChunkFacts":
+        """The facts of a non-empty in-order block stream: one stable
+        sort groups each block's accesses in trace order."""
+        n = blocks.size
+        order = np.argsort(blocks, kind="stable")
+        grouped = blocks[order]
+        heads = np.flatnonzero(np.concatenate(
+            ([True], grouped[1:] != grouped[:-1])))
+        first = order[heads]
+        last = order[np.append(heads[1:], n) - 1]
+        dirty = np.logical_or.reduceat(writes[order], heads)
+        by_first = np.argsort(first)
+        last = last[by_first]
+        return cls(blocks=grouped[heads][by_first],
+                   first=first[by_first], last=last,
+                   dirty=dirty[by_first], by_last=np.argsort(last))
+
+
+def _distinct_count(blocks: np.ndarray) -> int:
+    """Distinct blocks of a non-empty stream."""
+    ordered = np.sort(blocks)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+
+
+class _Chunk:
+    """One chunk of a replayed stream: ``n`` accesses whose blocks are
+    expanded on first use, and whose distinct count and facts come
+    through ``memo`` under ``key`` (computed afresh without one)."""
+
+    def __init__(self, n: int,
+                 expand: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                 memo: Optional[Memo] = None, key: Tuple = ()) -> None:
+        self.n = n
+        self._expand = expand
+        self._memo = memo
+        self._key = key
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The chunk's (blocks, writes), expanded once."""
+        if self._arrays is None:
+            self._arrays = self._expand()
+        return self._arrays
+
+    def _memoised(self, name: str, compute: Callable[[], Any]) -> Any:
+        if self._memo is None:
+            return compute()
+        return self._memo(self._key + (name,), compute)
+
+    def distinct(self) -> int:
+        return self._memoised("distinct",
+                              lambda: _distinct_count(self.arrays()[0]))
+
+    def facts(self) -> ChunkFacts:
+        return self._memoised("facts", lambda: ChunkFacts.of(*self.arrays()))
 
 
 class SetAssociativeCache:
@@ -264,8 +350,7 @@ class SetAssociativeCache:
                                     times[miss_mask])
         return hit_mask
 
-    def _resolve_eviction_free(self, blocks: np.ndarray,
-                               writes: np.ndarray) -> bool:
+    def _resolve_eviction_free(self, chunk: "_Chunk") -> bool:
         """Resolve a whole chunk in closed form if it cannot evict.
 
         The chunk fits when every set's valid ways plus its distinct
@@ -273,92 +358,75 @@ class SetAssociativeCache:
         prefix: fills take the first invalid way and nothing invalidates a
         line).  Then every miss is compulsory and the replacement policy
         is never asked for a victim, so the chunk's effect is a function
-        of each block's first and last touch:
+        of its :class:`ChunkFacts` and the cache's state:
 
         * misses are the distinct non-resident blocks, hits the rest;
         * new blocks fill their set's free ways in order of first touch,
           through one ``vec_on_fill`` in trace order (BRRIP's global
           counter sees the sequential fill order);
-        * every re-touched line gets one ``vec_on_hit`` at its last touch;
+        * every re-touched line gets one ``vec_on_hit`` at its last touch,
+          in trace order;
         * dirty bits OR in the block's writes.
 
         Returns ``False``, having changed nothing, when the chunk does not
-        fit.  That verdict costs O(chunk + cache lines) — a presence mask
-        and a per-set count, no sort — so overflowing traces pay almost
-        nothing before falling through to the batch kernel.
+        fit.  A chunk with more distinct blocks than the cache has lines
+        is rejected on its count alone, before its facts are built.  The
+        rest is O(distinct blocks) at each cache point, plus O(lines) for
+        the residency check once the cache holds a line.
         """
-        n = blocks.shape[0]
         n_sets, assoc = self.n_sets, self.assoc
-        lines = n_sets * assoc
-        lo = int(blocks.min())
-        span = int(blocks.max()) - lo + 1
-        # The work arrays below are span-sized, so bound them by the
-        # cache.  A wider chunk may still fit and then takes the batch
-        # kernel instead; on the paper's cache points none did, and the
-        # fitting ones span under 0.8x the lines.
-        if span > 2 * lines:
+        if chunk.distinct() > n_sets * assoc:
             return False
-        offs = blocks - lo
-        seen = np.zeros(span, dtype=bool)
-        seen[offs] = True
-        if np.count_nonzero(seen) > lines:
-            return False
-        distinct = np.flatnonzero(seen)
-        d_blocks = distinct + lo
-        d_sets = d_blocks % n_sets
-        # Residency: only blocks of sets that hold a valid way can hit.
-        valid = np.count_nonzero(self._tags != -1, axis=1)
-        resident = np.zeros(distinct.size, dtype=bool)
-        occupied = np.flatnonzero(valid[d_sets])
-        hit_mat = (self._tags[d_sets[occupied]]
-                   == (d_blocks[occupied] // n_sets)[:, None])
-        occupied_hit = hit_mat.any(axis=1)
-        resident[occupied[occupied_hit]] = True
-        new_per_set = np.bincount(d_sets[~resident], minlength=n_sets)
+        facts = chunk.facts()
+        d_sets = facts.blocks % n_sets
+        d_tags = facts.blocks // n_sets
+        if self._tick:
+            # Residency: only blocks of sets that hold a valid way can hit.
+            valid = np.count_nonzero(self._tags != -1, axis=1)
+            occupied = np.flatnonzero(valid[d_sets])
+            hit_mat = (self._tags[d_sets[occupied]]
+                       == d_tags[occupied][:, None])
+            occupied_hit = hit_mat.any(axis=1)
+            r_idx = occupied[occupied_hit]
+            resident = np.zeros(facts.blocks.size, dtype=bool)
+            resident[r_idx] = True
+            new = np.flatnonzero(~resident)
+        else:
+            # Nothing has been accessed, so no line is valid.
+            valid = np.zeros(n_sets, dtype=np.int64)
+            resident = None
+            new = slice(None)
+        f_sets = d_sets[new]
+        new_per_set = np.bincount(f_sets, minlength=n_sets)
         if (valid + new_per_set).max() > assoc:
             return False
 
-        pos = np.arange(n, dtype=np.int64)
-        first = np.full(span, n, dtype=np.int64)
-        np.minimum.at(first, offs, pos)
-        last = np.full(span, -1, dtype=np.int64)
-        np.maximum.at(last, offs, pos)
-        dirty = np.zeros(span, dtype=bool)
-        dirty[offs[writes]] = True
-        way = np.empty(span, dtype=np.int64)
-        r_offs = distinct[resident]
-        way[r_offs] = hit_mat[occupied_hit].argmax(axis=1)
-
         # Fills, in trace order of first touch: each set's new blocks take
         # its free ways in turn, after the valid prefix.
-        is_first = np.zeros(n, dtype=bool)
-        is_first[first[distinct[~resident]]] = True
-        f_pos = np.flatnonzero(is_first)
-        f_blocks = blocks[f_pos]
-        f_sets = f_blocks % n_sets
         order = np.argsort(f_sets, kind="stable")
         first_free = valid - (np.cumsum(new_per_set) - new_per_set)
         f_ways = np.empty_like(order)
         f_ways[order] = first_free[f_sets[order]] + np.arange(order.size)
-        f_offs = f_blocks - lo
-        way[f_offs] = f_ways
-        self._tags[f_sets, f_ways] = f_blocks // n_sets
-        self._dirty[f_sets, f_ways] = dirty[f_offs]
+        self._tags[f_sets, f_ways] = d_tags[new]
+        self._dirty[f_sets, f_ways] = facts.dirty[new]
         self.policy.vec_on_fill(self._vstate, f_sets, f_ways,
-                                self._tick + f_pos)
+                                self._tick + facts.first[new])
 
         # Hits: one per re-touched line (resident, or filled and touched
         # again), at its last touch, in trace order.
-        self._dirty[d_sets[resident], way[r_offs]] |= dirty[r_offs]
-        retouched = resident | (last[distinct] != first[distinct])
-        is_last = np.zeros(n, dtype=bool)
-        is_last[last[distinct[retouched]]] = True
-        h_pos = np.flatnonzero(is_last)
-        h_blocks = blocks[h_pos]
-        self.policy.vec_on_hit(self._vstate, h_blocks % n_sets,
-                               way[h_blocks - lo], self._tick + h_pos)
+        way = np.empty(facts.blocks.size, dtype=np.int64)
+        way[new] = f_ways
+        retouched = facts.last != facts.first
+        if resident is not None:
+            r_ways = hit_mat[occupied_hit].argmax(axis=1)
+            way[r_idx] = r_ways
+            self._dirty[d_sets[r_idx], r_ways] |= facts.dirty[r_idx]
+            retouched |= resident
+        h = facts.by_last[retouched[facts.by_last]]
+        self.policy.vec_on_hit(self._vstate, d_sets[h], way[h],
+                               self._tick + facts.last[h])
 
-        n_miss = f_pos.size
+        n, n_miss = chunk.n, f_sets.size
         self._tick += n
         self.stats.accesses += n
         self.stats.hits += n - n_miss
@@ -367,9 +435,12 @@ class SetAssociativeCache:
         return True
 
     def _simulate_blocks(self, blocks: np.ndarray, writes: np.ndarray) -> None:
-        """Simulate an in-order block stream: in closed form when the chunk
-        cannot evict (:meth:`_resolve_eviction_free`), else in
-        conflict-free batches.
+        """Simulate an in-order block stream held in memory (no memo)."""
+        self._simulate_chunk(_Chunk(blocks.size, lambda: (blocks, writes)))
+
+    def _simulate_chunk(self, chunk: "_Chunk") -> None:
+        """Simulate one chunk: in closed form when it cannot evict
+        (:meth:`_resolve_eviction_free`), else in conflict-free batches.
 
         Batch boundaries come from a suffix-minimum over the next-occurrence
         index of each access's set: for a batch starting at ``s``, the first
@@ -378,9 +449,10 @@ class SetAssociativeCache:
         O(1) per batch, so conflict-heavy traces degrade gracefully instead
         of quadratically.
         """
-        n = blocks.shape[0]
-        if n == 0 or self._resolve_eviction_free(blocks, writes):
+        n = chunk.n
+        if n == 0 or self._resolve_eviction_free(chunk):
             return
+        blocks, writes = chunk.arrays()
         sets = blocks % self.n_sets
         order = np.argsort(sets, kind="stable")
         next_occ = np.full(n, n, dtype=np.int64)
@@ -416,6 +488,7 @@ class SetAssociativeCache:
         nbytes: np.ndarray,
         is_write: np.ndarray,
         chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
+        memo: Optional[Memo] = None,
     ) -> None:
         """Replay a trace given as parallel arrays, one row per byte range
         ``[starts[i], starts[i] + nbytes[i])`` accessed with ``is_write[i]``.
@@ -426,6 +499,13 @@ class SetAssociativeCache:
         whole expanded stream, splitting a range where a boundary falls,
         so memory is bounded by the chunk, not the trace.  The reference
         backend replays range by range (:meth:`access_range`).
+
+        ``memo(key, compute)`` keeps what the closed form needs of each
+        chunk — its distinct count and, for a chunk that fits the lines,
+        its :class:`ChunkFacts` — across replays of the same trace (the
+        cache engine passes :meth:`TensorDag.derived`).  A chunk resolved
+        from memoised facts is never expanded.  Without a memo both are
+        computed per chunk and dropped.
         """
         if chunk_accesses <= 0:
             raise ValueError("chunk_accesses must be positive")
@@ -449,14 +529,20 @@ class SetAssociativeCache:
         # Block at stream position p of range k is first[k] + p - begins[k].
         offset = first - begins
         total = int(ends[-1])
-        for lo in range(0, total, chunk_accesses):
-            hi = min(lo + chunk_accesses, total)
+
+        def expand(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
             i = int(np.searchsorted(ends, lo, side="right"))
             j = int(np.searchsorted(begins, hi, side="left"))
             c = np.minimum(ends[i:j], hi) - np.maximum(begins[i:j], lo)
             blocks = np.repeat(offset[i:j], c)
             blocks += np.arange(lo, hi, dtype=np.int64)
-            self._simulate_blocks(blocks, np.repeat(is_write[i:j], c))
+            return blocks, np.repeat(is_write[i:j], c)
+
+        for k, lo in enumerate(range(0, total, chunk_accesses)):
+            hi = min(lo + chunk_accesses, total)
+            self._simulate_chunk(_Chunk(
+                hi - lo, functools.partial(expand, lo, hi), memo,
+                ("chunk", self.line_bytes, chunk_accesses, k)))
 
     def access_segments(
         self,

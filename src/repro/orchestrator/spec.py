@@ -64,7 +64,9 @@ class SweepPoint:
 
     @classmethod
     def from_wire(cls, data: dict) -> "SweepPoint":
-        """Inverse of :meth:`to_wire`; raises ``ValueError`` on bad types."""
+        """Inverse of :meth:`to_wire`; raises ``ValueError`` on bad types
+        and, through :class:`AcceleratorConfig`, on non-positive sizes —
+        the same check and wording a ``sweep`` grid gets."""
         workload = data.get("workload")
         config = data.get("config")
         if not isinstance(workload, str) or not workload.strip():
@@ -73,14 +75,13 @@ class SweepPoint:
             raise ValueError("'config' must be a configuration name")
         cfg = AcceleratorConfig()
         sram = data.get("sram_bytes", cfg.sram_bytes)
-        if isinstance(sram, bool) or not isinstance(sram, int) or sram < 1:
-            raise ValueError("'sram_bytes' must be a positive integer")
+        if isinstance(sram, bool) or not isinstance(sram, int):
+            raise ValueError("'sram_bytes' must be an integer")
         bandwidth = data.get("bandwidth_bytes_per_s",
                              cfg.dram_bandwidth_bytes_per_s)
         if (isinstance(bandwidth, bool)
-                or not isinstance(bandwidth, (int, float)) or bandwidth <= 0):
-            raise ValueError("'bandwidth_bytes_per_s' must be a positive "
-                             "number")
+                or not isinstance(bandwidth, (int, float))):
+            raise ValueError("'bandwidth_bytes_per_s' must be a number")
         return cls(
             workload=workload,
             config=config,

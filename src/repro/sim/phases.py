@@ -6,8 +6,9 @@ point, with phases
 * ``"dag-build"`` — a workload DAG built on a memo miss
   (:func:`repro.workloads.registry.workload_dag`; a hit reports nothing),
 * ``"schedule"`` — one :meth:`repro.score.scheduler.Score.schedule` call,
-* ``"trace-gen"`` — producing the cache baselines' address trace (near
-  zero when the DAG already holds it),
+* ``"trace-gen"`` — producing the cache baselines' address trace and
+  the eviction-free closed form's chunk facts, both functions of the
+  DAG alone (near zero when the DAG already holds them),
 * ``"cache-kernel"`` — the set-associative replay, and
 * ``"chord-accounting"`` — the schedule-driven op walk.
 

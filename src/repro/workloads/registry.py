@@ -350,8 +350,11 @@ def is_resolvable(name: str) -> bool:
 
 #: Soft cap on memoised DAGs, evicted oldest-first like the analytic
 #: backend's compiled-model cache.  Lower than that cache's cap because
-#: an entry can carry its cache trace (~6 MB for cg/G2_circuit/N=16); the
-#: registry's evaluation matrix is 15 names.
+#: an entry can carry its cache trace (~6 MB for cg/G2_circuit/N=16) and
+#: the closed form's chunk facts for the chunks that fit a cache it ran
+#: (4.9 MB for cg/fv1/N=1, 8.4 MB for bicgstab/fv1/N=1, none for traces
+#: that overflow 4 MiB such as cg/*/N=16 and gnn/cora); the registry's
+#: evaluation matrix is 15 names.
 _DAG_CACHE_CAP = 64
 
 _DAG_CACHE: Dict[str, TensorDag] = {}

@@ -21,7 +21,7 @@ import pytest
 
 from repro.baselines.configs import run_config
 from repro.buffers.brrip import BrripPolicy
-from repro.buffers.cache import SetAssociativeCache, supports_vector
+from repro.buffers.cache import ChunkFacts, SetAssociativeCache, supports_vector
 from repro.buffers.lru import LruPolicy
 from repro.buffers.srrip import SrripPolicy
 from repro.hw.config import MIB, AcceleratorConfig
@@ -31,6 +31,7 @@ from repro.sim.trace import (
     StreamSegment,
     iter_program_trace,
     program_trace,
+    program_trace_arrays,
     program_trace_bytes,
     trace_bytes,
 )
@@ -203,8 +204,8 @@ def spy_closed_form(cache):
     verdicts = []
     inner = cache._resolve_eviction_free
 
-    def spy(blocks, writes):
-        verdicts.append(inner(blocks, writes))
+    def spy(chunk):
+        verdicts.append(inner(chunk))
         return verdicts[-1]
 
     cache._resolve_eviction_free = spy
@@ -216,7 +217,7 @@ def batch_only(policy_name, capacity=4096, line=16, assoc=4):
     policy matrices are the oracle for the closed form's."""
     cache = SetAssociativeCache(capacity, line, assoc,
                                 POLICIES[policy_name](), backend="vector")
-    cache._resolve_eviction_free = lambda blocks, writes: False
+    cache._resolve_eviction_free = lambda chunk: False
     return cache
 
 
@@ -329,6 +330,144 @@ class TestEvictionFreeParity:
         # Re-touched new lines end at their last touch (LRU) or promoted
         # (RRIP), exactly as the batch kernel leaves them.
         assert_same_policy_state(vec, batched)
+
+
+class CountingMemo:
+    """A ``memo(key, compute)`` for ``access_arrays`` that records what it
+    builds: the last element of each key computed (``distinct`` or
+    ``facts``)."""
+
+    def __init__(self):
+        self.kept = {}
+        self.built = []
+
+    def __call__(self, key, compute):
+        if key not in self.kept:
+            self.built.append(key[-1])
+            self.kept[key] = compute()
+        return self.kept[key]
+
+
+def cache_state(cache):
+    """Everything a replay can change, copied."""
+    return {"stats": cache.stats.as_dict(), "tick": cache._tick,
+            "tags": cache._tags.copy(), "dirty": cache._dirty.copy(),
+            "fill_counter": getattr(cache.policy, "_fill_counter", None),
+            **{k: v.copy() for k, v in vars(cache._vstate).items()}}
+
+
+def assert_same_state(a, b):
+    assert a.keys() == b.keys()
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
+
+class TestChunkFactsMemo:
+    """The closed form reads each chunk's :class:`ChunkFacts` through a
+    memo shared by every cache geometry that replays the trace; no state
+    may leak from one replay to the next through it."""
+
+    def test_facts_of_a_small_stream(self):
+        facts = ChunkFacts.of(np.array([5, 3, 5, 7, 3, 5], dtype=np.int64),
+                              np.array([0, 1, 0, 0, 0, 1], dtype=bool))
+        np.testing.assert_array_equal(facts.blocks, [5, 3, 7])
+        np.testing.assert_array_equal(facts.first, [0, 1, 3])
+        np.testing.assert_array_equal(facts.last, [5, 4, 3])
+        np.testing.assert_array_equal(facts.dirty, [True, True, False])
+        np.testing.assert_array_equal(facts.by_last, [2, 1, 0])
+
+    #: 147,699 line accesses in five chunks, so four of them start on a
+    #: non-empty cache.  At 1 MiB the first four fit and the last
+    #: overflows a set; 3.5 and 4.5 MiB fit throughout.
+    WORKLOAD = "bicgstab/fv1/N=1@it1"
+    CHUNK = 1 << 15
+    SIZES_MIB = (1, 3.5, 4.5, 3.5)
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        dag = _golden_dag(self.WORKLOAD)
+        cfg = AcceleratorConfig()
+        return program_trace_arrays(
+            dag, AddressMap.for_dag(dag, line_bytes=cfg.line_bytes),
+            rf_bytes=cfg.rf_bytes)
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_alternating_geometries_share_one_memo(self, policy, trace):
+        cfg = AcceleratorConfig()
+        memo = CountingMemo()
+        reference = {}
+        for i, mib in enumerate(self.SIZES_MIB):
+            def make(backend="vector"):
+                return SetAssociativeCache(
+                    int(mib * MIB), cfg.line_bytes, cfg.cache_associativity,
+                    POLICIES[policy](), backend=backend)
+
+            memoised, fresh = make(), make()
+            verdicts = spy_closed_form(memoised)
+            memo.built.clear()
+            memoised.access_arrays(*trace, chunk_accesses=self.CHUNK,
+                                   memo=memo)
+            fresh.access_arrays(*trace, chunk_accesses=self.CHUNK)
+            if i == 0:
+                # Every chunk fits the lines, so each builds its facts;
+                # the last is then rejected and takes the batch kernel.
+                assert memo.built == ["distinct", "facts"] * 5
+                assert verdicts[:4] == [True] * 4 and not verdicts[4]
+            else:
+                assert memo.built == [] and verdicts == [True] * 5
+            memoised.flush()
+            fresh.flush()
+            assert_same_state(cache_state(memoised), cache_state(fresh))
+            if mib not in reference:
+                ref = make("reference")
+                ref.access_arrays(*trace)
+                ref.flush()
+                reference[mib] = ref.stats.as_dict()
+            assert memoised.stats.as_dict() == reference[mib]
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_fitting_count_overflowing_one_set(self, policy):
+        """The chunk has fewer distinct blocks than the cache has lines,
+        so its facts are built, but set 0 receives one block more than
+        it has ways: the closed form must reject it without touching the
+        cache, and the batch kernel must resolve it exactly."""
+        geometry = dict(capacity=4096, line=16, assoc=4)  # 64 sets x 4 ways
+        rng = random.Random(29)
+        warm = [rng.randrange(0, 2048) for _ in range(120)]
+        hot = [64 * (100 + k) for k in range(5)]          # all in set 0
+        stream = [rng.randrange(0, 2048) for _ in range(150)] + hot * 3
+        rng.shuffle(stream)
+        warm_w = [rng.random() < 0.3 for _ in warm]
+        stream_w = [rng.random() < 0.3 for _ in stream]
+        ref, vec = pair(policy, **geometry)
+        batched = batch_only(policy, **geometry)
+        for b, w in zip(warm + stream, warm_w + stream_w):
+            ref.access_line(b, w)
+        for cache in (vec, batched):
+            cache._simulate_blocks(np.array(warm, dtype=np.int64),
+                                   np.array(warm_w, dtype=bool))
+        attempts = []
+        inner = vec._resolve_eviction_free
+
+        def spy(chunk):
+            before = cache_state(vec)
+            attempts.append(inner(chunk))
+            if not attempts[-1]:
+                assert_same_state(cache_state(vec), before)
+            return attempts[-1]
+
+        vec._resolve_eviction_free = spy
+        memo = CountingMemo()
+        arrays = (np.array(stream, dtype=np.int64) * 16,
+                  np.full(len(stream), 16, dtype=np.int64),
+                  np.array(stream_w, dtype=bool))
+        assert len(set(stream)) <= vec.n_sets * vec.assoc
+        vec.access_arrays(*arrays, memo=memo)
+        batched.access_arrays(*arrays)
+        assert attempts == [False]
+        assert memo.built == ["distinct", "facts"]
+        assert_identical(ref, vec)
+        assert_same_state(cache_state(vec), cache_state(batched))
 
 
 class TestVectorPolicyContract:
@@ -519,14 +658,16 @@ class TestGoldenCacheTraffic:
     @pytest.mark.parametrize("config", ["Flex+LRU", "Flex+BRRIP"])
     def test_fig12_trace_resolves_in_closed_form(self, config, monkeypatch):
         """Every chunk of the fig12 CG trace at the default config takes
-        the eviction-free closed form.  Losing it keeps the traffic above
-        but costs ~2.4x in the ``real_trace_*`` bench rungs, which the
-        10x rate gate would not catch."""
+        the eviction-free closed form; the spy sees every chunk, since the
+        distinct-count rejection is part of the closed form.  Losing it
+        keeps the traffic above but costs the ``real_trace_*`` bench
+        rungs ~2x against the committed baseline, which the 10x rate
+        gate would not catch."""
         verdicts = []
         inner = SetAssociativeCache._resolve_eviction_free
 
-        def spy(cache, blocks, writes):
-            verdicts.append(inner(cache, blocks, writes))
+        def spy(cache, chunk):
+            verdicts.append(inner(cache, chunk))
             return verdicts[-1]
 
         monkeypatch.setattr(SetAssociativeCache, "_resolve_eviction_free",

@@ -33,6 +33,7 @@ from repro.service.protocol import (
     ProtocolError,
     encode_message,
     parse_request,
+    request_to_points,
     request_to_spec,
     tune_request,
 )
@@ -166,6 +167,32 @@ class TestProtocol:
                            match="invalid sweep grid: dram_bandwidth"):
             request_to_spec({"op": "sweep", "workloads": [WORKLOAD],
                              "bandwidth_gb": [-5]})
+
+    @pytest.mark.parametrize("value", [-5, 0])
+    @pytest.mark.parametrize("point_field,grid_field", [
+        ("bandwidth_bytes_per_s", "bandwidth_gb"),
+        ("sram_bytes", "sram_mb"),
+    ])
+    def test_points_and_sweep_give_one_reason(self, value, point_field,
+                                              grid_field):
+        """A non-positive size fails the one check AcceleratorConfig
+        makes, with the same reason in a points and a sweep request."""
+        def reason(parse, req, prefix):
+            with pytest.raises(ProtocolError) as info:
+                parse(req)
+            message = str(info.value)
+            assert message.startswith(prefix)
+            return message[len(prefix):]
+
+        via_points = reason(request_to_points, {
+            "op": "points",
+            "points": [{"workload": WORKLOAD, "config": "CELLO",
+                        point_field: value}]}, "points[0]: ")
+        via_sweep = reason(request_to_spec, {
+            "op": "sweep", "workloads": [WORKLOAD],
+            grid_field: [value]}, "invalid sweep grid: ")
+        assert via_points == via_sweep
+        assert via_points.endswith("must be positive")
 
 
 class TestServiceEndToEnd:

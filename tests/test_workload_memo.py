@@ -11,17 +11,21 @@ cache trace (``TensorDag.derived``).  These tests pin three things:
   where it resolves in closed form;
 * a second point of a workload at a new SRAM size builds no DAG, runs no
   Algorithm 2 and generates no trace (the gain, guarded by call counts
-  rather than timing).
+  rather than timing);
+* the cache path's chunk facts are built once per DAG for a trace that
+  fits, and never kept for one that overflows the cache.
 """
 
 import random
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.baselines import runner
 from repro.baselines.configs import config_names, run_config
+from repro.buffers import cache as cache_mod
 from repro.core import classify as core_classify
 from repro.core.dag import FrozenDagError, TensorDag
 from repro.hw.config import MIB, AcceleratorConfig
@@ -187,6 +191,76 @@ class TestSecondPointCount:
             _simulate_payload(("cg/fv1/N=1", config,
                                cfg.with_sram(3 * MIB + 512)))
         assert spies == {"dag": 0, "classify": 0, "op_trace": 0}
+
+
+class TestChunkFacts:
+    """The eviction-free closed form's per-chunk facts, kept on the DAG
+    next to the cache trace."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = {"distinct": 0, "facts": 0}
+        distinct = cache_mod._distinct_count
+        facts = cache_mod.ChunkFacts.of
+
+        def spy_distinct(*args):
+            calls["distinct"] += 1
+            return distinct(*args)
+
+        def spy_facts(*args):
+            calls["facts"] += 1
+            return facts(*args)
+
+        monkeypatch.setattr(cache_mod, "_distinct_count", spy_distinct)
+        monkeypatch.setattr(cache_mod.ChunkFacts, "of", spy_facts)
+        return calls
+
+    @staticmethod
+    def kept_facts(dag):
+        return [v for v in dag._derived.values()
+                if isinstance(v, cache_mod.ChunkFacts)]
+
+    def test_second_fitting_size_builds_no_facts(self, builds):
+        dag = workload_dag(resolve_workload("cg/fv1/N=1"))
+        run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=4 * MIB))
+        assert builds == {"distinct": 1, "facts": 1}
+        builds.update(distinct=0, facts=0)
+        for config in ("Flex+LRU", "Flex+BRRIP"):
+            for sram in (4 * MIB + 512 * 7, int(3.5 * MIB)):
+                run_config(config, dag, AcceleratorConfig(sram_bytes=sram))
+        assert builds == {"distinct": 0, "facts": 0}
+        assert len(self.kept_facts(dag)) == 1
+
+    def test_overflowing_trace_keeps_no_facts(self, builds):
+        """Every chunk of cg/fv1/N=16 holds more distinct blocks than a
+        4 MiB cache has lines: each is counted once, and rejected on its
+        count before any facts are built."""
+        dag = workload_dag(resolve_workload("cg/fv1/N=16"))
+        run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=4 * MIB))
+        assert builds["distinct"] > 1 and builds["facts"] == 0
+        assert self.kept_facts(dag) == []
+
+    def test_facts_build_is_reported_as_trace_gen(self, monkeypatch):
+        """The facts are a function of the DAG alone, so their build
+        counts as trace generation, not as the cache kernel."""
+        facts = cache_mod.ChunkFacts.of
+
+        def slow_facts(*args):
+            time.sleep(0.5)
+            return facts(*args)
+
+        monkeypatch.setattr(cache_mod.ChunkFacts, "of", slow_facts)
+        dag = workload_dag(resolve_workload("cg/fv1/N=1"))
+        seen = {}
+        sim_engine.set_phase_hook(
+            lambda phase, s: seen.setdefault(phase, []).append(s))
+        try:
+            run_config("Flex+LRU", dag, AcceleratorConfig())
+        finally:
+            sim_engine.set_phase_hook(None)
+        assert set(seen) == {"trace-gen", "cache-kernel"}
+        assert seen["trace-gen"][0] >= 0.5
+        assert seen["cache-kernel"][0] < 0.5
 
 
 def test_phase_hook_sees_dag_build_on_misses_only():
