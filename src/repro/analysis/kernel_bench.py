@@ -205,7 +205,7 @@ def bench_real_trace(config: str, repeats: int) -> Dict[str, float]:
     run times the replay from kept facts, as every later point of a
     workload runs.
 
-    Losing the closed form costs this rung ~14x against the replay from
+    Losing the closed form costs this rung ~10x against the replay from
     kept facts, but only ~2x against a baseline recorded before the
     facts were kept, inside the rate gate's 10x factor;
     ``test_fig12_trace_resolves_in_closed_form``

@@ -18,12 +18,14 @@ Two backends produce byte-identical :class:`BufferStats`:
     line.  The closed form reads the chunk's :class:`ChunkFacts` (its
     distinct blocks with their first and last touch and write flag), a
     function of the trace alone that the caller may keep across cache
-    geometries (``access_arrays``' ``memo``); per cache it does
-    O(distinct blocks) work.  A chunk with more distinct blocks than the
-    cache has lines is rejected on its count alone.  Chunks that do not
-    fit are resolved in *conflict-free batches* — maximal contiguous
-    runs of the trace in which every set index appears at most once —
-    so hit detection, victim choice, fills and writeback accounting are
+    geometries (``access_arrays``' ``memo``, up to
+    :data:`KEPT_FACTS_BYTES` a trace); per cache it does
+    O(distinct blocks + lines) work.  A chunk whose block range is wider
+    than twice the cache's lines, or that has more distinct blocks than
+    lines, is rejected on that alone.  Chunks that do not fit are
+    resolved in *conflict-free batches* — maximal contiguous runs of the
+    trace in which every set index appears at most once — so hit
+    detection, victim choice, fills and writeback accounting are
     whole-batch numpy ops instead of a Python loop with an
     ``np.nonzero`` per access.  Within a batch the per-set
     states cannot interact, and batches are processed in trace order,
@@ -154,24 +156,42 @@ class ChunkFacts:
                    dirty=dirty[by_first], by_last=np.argsort(last))
 
 
-def _distinct_count(blocks: np.ndarray) -> int:
-    """Distinct blocks of a non-empty stream."""
-    ordered = np.sort(blocks)
-    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+#: Bytes of :class:`ChunkFacts` per distinct block: four int64 arrays
+#: and one bool array.
+FACT_BYTES_PER_BLOCK = 4 * 8 + 1
+
+#: Ceiling on the :class:`ChunkFacts` one replayed trace keeps through
+#: :meth:`SetAssociativeCache.access_arrays`' ``memo``, shared among its
+#: chunks in proportion to their length.  It holds every fitting chunk
+#: of the paper's 4 MiB cache points (4.9 MB for cg/fv1/N=1, 8.4 MB for
+#: bicgstab/fv1/N=1); a chunk whose facts exceed its share builds them
+#: at each point instead, as a memo-free replay does.
+KEPT_FACTS_BYTES = 16 * 2**20
+
+
+def _distinct_count(blocks: np.ndarray, lo: int, span: int) -> int:
+    """Distinct blocks of a stream whose blocks lie in ``[lo, lo+span)``:
+    a span-sized presence mask, no sort."""
+    seen = np.zeros(span, dtype=bool)
+    seen[blocks - lo] = True
+    return int(np.count_nonzero(seen))
 
 
 class _Chunk:
     """One chunk of a replayed stream: ``n`` accesses whose blocks are
-    expanded on first use, and whose distinct count and facts come
-    through ``memo`` under ``key`` (computed afresh without one)."""
+    expanded on first use, and whose block range, distinct count and
+    facts come through ``memo`` under ``key`` (computed afresh without
+    one).  Facts larger than ``keep_bytes`` are never memoised."""
 
     def __init__(self, n: int,
                  expand: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                 memo: Optional[Memo] = None, key: Tuple = ()) -> None:
+                 memo: Optional[Memo] = None, key: Tuple = (),
+                 keep_bytes: float = 0.0) -> None:
         self.n = n
         self._expand = expand
         self._memo = memo
         self._key = key
+        self._keep_bytes = keep_bytes
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -185,12 +205,24 @@ class _Chunk:
             return compute()
         return self._memo(self._key + (name,), compute)
 
+    def bounds(self) -> Tuple[int, int]:
+        """The chunk's lowest block and the width of its block range."""
+        def compute() -> Tuple[int, int]:
+            blocks = self.arrays()[0]
+            lo = int(blocks.min())
+            return lo, int(blocks.max()) - lo + 1
+        return self._memoised("bounds", compute)
+
     def distinct(self) -> int:
-        return self._memoised("distinct",
-                              lambda: _distinct_count(self.arrays()[0]))
+        return self._memoised("distinct", lambda: _distinct_count(
+            self.arrays()[0], *self.bounds()))
 
     def facts(self) -> ChunkFacts:
-        return self._memoised("facts", lambda: ChunkFacts.of(*self.arrays()))
+        def compute() -> ChunkFacts:
+            return ChunkFacts.of(*self.arrays())
+        if self.distinct() * FACT_BYTES_PER_BLOCK > self._keep_bytes:
+            return compute()
+        return self._memoised("facts", compute)
 
 
 class SetAssociativeCache:
@@ -369,33 +401,30 @@ class SetAssociativeCache:
         * dirty bits OR in the block's writes.
 
         Returns ``False``, having changed nothing, when the chunk does not
-        fit.  A chunk with more distinct blocks than the cache has lines
-        is rejected on its count alone, before its facts are built.  The
-        rest is O(distinct blocks) at each cache point, plus O(lines) for
-        the residency check once the cache holds a line.
+        fit.  A chunk whose block range is wider than twice the cache's
+        lines is rejected on its range alone (its count's presence mask is
+        range-sized; a wider chunk may still fit and then takes the batch
+        kernel instead, which on the paper's cache points none does), and
+        one with more distinct blocks than lines on its count, before its
+        facts are built.  The rest is O(distinct blocks + lines).
         """
         n_sets, assoc = self.n_sets, self.assoc
-        if chunk.distinct() > n_sets * assoc:
+        lines = n_sets * assoc
+        if chunk.bounds()[1] > 2 * lines or chunk.distinct() > lines:
             return False
         facts = chunk.facts()
         d_sets = facts.blocks % n_sets
         d_tags = facts.blocks // n_sets
-        if self._tick:
-            # Residency: only blocks of sets that hold a valid way can hit.
-            valid = np.count_nonzero(self._tags != -1, axis=1)
-            occupied = np.flatnonzero(valid[d_sets])
-            hit_mat = (self._tags[d_sets[occupied]]
-                       == d_tags[occupied][:, None])
-            occupied_hit = hit_mat.any(axis=1)
-            r_idx = occupied[occupied_hit]
-            resident = np.zeros(facts.blocks.size, dtype=bool)
-            resident[r_idx] = True
-            new = np.flatnonzero(~resident)
-        else:
-            # Nothing has been accessed, so no line is valid.
-            valid = np.zeros(n_sets, dtype=np.int64)
-            resident = None
-            new = slice(None)
+        # Residency: only blocks of sets that hold a valid way can hit.
+        valid = np.count_nonzero(self._tags != -1, axis=1)
+        occupied = np.flatnonzero(valid[d_sets])
+        hit_mat = (self._tags[d_sets[occupied]]
+                   == d_tags[occupied][:, None])
+        occupied_hit = hit_mat.any(axis=1)
+        r_idx = occupied[occupied_hit]
+        resident = np.zeros(facts.blocks.size, dtype=bool)
+        resident[r_idx] = True
+        new = np.flatnonzero(~resident)
         f_sets = d_sets[new]
         new_per_set = np.bincount(f_sets, minlength=n_sets)
         if (valid + new_per_set).max() > assoc:
@@ -416,12 +445,10 @@ class SetAssociativeCache:
         # again), at its last touch, in trace order.
         way = np.empty(facts.blocks.size, dtype=np.int64)
         way[new] = f_ways
-        retouched = facts.last != facts.first
-        if resident is not None:
-            r_ways = hit_mat[occupied_hit].argmax(axis=1)
-            way[r_idx] = r_ways
-            self._dirty[d_sets[r_idx], r_ways] |= facts.dirty[r_idx]
-            retouched |= resident
+        r_ways = hit_mat[occupied_hit].argmax(axis=1)
+        way[r_idx] = r_ways
+        self._dirty[d_sets[r_idx], r_ways] |= facts.dirty[r_idx]
+        retouched = resident | (facts.last != facts.first)
         h = facts.by_last[retouched[facts.by_last]]
         self.policy.vec_on_hit(self._vstate, d_sets[h], way[h],
                                self._tick + facts.last[h])
@@ -501,11 +528,13 @@ class SetAssociativeCache:
         backend replays range by range (:meth:`access_range`).
 
         ``memo(key, compute)`` keeps what the closed form needs of each
-        chunk — its distinct count and, for a chunk that fits the lines,
-        its :class:`ChunkFacts` — across replays of the same trace (the
-        cache engine passes :meth:`TensorDag.derived`).  A chunk resolved
-        from memoised facts is never expanded.  Without a memo both are
-        computed per chunk and dropped.
+        chunk — its block range, its distinct count and, for a chunk that
+        fits the lines, its :class:`ChunkFacts` — across replays of the
+        same trace (the cache engine passes :meth:`TensorDag.derived`).
+        Kept facts are bounded per trace by :data:`KEPT_FACTS_BYTES`, each
+        chunk's share in proportion to its length.  A chunk resolved from
+        memoised facts is never expanded.  Without a memo, or above the
+        bound, they are computed per chunk and dropped.
         """
         if chunk_accesses <= 0:
             raise ValueError("chunk_accesses must be positive")
@@ -542,7 +571,8 @@ class SetAssociativeCache:
             hi = min(lo + chunk_accesses, total)
             self._simulate_chunk(_Chunk(
                 hi - lo, functools.partial(expand, lo, hi), memo,
-                ("chunk", self.line_bytes, chunk_accesses, k)))
+                ("chunk", self.line_bytes, chunk_accesses, k),
+                KEPT_FACTS_BYTES * (hi - lo) / total))
 
     def access_segments(
         self,

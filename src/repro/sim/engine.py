@@ -192,9 +192,11 @@ class CacheEngine:
     on real traces when the cache evicts.  The eviction-free closed form
     reads per-chunk facts that are kept on the DAG too, next to the
     trace, for each chunk with no more distinct blocks than the cache
-    has lines (4.9 MB for cg/fv1/N=1); their one-off build is reported
-    as ``trace-gen``.  From kept facts a fitting chunk resolves at
-    50–80 M accesses per second without being expanded.  ``backend``
+    has lines, up to :data:`~repro.buffers.cache.KEPT_FACTS_BYTES` per
+    trace (4.9 MB for cg/fv1/N=1); their one-off build is reported as
+    ``trace-gen``, while facts above the bound are rebuilt at each point
+    inside ``cache-kernel``.  From kept facts a fitting chunk resolves at
+    ~50 M accesses per second without being expanded.  ``backend``
     selects the cache implementation (``"reference"`` replays the scalar
     per-access loop range by range, for parity tests and benchmarking).
     """

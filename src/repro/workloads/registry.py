@@ -351,10 +351,13 @@ def is_resolvable(name: str) -> bool:
 #: Soft cap on memoised DAGs, evicted oldest-first like the analytic
 #: backend's compiled-model cache.  Lower than that cache's cap because
 #: an entry can carry its cache trace (~6 MB for cg/G2_circuit/N=16) and
-#: the closed form's chunk facts for the chunks that fit a cache it ran
-#: (4.9 MB for cg/fv1/N=1, 8.4 MB for bicgstab/fv1/N=1, none for traces
-#: that overflow 4 MiB such as cg/*/N=16 and gnn/cora); the registry's
-#: evaluation matrix is 15 names.
+#: the closed form's chunk facts for the chunks that fit a cache it ran,
+#: at most ``buffers.cache.KEPT_FACTS_BYTES`` (16 MiB) per trace whatever
+#: the SRAM size (measured: 4.9 MB for cg/fv1/N=1 and 8.4 MB for
+#: bicgstab/fv1/N=1 at 4 MiB; 6.6 MB for gmres/fv1/m=8/N=1, 4.5 MB for
+#: mg/fv1/N=1 and none for the transformer, cg/fv1/N=16 and
+#: cg/G2_circuit/N=1 at 16 MiB; none for cg/G2_circuit/N=16 at 256 MiB);
+#: the registry's evaluation matrix is 15 names.
 _DAG_CACHE_CAP = 64
 
 _DAG_CACHE: Dict[str, TensorDag] = {}

@@ -334,8 +334,8 @@ class TestEvictionFreeParity:
 
 class CountingMemo:
     """A ``memo(key, compute)`` for ``access_arrays`` that records what it
-    builds: the last element of each key computed (``distinct`` or
-    ``facts``)."""
+    builds: the last element of each key computed (``bounds``,
+    ``distinct`` or ``facts``)."""
 
     def __init__(self):
         self.kept = {}
@@ -411,7 +411,7 @@ class TestChunkFactsMemo:
             if i == 0:
                 # Every chunk fits the lines, so each builds its facts;
                 # the last is then rejected and takes the batch kernel.
-                assert memo.built == ["distinct", "facts"] * 5
+                assert memo.built == ["bounds", "distinct", "facts"] * 5
                 assert verdicts[:4] == [True] * 4 and not verdicts[4]
             else:
                 assert memo.built == [] and verdicts == [True] * 5
@@ -427,15 +427,16 @@ class TestChunkFactsMemo:
 
     @pytest.mark.parametrize("policy", list(POLICIES))
     def test_fitting_count_overflowing_one_set(self, policy):
-        """The chunk has fewer distinct blocks than the cache has lines,
-        so its facts are built, but set 0 receives one block more than
-        it has ways: the closed form must reject it without touching the
-        cache, and the batch kernel must resolve it exactly."""
+        """The chunk spans fewer blocks than twice the cache's lines and
+        has fewer distinct blocks than lines, so its facts are built, but
+        set 0 receives at least one block more than it has ways: the
+        closed form must reject it without touching the cache, and the
+        batch kernel must resolve it exactly."""
         geometry = dict(capacity=4096, line=16, assoc=4)  # 64 sets x 4 ways
         rng = random.Random(29)
-        warm = [rng.randrange(0, 2048) for _ in range(120)]
-        hot = [64 * (100 + k) for k in range(5)]          # all in set 0
-        stream = [rng.randrange(0, 2048) for _ in range(150)] + hot * 3
+        warm = [rng.randrange(0, 512) for _ in range(120)]
+        hot = [64 * (3 + k) for k in range(5)]            # all in set 0
+        stream = [rng.randrange(0, 512) for _ in range(150)] + hot * 3
         rng.shuffle(stream)
         warm_w = [rng.random() < 0.3 for _ in warm]
         stream_w = [rng.random() < 0.3 for _ in stream]
@@ -462,13 +463,34 @@ class TestChunkFactsMemo:
                   np.full(len(stream), 16, dtype=np.int64),
                   np.array(stream_w, dtype=bool))
         assert len(set(stream)) <= vec.n_sets * vec.assoc
+        assert max(stream) - min(stream) < 2 * vec.n_sets * vec.assoc
         vec.access_arrays(*arrays, memo=memo)
         batched.access_arrays(*arrays)
         assert attempts == [False]
-        assert memo.built == ["distinct", "facts"]
+        assert memo.built == ["bounds", "distinct", "facts"]
         assert_identical(ref, vec)
         assert_same_state(cache_state(vec), cache_state(batched))
 
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_wide_chunk_rejected_on_its_range(self, policy):
+        """Four distinct blocks fit 64 lines, but they span more blocks
+        than twice the lines: the closed form rejects the chunk on its
+        range, before counting it, and the batch kernel resolves it."""
+        geometry = dict(capacity=1024, line=16, assoc=4)  # 16 sets x 4 ways
+        ref, vec = pair(policy, **geometry)
+        verdicts = spy_closed_form(vec)
+        stream = [0, 16, 1, 200, 0, 16]
+        writes = [True, False, False, True, False, True]
+        for b, w in zip(stream, writes):
+            ref.access_line(b, w)
+        memo = CountingMemo()
+        vec.access_arrays(np.array(stream, dtype=np.int64) * 16,
+                          np.full(len(stream), 16, dtype=np.int64),
+                          np.array(writes, dtype=bool), memo=memo)
+        assert verdicts == [False]
+        assert memo.built == ["bounds"]
+        assert_identical(ref, vec)
 
 class TestVectorPolicyContract:
     """Every built-in policy honours the two rules the closed form relies

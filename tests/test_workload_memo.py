@@ -13,7 +13,8 @@ cache trace (``TensorDag.derived``).  These tests pin three things:
   Algorithm 2 and generates no trace (the gain, guarded by call counts
   rather than timing);
 * the cache path's chunk facts are built once per DAG for a trace that
-  fits, and never kept for one that overflows the cache.
+  fits, never kept for one that overflows the cache, and kept only up to
+  ``KEPT_FACTS_BYTES`` per trace.
 """
 
 import random
@@ -232,13 +233,30 @@ class TestChunkFacts:
         assert len(self.kept_facts(dag)) == 1
 
     def test_overflowing_trace_keeps_no_facts(self, builds):
-        """Every chunk of cg/fv1/N=16 holds more distinct blocks than a
-        4 MiB cache has lines: each is counted once, and rejected on its
-        count before any facts are built."""
+        """Every chunk of cg/fv1/N=16 spans more blocks than twice a
+        4 MiB cache's lines or holds more distinct blocks than it has
+        lines: each is rejected before any facts are built."""
         dag = workload_dag(resolve_workload("cg/fv1/N=16"))
         run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=4 * MIB))
-        assert builds["distinct"] > 1 and builds["facts"] == 0
+        assert builds["facts"] == 0
         assert self.kept_facts(dag) == []
+
+    def test_kept_facts_are_bounded_per_trace(self, builds):
+        """gnn/cora's three chunks fit a 16 MiB cache, but each one's
+        facts (~33 MB) exceed its share of ``KEPT_FACTS_BYTES``: they are
+        built at every point and none is kept.  cg/fv1/N=1's facts fit
+        the bound and are kept."""
+        dag = workload_dag(resolve_workload("gnn/cora"))
+        for config in ("Flex+LRU", "Flex+BRRIP"):
+            run_config(config, dag, AcceleratorConfig(sram_bytes=16 * MIB))
+        assert builds["facts"] == 6
+        assert self.kept_facts(dag) == []
+        dag = workload_dag(resolve_workload("cg/fv1/N=1"))
+        run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=16 * MIB))
+        kept = self.kept_facts(dag)
+        assert kept and sum(
+            f.blocks.size for f in kept) * cache_mod.FACT_BYTES_PER_BLOCK \
+            <= cache_mod.KEPT_FACTS_BYTES
 
     def test_facts_build_is_reported_as_trace_gen(self, monkeypatch):
         """The facts are a function of the DAG alone, so their build
