@@ -20,7 +20,6 @@ from .roofline import (
 )
 from .service_report import (
     render_jobs,
-    render_service_stats,
     summarize_sweep_outcome,
     sweep_outcome_rows,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "render_tune_result",
     "tune_results_json",
     "render_jobs",
-    "render_service_stats",
     "summarize_sweep_outcome",
     "sweep_outcome_rows",
 ]

@@ -1,5 +1,5 @@
-"""Rendering for the service CLI verbs: job tables, server stats,
-sweep-outcome summaries.
+"""Rendering for the service CLI verbs: job tables, the metrics status
+view, sweep-outcome summaries.
 
 The service streams JSON; these helpers turn the client-side views into
 the same aligned plain-text tables every other ``repro`` report uses.
@@ -7,7 +7,7 @@ the same aligned plain-text tables every other ``repro`` report uses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from ..hw.config import GB, MIB
 from ..service.metrics import HistogramFamily
@@ -39,72 +39,6 @@ def render_jobs(jobs: Sequence[Mapping[str, object]]) -> str:
     )
 
 
-def render_service_stats(stats: Mapping[str, object]) -> str:
-    """The ``repro jobs --stats`` report: throughput + store contents.
-
-    Dispatches on the endpoint's role — a gateway reports routing
-    counters instead of pool/store internals it does not have.
-    """
-    if stats.get("role") == "gateway":
-        return _render_gateway_stats(stats)
-    uptime = float(stats.get("uptime_s", 0.0))  # type: ignore[arg-type]
-    points = int(stats.get("points_streamed", 0))  # type: ignore[arg-type]
-    sims = int(stats.get("simulations", 0))  # type: ignore[arg-type]
-    pool = dict(stats.get("pool") or {})  # type: ignore[arg-type]
-    jobs = dict(stats.get("jobs") or {})  # type: ignore[arg-type]
-    per_s = points / uptime if uptime > 0 else 0.0
-    lines = [
-        "Service stats",
-        f"  uptime:          {uptime:.1f} s",
-        f"  jobs:            "
-        + (", ".join(f"{n} {state}" for state, n in sorted(jobs.items()))
-           or "none"),
-        f"  points streamed: {points} ({per_s:.2f} points/s)",
-        f"  simulations:     {sims}",
-        f"  dedup:           {stats.get('hits_total', 0)} warm hit(s), "
-        f"{stats.get('coalesced_total', 0)} coalesced, "
-        f"{stats.get('shed_total', 0)} shed",
-        f"  queue depth:     {stats.get('queue_depth', 0)} "
-        f"(+{stats.get('in_flight', 0)} in flight)",
-        f"  pool:            {pool.get('jobs', 1)} worker(s), "
-        f"{pool.get('batches', 0)} batches / "
-        f"{pool.get('payloads', 0)} payloads"
-        + (" [broken: serial fallback]" if pool.get("broken") else ""),
-    ]
-    store = stats.get("store")
-    if store is None:
-        lines.append("  store:           disabled")
-    else:
-        store = dict(store)  # type: ignore[arg-type]
-        lines.append(
-            f"  store:           {store.get('entries', 0)} entries "
-            f"(schema v{store.get('schema_version', '?')}) "
-            f"at {store.get('directory', '?')}")
-        workloads: Dict[str, int] = dict(store.get("workloads") or {})
-        for name, count in workloads.items():
-            lines.append(f"    {name:30s} {count}")
-    return "\n".join(lines)
-
-
-def _render_gateway_stats(stats: Mapping[str, object]) -> str:
-    uptime = float(stats.get("uptime_s", 0.0))  # type: ignore[arg-type]
-    points = int(stats.get("points_streamed", 0))  # type: ignore[arg-type]
-    jobs = dict(stats.get("jobs") or {})  # type: ignore[arg-type]
-    per_s = points / uptime if uptime > 0 else 0.0
-    return "\n".join([
-        "Gateway stats",
-        f"  uptime:          {uptime:.1f} s",
-        f"  jobs:            "
-        + (", ".join(f"{n} {state}" for state, n in sorted(jobs.items()))
-           or "none"),
-        f"  points streamed: {points} ({per_s:.2f} points/s)",
-        f"  requeued:        {stats.get('requeued_total', 0)} point(s) "
-        "re-hashed off dead shards",
-        f"  shards:          {stats.get('shards_healthy', 0)}/"
-        f"{stats.get('shards_total', 0)} healthy",
-    ])
-
-
 def _histogram_percentile_lines(snapshot: object, label: str,
                                 header: str) -> List[str]:
     """p50/p90/p99 lines for one dimension of a histogram snapshot;
@@ -126,7 +60,9 @@ def _histogram_percentile_lines(snapshot: object, label: str,
 
 
 def render_metrics(msg: Mapping[str, object]) -> str:
-    """The ``repro metrics`` report for either endpoint role.
+    """The ``repro metrics`` report for either endpoint role: the one
+    status view of a shard (queue, dedup, pool, store) or a gateway
+    (hash ring, shard table).
 
     Every counter line is grep-friendly (``label: value``) so smoke
     tests and shell dashboards can scrape it without JSON tooling; the
@@ -139,6 +75,7 @@ def render_metrics(msg: Mapping[str, object]) -> str:
     lines = [
         f"Metrics: {role} (protocol v{msg.get('protocol', '?')}, "
         f"uptime {float(msg.get('uptime_s', 0.0)):.1f} s)",  # type: ignore[arg-type]
+        f"  address:         {msg.get('host', '?')}:{msg.get('port', '?')}",
         f"  jobs:            "
         + (", ".join(f"{n} {state}" for state, n in sorted(jobs.items()))
            or "none"),
@@ -149,6 +86,8 @@ def render_metrics(msg: Mapping[str, object]) -> str:
             f"  points/s:        {rates.get('points_per_s', 0.0)} "
             f"(over {window:.0f} s)",
             f"  requeued total:  {msg.get('requeued_total', 0)}",
+            f"  hash ring:       {msg.get('replicas', '?')} virtual node(s) "
+            "per shard",
             f"  shards healthy:  {msg.get('shards_healthy', 0)}/"
             f"{msg.get('shards_total', 0)}",
         ]
@@ -158,18 +97,21 @@ def render_metrics(msg: Mapping[str, object]) -> str:
         rows = [[
             str(s.get("id", "?")),
             "up" if s.get("healthy") else "DOWN",
+            f"v{s.get('protocol')}" if s.get("protocol") is not None else "?",
             int(s.get("deaths", 0)),
             int(s.get("requeued", 0)),
             str(s.get("error") or ""),
         ] for s in shards]
         if rows:
             lines.append(render_table(
-                ["shard", "health", "deaths", "requeued", "last error"],
+                ["shard", "health", "proto", "deaths", "requeued",
+                 "last error"],
                 rows,
                 title="Shards",
             ))
         return "\n".join(lines)
     store = msg.get("store")
+    pool = dict(msg.get("pool") or {})  # type: ignore[arg-type]
     queue_clients = dict(msg.get("queue_clients") or {})  # type: ignore[arg-type]
     lines += [
         f"  simulations:     {msg.get('simulations', 0)}",
@@ -185,6 +127,11 @@ def render_metrics(msg: Mapping[str, object]) -> str:
     ]
     for client, depth in queue_clients.items():
         lines.append(f"    {client:30s} {depth} queued")
+    lines.append(
+        f"  pool:            {pool.get('jobs', 1)} worker(s), "
+        f"{pool.get('batches', 0)} batches / "
+        f"{pool.get('payloads', 0)} payloads"
+        + (" [broken: serial fallback]" if pool.get("broken") else ""))
     lines += _histogram_percentile_lines(
         msg.get("latency"), "op", "  latency by op (seconds):")
     lines += _histogram_percentile_lines(
@@ -193,6 +140,9 @@ def render_metrics(msg: Mapping[str, object]) -> str:
         lines.append("  store:           disabled")
     else:
         store = dict(store)  # type: ignore[arg-type]
+        lines.append(
+            f"  store:           {store.get('directory', '?')} "
+            f"(schema v{store.get('schema_version', '?')})")
         lines.append(
             f"  store entries:   {store.get('entries', 0)}")
         lines.append(
@@ -207,51 +157,6 @@ def render_metrics(msg: Mapping[str, object]) -> str:
             lines.append(f"  store skipped:   {', '.join(skipped)}"
                          + ("  <-- corrupt records growing; check disk"
                             if store.get("corrupt") else ""))
-    return "\n".join(lines)
-
-
-def render_topology(topo: Mapping[str, object]) -> str:
-    """The ``repro jobs --topology`` report for either endpoint role.
-
-    A lone daemon describes itself as one shard; a gateway renders its
-    ring parameters and a health row per backend shard.
-    """
-    role = str(topo.get("role", "?"))
-    if role != "gateway":
-        store = topo.get("store")
-        return "\n".join([
-            f"Topology: single {role} (protocol "
-            f"v{topo.get('protocol', '?')})",
-            f"  address:     {topo.get('host', '?')}:{topo.get('port', '?')}",
-            f"  workers:     {topo.get('workers', '?')}",
-            f"  in flight:   {topo.get('in_flight', 0)} "
-            f"(+{topo.get('queue_depth', 0)} queued)",
-            f"  store:       {store if store is not None else 'disabled'}",
-        ])
-    shards = [dict(s) for s in topo.get("shards", [])]  # type: ignore[union-attr]
-    healthy = sum(1 for s in shards if s.get("healthy"))
-    lines = [
-        f"Topology: gateway over {len(shards)} shard(s), {healthy} healthy "
-        f"(protocol v{topo.get('protocol', '?')})",
-        f"  address:     {topo.get('host', '?')}:{topo.get('port', '?')}",
-        f"  hash ring:   {topo.get('replicas', '?')} virtual node(s) per "
-        "shard",
-        f"  requeued:    {topo.get('requeued_total', 0)} point(s) re-hashed "
-        "off dead shards",
-    ]
-    rows = [[
-        str(s.get("id", "?")),
-        "up" if s.get("healthy") else "DOWN",
-        f"v{s.get('protocol')}" if s.get("protocol") is not None else "?",
-        int(s.get("deaths", 0)),
-        str(s.get("error") or ""),
-    ] for s in shards]
-    if rows:
-        lines.append(render_table(
-            ["shard", "health", "proto", "deaths", "last error"],
-            rows,
-            title="Shards",
-        ))
     return "\n".join(lines)
 
 

@@ -18,8 +18,8 @@ Usage::
     python -m repro gateway --shards 8643,8644,8645   # sharded fabric
     python -m repro submit --workloads 'cg/*' --configs CELLO
     python -m repro submit --tune gmres/fv1/m=8/N=1
-    python -m repro jobs [--stats|--topology|--cancel ID|--shutdown]
-    python -m repro metrics [--watch]    # live operational counters
+    python -m repro jobs [--cancel ID|--shutdown]
+    python -m repro metrics [--watch]    # the service's status view
 
 Experiment and sweep runs read/write an on-disk result store
 (``~/.cache/repro`` by default; override with ``--cache-dir`` or the
@@ -57,7 +57,7 @@ from .experiments import (
     table03_buffers,
     tune_study,
 )
-from .hw.config import GB, MIB
+from .hw.config import GB, MIB, mib_to_bytes
 from .orchestrator import ResultStore, SweepSpec, run_sweep
 from .workloads.registry import is_resolvable
 
@@ -126,10 +126,9 @@ def list_experiments() -> str:
     lines.append("  serve    run the simulation service daemon (docs/service.md)")
     lines.append("  gateway  front N daemons as one sharded fabric endpoint")
     lines.append("  submit   send a sweep or tune job to a running service")
-    lines.append("  jobs     list service jobs; --stats, --topology, "
-                 "--cancel, --shutdown")
-    lines.append("  metrics  live service counters: queue, dedup, rates; "
-                 "--watch to poll")
+    lines.append("  jobs     list service jobs; --cancel, --shutdown")
+    lines.append("  metrics  service status: address, pool, store, queue, "
+                 "dedup, rates, shards; --watch to poll")
     return "\n".join(lines)
 
 
@@ -279,13 +278,16 @@ def _sweep_main(argv: List[str]) -> int:
     if not _check_configs(configs):
         return 2
 
-    spec = SweepSpec(
-        workloads=tuple(w for w in args.workloads.split(",") if w.strip()),
-        configs=tuple(configs),
-        sram_bytes=tuple(int(m * MIB) for m in _parse_floats(args.sram_mb)),
-        bandwidths=tuple(g * GB for g in _parse_floats(args.bandwidth_gb)),
-    )
     try:
+        spec = SweepSpec(
+            workloads=tuple(w for w in args.workloads.split(",")
+                            if w.strip()),
+            configs=tuple(configs),
+            sram_bytes=tuple(mib_to_bytes(m)
+                             for m in _parse_floats(args.sram_mb)),
+            bandwidths=tuple(g * GB
+                             for g in _parse_floats(args.bandwidth_gb)),
+        )
         points = spec.points()
     except ValueError as exc:
         print(f"invalid sweep grid: {exc}", file=sys.stderr)
@@ -396,7 +398,7 @@ def _tune_main(argv: List[str]) -> int:
               "see 'repro list-workloads'", file=sys.stderr)
         return 2
     try:
-        srams = tuple(int(m * MIB) for m in _parse_floats(args.sram_mb))
+        srams = tuple(mib_to_bytes(m) for m in _parse_floats(args.sram_mb))
         entries = tuple(int(e) for e in _parse_floats(args.entries))
         space = TuneSpace(
             chord_entries=entries or (64,),
@@ -832,29 +834,16 @@ def _submit_main(argv: List[str]) -> int:
 
 
 def _jobs_main(argv: List[str]) -> int:
-    from .analysis.service_report import (
-        render_jobs,
-        render_service_stats,
-        render_topology,
-    )
+    from .analysis.service_report import render_jobs
     from .service import ServiceClient, ServiceError
 
     parser = argparse.ArgumentParser(
         prog="repro jobs",
-        description="Inspect a running 'repro serve' daemon or 'repro "
-                    "gateway': list jobs (default), show stats or "
-                    "topology, cancel a job, or shut it down.",
+        description="List the jobs of a running 'repro serve' daemon or "
+                    "'repro gateway' (default), cancel a job, or shut it "
+                    "down; 'repro metrics' shows its status.",
     )
     _add_service_addr_args(parser)
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="show server throughput / store / pool counters instead",
-    )
-    parser.add_argument(
-        "--topology", action="store_true",
-        help="show what the endpoint is: a lone shard, or a gateway's "
-             "ring and per-shard health",
-    )
     parser.add_argument(
         "--cancel", metavar="JOB", default=None,
         help="cancel the given running job id",
@@ -873,10 +862,6 @@ def _jobs_main(argv: List[str]) -> int:
             elif args.shutdown:
                 client.shutdown()
                 print("service shutting down")
-            elif args.topology:
-                print(render_topology(client.topology()))
-            elif args.stats:
-                print(render_service_stats(client.stats()))
             else:
                 print(render_jobs(client.jobs()))
     except ServiceError as exc:
@@ -899,10 +884,12 @@ def _metrics_main(argv: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro metrics",
-        description="Show a running daemon's or gateway's operational "
-                    "counters: queue depth, dedup split, windowed "
-                    "throughput rates, latency percentiles, store hit "
-                    "rate, per-shard health.",
+        description="Show a running daemon's or gateway's status: "
+                    "address, job counts, windowed throughput rates and "
+                    "latency percentiles; a daemon's queue depth, dedup "
+                    "split, pool and store; a gateway's hash ring and "
+                    "per-shard health.  Per-workload store counts: "
+                    "'repro cache stat --cache-dir DIR'.",
     )
     _add_service_addr_args(parser)
     parser.add_argument(

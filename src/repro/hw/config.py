@@ -7,12 +7,23 @@ CHORD's metadata table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 KIB = 1024
 MIB = 1024 * 1024
 GB = 1_000_000_000
+
+
+def mib_to_bytes(mib: float) -> int:
+    """An SRAM size given in MiB (CLI flags, wire fields) in bytes;
+    ``ValueError`` on an infinite or NaN size, which ``int()`` would
+    otherwise raise as an ``OverflowError`` nothing expects."""
+    if not math.isfinite(mib):
+        raise ValueError(f"SRAM size must be a finite number of MiB, "
+                         f"got {mib}")
+    return int(mib * MIB)
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,8 @@ class AcceleratorConfig:
             raise ValueError("pipeline_fraction must be in [0, 1)")
         if not self.dram_bandwidth_bytes_per_s > 0:
             raise ValueError("dram_bandwidth_bytes_per_s must be positive")
+        if not math.isfinite(self.dram_bandwidth_bytes_per_s):
+            raise ValueError("dram_bandwidth_bytes_per_s must be finite")
 
     # -- derived geometry -------------------------------------------------------
 

@@ -180,7 +180,7 @@ class OrchestratorPool:
         return encoded
 
     def snapshot(self) -> Dict[str, object]:
-        """Counters for service stats reporting."""
+        """Counters for the service's ``metrics`` op."""
         return {
             "jobs": self.jobs,
             "broken": self.broken,

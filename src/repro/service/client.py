@@ -257,17 +257,10 @@ class ServiceClient:
     def jobs(self) -> List[Dict[str, object]]:
         return list(self.request({"op": "jobs"})["jobs"])  # type: ignore[arg-type]
 
-    def topology(self) -> Dict[str, object]:
-        """Describe the endpoint: a lone shard reports itself, a gateway
-        reports its hash ring and per-shard health."""
-        return self.request({"op": "topology"})
-
-    def stats(self) -> Dict[str, object]:
-        return self.request({"op": "stats"})
-
     def metrics(self) -> Dict[str, object]:
-        """Cheap operational counters: queue depth, dedup split,
-        windowed rates, store hit rate — safe to poll."""
+        """The endpoint's one status view: role, address, job counts,
+        rates and latencies; a shard's queue, dedup split, pool and
+        store, or a gateway's ring and shard health — safe to poll."""
         return self.request({"op": "metrics"})
 
     def cancel(self, job_id: str) -> Dict[str, object]:

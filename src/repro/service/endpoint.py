@@ -81,13 +81,12 @@ class Endpoint:
     :meth:`request_stop` (how the loopback tests drive both roles).
     """
 
-    def __init__(self, host: str, port: int, keep_jobs: int,
+    def __init__(self, host: str, port: int,
                  request_log: Optional[RequestLog],
-                 metrics_window_s: float,
                  prom_port: Optional[int]) -> None:
         self.host = host
         self.port = port
-        self.registry = JobRegistry(keep=keep_jobs)
+        self.registry = JobRegistry()
         self.request_log = request_log
         self.prom_port = prom_port
         self.startup_error: Optional[BaseException] = None
@@ -96,7 +95,7 @@ class Endpoint:
         #: bulk.  A gateway classifies by the whole submission, so each
         #: shard schedules its partition as a lone daemon would the job.
         self.bulk_threshold = DEFAULT_BULK_THRESHOLD
-        self._points_meter = RateMeter(metrics_window_s)
+        self._points_meter = RateMeter()
         self._latency = HistogramFamily(("op", "family", "priority"))
         self._prom: Optional[PromExporter] = None
         self._started = threading.Event()

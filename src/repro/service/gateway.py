@@ -52,7 +52,6 @@ from ..orchestrator.store import ResultStore
 from .endpoint import Endpoint, _JobCancelled, _TypedJobError
 from .hashing import DEFAULT_REPLICAS, HashRing
 from .jobs import Job, JobState, workload_family
-from .metrics import DEFAULT_WINDOW_S
 from .protocol import (
     DEFAULT_HOST,
     MAX_LINE_BYTES,
@@ -73,7 +72,7 @@ class _NoHealthyShards(Exception):
     def __init__(self) -> None:
         super().__init__(
             "no healthy shards: every backend daemon is down; check "
-            "'repro jobs --topology' and restart shards with 'repro serve'")
+            "'repro metrics' and restart shards with 'repro serve'")
 
 
 class _ShardDown(Exception):
@@ -168,13 +167,9 @@ class GatewayService(Endpoint):
                  health_interval_s: float = 2.0,
                  ping_timeout_s: float = 5.0,
                  shard_read_timeout_s: float = 600.0,
-                 keep_jobs: int = 256,
                  request_log: Optional[RequestLog] = None,
-                 metrics_window_s: float = DEFAULT_WINDOW_S,
                  prom_port: Optional[int] = None) -> None:
-        super().__init__(host=host, port=port, keep_jobs=keep_jobs,
-                         request_log=request_log,
-                         metrics_window_s=metrics_window_s,
+        super().__init__(host=host, port=port, request_log=request_log,
                          prom_port=prom_port)
         self.replicas = max(1, replicas)
         self.health_interval_s = max(0.05, health_interval_s)
@@ -360,45 +355,16 @@ class GatewayService(Endpoint):
                                       "protocol": PROTOCOL_VERSION,
                                       "shards_healthy": healthy,
                                       "shards_total": len(self._shards)})
-        elif op == "stats":
-            await self._send(writer, self._stats_msg())
         elif op == "metrics":
             await self._send(writer, self._metrics_msg())
-        elif op == "topology":
-            await self._send(writer, self._topology_msg())
         elif op == "predict":
             await self._forward_predict(req, writer)
         else:  # "tune"
             await self._forward_tune(req, writer)
 
-    def _topology_msg(self) -> Dict[str, object]:
-        return {
-            "type": "topology",
-            "role": "gateway",
-            "protocol": PROTOCOL_VERSION,
-            "host": self.host,
-            "port": self.port,
-            "replicas": self.replicas,
-            "requeued_total": self.requeued_total,
-            "shards": [s.snapshot() for s in self._shards.values()],
-        }
-
-    def _stats_msg(self) -> Dict[str, object]:
-        healthy = sum(1 for s in self._shards.values() if s.healthy)
-        return {
-            "type": "stats",
-            "role": "gateway",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(time.monotonic() - self._t0, 3),
-            "jobs": self.registry.counts_by_state(),
-            "points_streamed": self.points_streamed,
-            "requeued_total": self.requeued_total,
-            "shards_healthy": healthy,
-            "shards_total": len(self._shards),
-        }
-
     def _metrics_msg(self) -> Dict[str, object]:
-        """Gateway-side operational counters; per-shard dedup and queue
+        """The gateway's one status message: routing counters, the ring
+        and the shard table.  Per-shard dedup, queue, pool and store
         detail lives behind each shard's own ``metrics`` op."""
         healthy = sum(1 for s in self._shards.values() if s.healthy)
         return {
@@ -406,6 +372,9 @@ class GatewayService(Endpoint):
             "role": "gateway",
             "protocol": PROTOCOL_VERSION,
             "server": "repro-gateway",
+            "host": self.host,
+            "port": self.port,
+            "replicas": self.replicas,
             "uptime_s": round(time.monotonic() - self._t0, 3),
             "points_streamed": self.points_streamed,
             "requeued_total": self.requeued_total,

@@ -18,14 +18,13 @@ points      an explicit list of sweep points (the gateway's fan-out
 tune        a co-design autotuning run (:func:`repro.tuner.tune`)
 predict     analytic traffic prediction of one point (single response;
             never touches the pool or the queue — :mod:`repro.analytic`)
-topology    fabric introspection: role (gateway/shard), shard table and
-            health on a gateway, worker/store view on a shard
 jobs        snapshot of the server's job table (single response)
-stats       server / store / pool counters (single response)
-metrics     live observability counters: queue depth and
-            per-client lanes, dedup split (warm hits vs coalesced),
-            windowed sims/s / points/s / analytic-evals/s rates, store
-            hit rate; per-shard health and requeues on a gateway
+metrics     the one status op, in-memory only: role, address, uptime,
+            job counts, windowed rates and latency histograms; on a
+            shard also queue depth and per-client lanes, dedup split
+            (warm hits vs coalesced), pool workers and batches, store
+            directory, schema and hit rate; on a gateway the ring
+            replicas, requeues and the per-shard health table
 cancel      stop a running sweep job by id (single response)
 shutdown    acknowledge, then stop the server (single response)
 ========== =============================================================
@@ -63,14 +62,14 @@ import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines.configs import MAIN_CONFIGS, unknown_config_error
-from ..hw.config import GB, MIB
+from ..hw.config import GB, mib_to_bytes
 from ..orchestrator.spec import SweepPoint, SweepSpec
 
 #: The one wire version this build speaks; bump it on any wire-visible
 #: change (ops, field names, framing).  Shards, gateway and client ship
 #: together, so there is no compatibility layer: a gateway marks a shard
 #: that pings with any other version DOWN until it runs this build.
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: ``code`` value of a typed load-shedding error.
 ERROR_OVERLOADED = "overloaded"
@@ -85,8 +84,7 @@ MAX_LINE_BYTES = 1 << 20
 #: Ops that stream multiple responses (job submissions).
 SUBMIT_OPS = ("sweep", "points", "tune")
 #: Ops answered by exactly one response line.
-QUERY_OPS = ("ping", "predict", "topology", "jobs", "stats", "metrics",
-             "cancel", "shutdown")
+QUERY_OPS = ("ping", "predict", "jobs", "metrics", "cancel", "shutdown")
 KNOWN_OPS = SUBMIT_OPS + QUERY_OPS
 
 
@@ -309,7 +307,7 @@ def parse_tune_fields(req: Mapping[str, object]) -> Dict[str, object]:
     objectives = req.get("objectives")
     sram_mb = _num_list(req, "sram_mb") or [4.0]
     entries = _num_list(req, "entries") or [64.0]
-    if any(e < 1 or int(e) != e for e in entries):
+    if any(e < 1 or not e.is_integer() for e in entries):
         raise ProtocolError("'entries' must be positive integers")
     fidelity = req.get("fidelity", "exact")
     if fidelity not in ("exact", "analytic", "hybrid"):
@@ -348,6 +346,10 @@ def parse_predict_fields(req: Mapping[str, object]) -> Dict[str, object]:
     sram = req.get("sram_mb", 4.0)
     if isinstance(sram, bool) or not isinstance(sram, (int, float)) or sram <= 0:
         raise ProtocolError("'sram_mb' must be a positive number")
+    try:
+        sram_bytes = mib_to_bytes(sram)
+    except ValueError as exc:
+        raise ProtocolError(f"'sram_mb': {exc}") from exc
     bandwidth = req.get("bandwidth_gb")
     if bandwidth is not None and (
             isinstance(bandwidth, bool)
@@ -361,7 +363,7 @@ def parse_predict_fields(req: Mapping[str, object]) -> Dict[str, object]:
     return {
         "workload": workload,
         "config": config,
-        "sram_bytes": int(float(sram) * MIB),
+        "sram_bytes": sram_bytes,
         "bandwidth_bytes_per_s": (None if bandwidth is None
                                   else float(bandwidth) * GB),
         "entries": entries,
@@ -409,13 +411,15 @@ def request_to_spec(req: Mapping[str, object]) -> SweepSpec:
     config_error = unknown_config_error(configs)
     if config_error is not None:
         raise ProtocolError(config_error)
-    spec = SweepSpec(
-        workloads=tuple(workloads),
-        configs=tuple(configs),
-        sram_bytes=tuple(int(m * MIB) for m in _num_list(req, "sram_mb")),
-        bandwidths=tuple(g * GB for g in _num_list(req, "bandwidth_gb")),
-    )
+    srams = _num_list(req, "sram_mb")
+    bandwidths = _num_list(req, "bandwidth_gb")
     try:
+        spec = SweepSpec(
+            workloads=tuple(workloads),
+            configs=tuple(configs),
+            sram_bytes=tuple(mib_to_bytes(m) for m in srams),
+            bandwidths=tuple(g * GB for g in bandwidths),
+        )
         spec.cfg_variants()
     except ValueError as exc:
         raise ProtocolError(f"invalid sweep grid: {exc}") from exc

@@ -42,7 +42,7 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines import runner
-from ..hw.config import MIB
+from ..hw.config import mib_to_bytes
 from ..orchestrator.parallel import (PHASE_PROFILE_ENV, OrchestratorPool,
                                      prewarm, set_shared_pool)
 from ..orchestrator.spec import SweepPoint
@@ -51,7 +51,7 @@ from ..sim import engine as sim_engine
 from ..workloads.registry import is_resolvable, resolve_workload
 from .endpoint import Endpoint, _consume_exception, _JobCancelled
 from .jobs import Job, JobState, workload_family
-from .metrics import DEFAULT_WINDOW_S, HistogramFamily, RateMeter
+from .metrics import HistogramFamily, RateMeter
 from .protocol import (
     DEFAULT_HOST,
     ERROR_OVERLOADED,
@@ -70,6 +70,10 @@ from .scheduling import (
     FairQueue,
 )
 
+#: Seconds between the ``progress`` heartbeats a running tune sends, so
+#: a long search does not starve its client's per-read socket timeout.
+TUNE_HEARTBEAT_S = 10.0
+
 
 class SimulationService(Endpoint):
     """The daemon behind ``repro serve``: an :class:`Endpoint` that owns
@@ -84,27 +88,21 @@ class SimulationService(Endpoint):
                  max_pending: int = 1024,
                  batch_window_s: float = 0.0,
                  max_batch: int = 64,
-                 keep_jobs: int = 256,
-                 tune_heartbeat_s: float = 10.0,
                  quota: Optional[int] = None,
                  weights: Optional[Mapping[str, int]] = None,
                  bulk_threshold: int = DEFAULT_BULK_THRESHOLD,
                  request_log: Optional[RequestLog] = None,
-                 metrics_window_s: float = DEFAULT_WINDOW_S,
                  prom_port: Optional[int] = None,
                  phase_profile: bool = False) -> None:
         super().__init__(host=host,
                          port=default_port() if port is None else port,
-                         keep_jobs=keep_jobs,
                          request_log=request_log,
-                         metrics_window_s=metrics_window_s,
                          prom_port=prom_port)
         self.cache_dir = cache_dir
         self.use_store = use_store
         self.max_pending = max(1, max_pending)
         self.batch_window_s = max(0.0, batch_window_s)
         self.max_batch = max(1, max_batch)
-        self.tune_heartbeat_s = max(0.1, tune_heartbeat_s)
         self.quota = quota
         self.weights = dict(weights or {})
         self.bulk_threshold = max(0, bulk_threshold)
@@ -114,8 +112,8 @@ class SimulationService(Endpoint):
         self.coalesced_total = 0
         self.shed_total = 0
         self.phase_profile = phase_profile
-        self._sims_meter = RateMeter(metrics_window_s)
-        self._analytic_meter = RateMeter(metrics_window_s)
+        self._sims_meter = RateMeter()
+        self._analytic_meter = RateMeter()
         self._phases = HistogramFamily(("phase",))
         self._queue: Optional[FairQueue] = None
         #: Traffic keys with a simulation dispatched or queued, mapped to
@@ -189,44 +187,12 @@ class SimulationService(Endpoint):
             await self._send(writer, {"type": "pong",
                                       "server": "repro-service",
                                       "protocol": PROTOCOL_VERSION})
-        elif op == "stats":
-            store_stats: Optional[Dict[str, object]] = None
-            if self.store is not None:
-                # Merge records other processes appended to the shared
-                # cache directory since we last looked — a one-shot
-                # `repro sweep` racing the daemon warms us too.  Both the
-                # reload and the O(entries) per-workload counting run off
-                # the event loop.
-                assert self._loop is not None
-                store_stats = await self._loop.run_in_executor(
-                    None, self._store_stats)
-            await self._send(writer, self._stats_msg(store_stats))
         elif op == "predict":
             await self._handle_predict(req, writer)
-        elif op == "topology":
-            await self._send(writer, self._topology_msg())
         elif op == "metrics":
             await self._send(writer, self._metrics_msg())
         else:  # "tune"
             await self._tune_job(req, writer)
-
-    def _topology_msg(self) -> Dict[str, object]:
-        """This node's view of itself for the ``topology`` op: a plain
-        daemon is one shard.  Gateways answer the same op with their
-        shard table (see :mod:`repro.service.gateway`)."""
-        assert self._queue is not None
-        return {
-            "type": "topology",
-            "role": "shard",
-            "protocol": PROTOCOL_VERSION,
-            "host": self.host,
-            "port": self.port,
-            "workers": self.pool.jobs if not self.pool.broken else 1,
-            "in_flight": len(self._in_flight),
-            "queue_depth": self._queue.qsize(),
-            "store": (str(self.store.directory)
-                      if self.store is not None else None),
-        }
 
     async def _handle_predict(self, req: Dict[str, object],
                               writer: asyncio.StreamWriter) -> None:
@@ -289,46 +255,18 @@ class SimulationService(Endpoint):
                 f"{fields['workload']} --configs {fields['config']}'"
             ) from exc
 
-    def _store_stats(self) -> Dict[str, object]:
-        """Store view for the stats op; runs on an executor thread."""
-        assert self.store is not None
-        self.store.reload()
-        return {
-            "directory": str(self.store.directory),
-            "schema_version": self.store.schema_version,
-            "entries": len(self.store),
-            "corrupt": self.store.corrupt,
-            "workloads": self.store.workload_counts(),
-        }
-
-    def _stats_msg(self, store_stats: Optional[Dict[str, object]]
-                   ) -> Dict[str, object]:
-        assert self._queue is not None
-        return {
-            "type": "stats",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(time.monotonic() - self._t0, 3),
-            "jobs": self.registry.counts_by_state(),
-            "points_streamed": self.points_streamed,
-            "simulations": runner.simulation_count(),
-            "hits_total": self.hits_total,
-            "coalesced_total": self.coalesced_total,
-            "shed_total": self.shed_total,
-            "queue_depth": self._queue.qsize(),
-            "in_flight": len(self._in_flight),
-            "pool": self.pool.snapshot(),
-            "store": store_stats,
-        }
-
     def _metrics_msg(self) -> Dict[str, object]:
-        """Cheap operational counters: everything here is in-memory —
-        no store rescan, no executor hop — so ``--watch`` polling does
-        not perturb the daemon it is observing."""
+        """The shard's one status message.  Everything here is
+        in-memory — no store reload or rescan, no executor hop — so
+        ``--watch`` polling does not perturb the daemon it is observing;
+        ``repro cache stat`` counts the store's entries per workload."""
         assert self._queue is not None
         store: Optional[Dict[str, object]] = None
         if self.store is not None:
             lookups = self.store.hits + self.store.misses
             store = {
+                "directory": str(self.store.directory),
+                "schema_version": self.store.schema_version,
                 "entries": len(self.store),
                 "hits": self.store.hits,
                 "misses": self.store.misses,
@@ -343,6 +281,8 @@ class SimulationService(Endpoint):
             "role": "shard",
             "protocol": PROTOCOL_VERSION,
             "server": "repro-service",
+            "host": self.host,
+            "port": self.port,
             "uptime_s": round(time.monotonic() - self._t0, 3),
             "queue_depth": self._queue.qsize(),
             "max_pending": self.max_pending,
@@ -363,6 +303,7 @@ class SimulationService(Endpoint):
             },
             "latency": self._latency.snapshot(),
             "phases": self._phases.snapshot(),
+            "pool": self.pool.snapshot(),
             "store": store,
         }
 
@@ -610,7 +551,7 @@ class SimulationService(Endpoint):
                 fields["objectives"] or DEFAULT_OBJECTIVES)  # type: ignore[arg-type]
             space = TuneSpace(
                 chord_entries=tuple(fields["entries"]),  # type: ignore[arg-type]
-                sram_bytes=tuple(int(m * MIB)
+                sram_bytes=tuple(mib_to_bytes(m)
                                  for m in fields["sram_mb"]),  # type: ignore[union-attr]
                 cache_policies=("LRU", "BRRIP", "SRRIP")
                 if fields["include_baselines"] else (),
@@ -642,8 +583,7 @@ class SimulationService(Endpoint):
         job.state = JobState.RUNNING
         # The search runs on a worker thread; prewarm() inside the tuner
         # picks up the resident pool via the shared-pool hook.  While it
-        # runs, the client receives heartbeat progress lines so a long
-        # search does not starve its per-read socket timeout.
+        # runs, the client receives heartbeat progress lines.
         fn = functools.partial(tune, workload, space=space,
                                strategy=strategy, objectives=objectives,
                                jobs=self.pool.jobs,
@@ -652,7 +592,7 @@ class SimulationService(Endpoint):
         try:
             while True:
                 done_set, _ = await asyncio.wait(
-                    {search}, timeout=self.tune_heartbeat_s)
+                    {search}, timeout=TUNE_HEARTBEAT_S)
                 if done_set:
                     break
                 await self._send(writer, {

@@ -6,7 +6,7 @@ Three layers:
 
 * ``TestGatewayFabric`` — one healthy 3-shard fabric shared by the
   module: byte-identity against the direct engines, cluster-wide
-  single-flight, the ``points``/``topology`` ops, predict/tune
+  single-flight, the ``points``/``metrics`` ops, predict/tune
   forwarding, and listener fuzzing.
 * ``TestChaos`` — one fabric per test, each broken differently: shard
   SIGKILLed mid-stream, connection dropped mid-stream, acks delayed past
@@ -114,14 +114,15 @@ class TestGatewayFabric:
         assert pong["shards_healthy"] == 3
         assert pong["shards_total"] == 3
 
-    def test_topology_reports_the_ring_and_every_shard(self, fabric3):
+    def test_metrics_report_the_ring_and_every_shard(self, fabric3):
         with fabric3.client() as client:
-            topo = client.topology()
-        assert topo["type"] == "topology"
-        assert topo["role"] == "gateway"
-        assert topo["protocol"] == PROTOCOL_VERSION
-        assert topo["replicas"] == 64
-        shards = {s["id"]: s for s in topo["shards"]}
+            metrics = client.metrics()
+        assert metrics["type"] == "metrics"
+        assert metrics["role"] == "gateway"
+        assert metrics["protocol"] == PROTOCOL_VERSION
+        assert metrics["replicas"] == 64
+        assert metrics["port"] == fabric3.gateway.port
+        shards = {s["id"]: s for s in metrics["shards"]}
         assert set(shards) == {p.id for p in fabric3.proxies}
         assert all(s["healthy"] and s["protocol"] == PROTOCOL_VERSION
                    for s in shards.values())
@@ -205,21 +206,21 @@ class TestGatewayFabric:
                 for r in expected_results()]
         assert got == want
 
-    def test_jobs_stats_and_cancel_through_the_gateway(self, fabric3):
+    def test_jobs_metrics_and_cancel_through_the_gateway(self, fabric3):
         with fabric3.client() as client:
             outcome = client.submit_sweep([WORKLOAD],
                                           configs=list(CONFIGS),
                                           bandwidth_gb=[1000.0])
             jobs = {j["id"]: j for j in client.jobs()}
-            stats = client.stats()
+            metrics = client.metrics()
             with pytest.raises(ServiceError, match="unknown job"):
                 client.cancel("j999")
         assert outcome.job_id in jobs
         assert jobs[outcome.job_id]["state"] == "done"
-        assert stats["type"] == "stats"
-        assert stats["role"] == "gateway"
-        assert stats["shards_healthy"] == 3
-        assert stats["points_streamed"] >= len(outcome.points)
+        assert metrics["type"] == "metrics"
+        assert metrics["role"] == "gateway"
+        assert metrics["shards_healthy"] == 3
+        assert metrics["points_streamed"] >= len(outcome.points)
 
     def test_predict_forwarded_to_a_shard(self, fabric3):
         with fabric3.client() as client:
@@ -302,7 +303,7 @@ class TestChaos:
             with fab.client() as client:
                 out = submit_chaos(client)
                 warm = submit_chaos(client)
-                topo = client.topology()
+                metrics = client.metrics()
         assert not fab.shards[victim].alive
         assert len(out.points) == CHAOS_POINTS
         assert len(set(fingerprint(out))) == CHAOS_POINTS
@@ -314,8 +315,8 @@ class TestChaos:
         assert warm.hits == CHAOS_POINTS
         assert fingerprint(warm) == fingerprint(out)
         self._check_store_exactly_once(fab, points)
-        assert topo["requeued_total"] == out.requeued
-        health = {s["id"]: s["healthy"] for s in topo["shards"]}
+        assert metrics["requeued_total"] == out.requeued
+        health = {s["id"]: s["healthy"] for s in metrics["shards"]}
         assert health[fab.proxies[victim].id] is False
         assert sum(health.values()) == 2
 
@@ -523,9 +524,9 @@ class TestChaos:
                 with pytest.raises(ServiceError,
                                    match="no healthy shards"):
                     client.predict(WORKLOAD, "CELLO")
-                topo = client.topology()
-        assert topo["shards"][0]["healthy"] is False
-        assert topo["shards"][0]["error"]
+                metrics = client.metrics()
+        assert metrics["shards"][0]["healthy"] is False
+        assert metrics["shards"][0]["error"]
 
     def test_gateway_started_before_its_shard_serves_the_first_submit(
             self, tmp_path):
@@ -709,7 +710,7 @@ class TestProtocolMismatch:
                     GatewayThread([("127.0.0.1", srv.port), stale.addr],
                                   health_interval_s=60.0) as gw:
                 with gw.client() as client:
-                    topo = client.topology()
+                    metrics = client.metrics()
                     out = client.submit_sweep(
                         [WORKLOAD], configs=list(CONFIGS),
                         bandwidth_gb=list(BANDWIDTH_GB))
@@ -718,7 +719,7 @@ class TestProtocolMismatch:
         finally:
             _reset_runner()
             stale.close()
-        shards = {s["id"]: s for s in topo["shards"]}
+        shards = {s["id"]: s for s in metrics["shards"]}
         down = shards[f"127.0.0.1:{stale.addr[1]}"]
         assert down["healthy"] is False
         assert down["protocol"] == PROTOCOL_VERSION - 1

@@ -282,36 +282,26 @@ class TestServiceEndToEnd:
         finally:
             _reset_runner()
 
-    def test_jobs_listing_and_stats(self, server):
+    def test_jobs_listing_and_metrics(self, server, capsys):
         with server.client() as client:
             outcome = submit_standard(client)
             jobs = client.jobs()
-            stats = client.stats()
+            metrics = client.metrics()
         listed = {j["id"]: j for j in jobs}
         assert outcome.job_id in listed
         job = listed[outcome.job_id]
         assert job["state"] == "done"
         assert job["simulations"] == DISTINCT_KEYS
         assert job["done"] == job["total"] == len(outcome.points)
-        assert stats["type"] == "stats"
-        assert stats["simulations"] == DISTINCT_KEYS
-        assert stats["points_streamed"] == len(outcome.points)
-        assert stats["store"]["workloads"] == {WORKLOAD: DISTINCT_KEYS}
-
-    def test_stats_merges_external_store_appends(self, server, tmp_path):
-        """A one-shot CLI process appending to the shared cache directory
-        becomes visible to the daemon at the next stats reload."""
-        from repro.orchestrator import ResultStore
-        from repro.orchestrator.store import result_key
-
-        with server.client() as client:
-            before = client.stats()["store"]["entries"]
-            external = ResultStore(server.service.store.directory)
-            key = result_key("CELLO", "gnn/cora", AcceleratorConfig(), None)
-            external.put(key, expected_results()[0])
-            after = client.stats()["store"]
-        assert after["entries"] == before + 1
-        assert after["workloads"].get("gnn/cora") == 1
+        assert metrics["type"] == "metrics"
+        assert metrics["simulations"] == DISTINCT_KEYS
+        assert metrics["points_streamed"] == len(outcome.points)
+        # Per-workload counts are the store's own report, not the wire's.
+        directory = str(server.service.store.directory)
+        assert metrics["store"]["directory"] == directory
+        assert main(["cache", "stat", "--cache-dir", directory]) == 0
+        assert f"{WORKLOAD:30s} {DISTINCT_KEYS} entries" \
+            in capsys.readouterr().out
 
     def test_tune_job_matches_direct_tuner(self, server):
         from repro.tuner import TuneResult, TuneSpace, make_strategy, tune
@@ -329,6 +319,41 @@ class TestServiceEndToEnd:
         assert [dict(e.objectives) for e in via_service.evaluations] \
             == [dict(e.objectives) for e in direct.evaluations]
         assert via_service.incumbent.config == direct.incumbent.config
+
+    def test_tune_heartbeat_precedes_the_result(self, server, monkeypatch):
+        """A search longer than the heartbeat interval streams
+        ``progress`` heartbeats before its ``tune-result``.  The search
+        is held for 0.5 s so the heartbeats do not depend on how fast
+        the tuner happens to run."""
+        import repro.tuner
+        from repro.service import server as server_mod
+        from repro.tuner import TuneResult, TuneSpace, make_strategy, tune
+
+        monkeypatch.setattr(server_mod, "TUNE_HEARTBEAT_S", 0.05)
+
+        def slow_tune(*args, **kwargs):
+            time.sleep(0.5)
+            return tune(*args, **kwargs)
+
+        monkeypatch.setattr(repro.tuner, "tune", slow_tune)
+        seen = []
+        with server.client() as client:
+            data = client.submit_tune(WORKLOAD, strategy="grid",
+                                      sram_mb=(4.0,), entries=(64,),
+                                      on_message=seen.append)
+            jobs = client.jobs()
+        kinds = [m["type"] for m in seen]
+        first_result = kinds.index("tune-result")
+        assert any(m["type"] == "progress" and m.get("heartbeat") is True
+                   for m in seen[:first_result])
+        direct = tune(
+            WORKLOAD,
+            space=TuneSpace(chord_entries=(64,), sram_bytes=(4 * MIB,)),
+            strategy=make_strategy("grid"), jobs=1)
+        assert TuneResult.from_dict(data).to_dict()["evaluations"] \
+            == direct.to_dict()["evaluations"]
+        [job] = [j for j in jobs if j["kind"] == "tune"]
+        assert job["state"] == "done"
 
     def test_unknown_workload_job_errors(self, server):
         with server.client() as client:
@@ -663,6 +688,61 @@ class TestWireErrors:
             assert field in reply["error"]
 
 
+class TestNonFiniteNumbers:
+    """An infinite or NaN size on the wire is one typed ``error`` with
+    no job behind it, and the connection keeps serving; the CLI refuses
+    the same values with rc 2."""
+
+    @pytest.mark.parametrize("request_line,needle", [
+        (b'{"op": "sweep", "workloads": ["cg/fv1/N=1"], '
+         b'"configs": ["CELLO"], "sram_mb": [Infinity]}', "finite"),
+        (b'{"op": "sweep", "workloads": ["cg/fv1/N=1"], '
+         b'"configs": ["CELLO"], "sram_mb": [NaN]}', "finite"),
+        (b'{"op": "sweep", "workloads": ["cg/fv1/N=1"], '
+         b'"configs": ["CELLO"], "bandwidth_gb": [Infinity]}', "finite"),
+        (b'{"op": "points", "points": [{"workload": "cg/fv1/N=1", '
+         b'"config": "CELLO", "bandwidth_bytes_per_s": Infinity}]}',
+         "finite"),
+        (b'{"op": "predict", "workload": "cg/fv1/N=1", "config": "CELLO", '
+         b'"sram_mb": Infinity}', "sram_mb"),
+        (b'{"op": "predict", "workload": "cg/fv1/N=1", "config": "CELLO", '
+         b'"bandwidth_gb": Infinity}', "finite"),
+        (b'{"op": "tune", "workload": "cg/fv1/N=1", '
+         b'"sram_mb": [Infinity]}', "finite"),
+        (b'{"op": "tune", "workload": "cg/fv1/N=1", '
+         b'"entries": [Infinity]}', "entries"),
+    ])
+    def test_typed_error_and_the_connection_keeps_serving(
+            self, server, request_line, needle):
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            reader = sock.makefile("r", encoding="utf-8")
+
+            def exchange(line: bytes) -> dict:
+                sock.sendall(line + b"\n")
+                return json.loads(reader.readline())
+
+            reply = exchange(request_line)
+            assert reply["type"] == "error"
+            assert reply["job"] is None
+            assert needle in reply["error"]
+            assert exchange(b'{"op": "ping"}')["type"] == "pong"
+            assert exchange(b'{"op": "jobs"}')["jobs"] == []
+        assert runner.simulation_count() == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--workloads", WORKLOAD, "--configs", "CELLO",
+         "--sram-mb", "inf"],
+        ["sweep", "--workloads", WORKLOAD, "--configs", "CELLO",
+         "--bandwidth-gb", "inf"],
+        ["tune", WORKLOAD, "--sram-mb", "inf"],
+    ])
+    def test_cli_refuses_with_rc_2(self, argv, capsys):
+        assert main([*argv, "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+
 class TestServiceCli:
     def test_submit_and_jobs_verbs(self, server, capsys):
         port = str(server.port)
@@ -680,9 +760,10 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert "Jobs: 2" in out and "done" in out
 
-        assert main(["jobs", "--port", port, "--stats"]) == 0
+        assert main(["metrics", "--port", port]) == 0
         out = capsys.readouterr().out
-        assert "Service stats" in out and WORKLOAD in out
+        assert "Metrics: shard" in out and "simulations:     2" in out
+        assert f"store:           {server.service.store.directory}" in out
 
     def test_submit_tune_verb(self, server, capsys):
         assert main(["submit", "--port", str(server.port),
@@ -817,16 +898,20 @@ class TestPointsOp:
             assert needle in reply["error"]
 
 
-class TestTopologyOp:
-    def test_lone_daemon_reports_itself_as_one_shard(self, server):
+class TestMetricsOp:
+    def test_lone_daemon_describes_itself(self, server):
         with server.client() as client:
-            topo = client.topology()
-        assert topo["type"] == "topology"
-        assert topo["role"] == "shard"
-        assert topo["protocol"] == PROTOCOL_VERSION
-        assert topo["port"] == server.port
-        assert topo["store"] == str(server.service.store.directory)
-        assert topo["workers"] >= 1
+            metrics = client.metrics()
+        assert metrics["type"] == "metrics"
+        assert metrics["role"] == "shard"
+        assert metrics["protocol"] == PROTOCOL_VERSION
+        assert metrics["host"] == "127.0.0.1"
+        assert metrics["port"] == server.port
+        assert metrics["store"]["directory"] \
+            == str(server.service.store.directory)
+        assert metrics["store"]["schema_version"] \
+            == server.service.store.schema_version
+        assert metrics["pool"]["jobs"] >= 1
 
 
 class TestShardFuzz:

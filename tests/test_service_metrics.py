@@ -30,7 +30,7 @@ from repro.service import (
     RequestLog,
     classify_priority,
 )
-from repro.service.protocol import encode_message
+from repro.service.protocol import KNOWN_OPS, encode_message
 from repro.service.scheduling import Overloaded as SchedOverloaded
 from test_service import (
     BANDWIDTH_GB,
@@ -552,11 +552,27 @@ class TestProtocolV4Stability:
         assert done["points"] == 4
         assert done["simulations"] == DISTINCT_KEYS
 
-    def test_v4_stats_and_jobs_still_answer(self, server):
-        [stats] = self._exchange(server.port, {"op": "stats"})
-        assert stats["type"] == "stats"
-        [jobs] = self._exchange(server.port, {"op": "jobs"})
+    def test_retired_status_ops_are_unknown_and_the_connection_serves_on(
+            self, server):
+        """``stats`` and ``topology`` folded into ``metrics``: each is
+        an ``unknown op`` error naming the known ops, and the next
+        request on the same connection is answered."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=60) as sock:
+            for op in ("stats", "topology", "jobs", "metrics"):
+                sock.sendall(encode_message({"op": op}))
+            sock.shutdown(socket.SHUT_WR)
+            replies = [json.loads(line) for line in
+                       sock.makefile("rb").read().split(b"\n")
+                       if line.strip()]
+        stats, topology, jobs, metrics = replies
+        for reply, op in ((stats, "stats"), (topology, "topology")):
+            assert reply["type"] == "error"
+            assert reply["error"] == (f"unknown op {op!r}; known: "
+                                      f"{', '.join(KNOWN_OPS)}")
+        assert "stats" not in KNOWN_OPS and "topology" not in KNOWN_OPS
         assert jobs["type"] == "jobs"
+        assert metrics["type"] == "metrics"
 
     def test_bad_client_field_is_a_protocol_error_not_a_hang(
             self, server):

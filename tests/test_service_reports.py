@@ -12,8 +12,6 @@ import dataclasses
 from repro.analysis.service_report import (
     render_jobs,
     render_metrics,
-    render_service_stats,
-    render_topology,
     summarize_sweep_outcome,
     sweep_outcome_rows,
 )
@@ -77,76 +75,96 @@ class TestJobsTable:
         assert "j1" in out and "0/0" in out
 
 
-class TestServiceStats:
-    def test_fresh_server_stats_do_not_divide_by_zero(self):
-        out = render_service_stats({"uptime_s": 0.0, "points_streamed": 0,
-                                    "simulations": 0, "hits_total": 0,
-                                    "coalesced_total": 0, "shed_total": 0})
-        assert "0.00 points/s" in out
-        assert "0 warm hit(s), 0 coalesced, 0 shed" in out
+class TestStatusRendering:
+    """What the retired ``stats``/``topology`` views showed, now lines
+    of the one ``render_metrics`` report."""
+
+    def test_fresh_server_metrics_render_zero_counters(self):
+        out = render_metrics({"role": "shard", "protocol": 8,
+                              "uptime_s": 0.0, "points_streamed": 0,
+                              "simulations": 0, "hits_total": 0,
+                              "coalesced_total": 0, "shed_total": 0,
+                              "rates": {}, "queue_clients": {},
+                              "pool": {"jobs": 2, "batches": 0,
+                                       "payloads": 0, "broken": False},
+                              "store": None})
+        assert "uptime 0.0 s" in out
+        assert ("pool:            2 worker(s), 0 batches / 0 payloads"
+                in out) and "broken" not in out
+        assert "points streamed: 0" in out
+        assert "sims/s:          0.0 (over 60 s)" in out
+        assert "warm hits:       0" in out
+        assert "coalesced:       0" in out
+        assert "shed:            0" in out
         assert "jobs:            none" in out
         assert "store:           disabled" in out
 
-    def test_store_and_broken_pool_sections(self):
-        out = render_service_stats({
-            "uptime_s": 10.0, "points_streamed": 20, "simulations": 5,
+    def test_store_and_broken_pool_lines(self):
+        out = render_metrics({
+            "role": "shard", "protocol": 8, "uptime_s": 10.0,
+            "host": "127.0.0.1", "port": 8642,
+            "points_streamed": 20, "simulations": 5,
             "hits_total": 12, "coalesced_total": 3, "shed_total": 0,
-            "jobs": {"done": 2, "error": 1},
-            "pool": {"jobs": 4, "batches": 3, "payloads": 20, "broken": True},
-            "store": {"entries": 7, "schema_version": 3,
-                      "directory": "/tmp/cache",
-                      "workloads": {"cg/fv1/N=1": 7}},
+            "jobs": {"done": 2, "error": 1}, "rates": {},
+            "queue_clients": {},
+            "pool": {"jobs": 4, "batches": 3, "payloads": 20,
+                     "broken": True},
+            "store": {"directory": "/tmp/cache", "schema_version": 3,
+                      "entries": 7, "hits": 12, "misses": 5,
+                      "hit_rate": 0.7059},
         })
-        assert "[broken: serial fallback]" in out
+        assert ("pool:            4 worker(s), 3 batches / 20 payloads "
+                "[broken: serial fallback]") in out
+        assert "address:         127.0.0.1:8642" in out
         assert "2 done, 1 error" in out
-        assert "7 entries" in out and "cg/fv1/N=1" in out
-        assert "12 warm hit(s), 3 coalesced, 0 shed" in out
+        assert "store:           /tmp/cache (schema v3)" in out
+        assert "store entries:   7" in out
+        assert "warm hits:       12" in out
+        assert "coalesced:       3" in out
 
-    def test_v5_stats_split_warm_hits_from_coalesced(self):
+    def test_warm_hits_and_coalesced_are_separate_lines(self):
         # The daemon reports the dedup sources separately; there is no
         # aggregate-ratio line.
-        out = render_service_stats({
-            "uptime_s": 10.0, "points_streamed": 20, "simulations": 5,
-            "hits_total": 9, "coalesced_total": 6, "shed_total": 2,
+        out = render_metrics({
+            "role": "shard", "uptime_s": 10.0, "points_streamed": 20,
+            "simulations": 5, "hits_total": 9, "coalesced_total": 6,
+            "shed_total": 2, "rates": {},
         })
-        assert "9 warm hit(s), 6 coalesced, 2 shed" in out
+        assert "warm hits:       9" in out
+        assert "coalesced:       6" in out
+        assert "shed:            2" in out
         assert "answered without simulating" not in out
 
-
-class TestTopologyRendering:
-    def test_gateway_stats_render_routing_counters(self):
-        out = render_service_stats({
-            "role": "gateway", "uptime_s": 10.0, "points_streamed": 20,
-            "jobs": {"done": 2}, "requeued_total": 3,
-            "shards_healthy": 2, "shards_total": 3,
-        })
-        assert "Gateway stats" in out
-        assert "2/3 healthy" in out
-        assert "requeued:        3 point(s)" in out
-
-    def test_single_daemon_topology(self):
-        out = render_topology({
-            "role": "shard", "protocol": 4, "host": "127.0.0.1",
-            "port": 8642, "workers": 4, "in_flight": 1, "queue_depth": 2,
-            "store": "/tmp/cache",
-        })
-        assert "single shard (protocol v4)" in out
-        assert "127.0.0.1:8642" in out and "/tmp/cache" in out
-
-    def test_gateway_topology_lists_shard_health(self):
-        out = render_topology({
+    def test_gateway_metrics_render_ring_and_shard_protocols(self):
+        out = render_metrics({
             "role": "gateway", "protocol": 4, "host": "127.0.0.1",
             "port": 9000, "replicas": 64, "requeued_total": 5,
+            "uptime_s": 10.0, "points_streamed": 20, "jobs": {"done": 2},
+            "shards_healthy": 1, "shards_total": 2, "rates": {},
             "shards": [
                 {"id": "127.0.0.1:8643", "healthy": True, "protocol": 4,
-                 "deaths": 0, "error": None},
-                {"id": "127.0.0.1:8644", "healthy": False, "protocol": 4,
-                 "deaths": 1, "error": "unreachable: refused"},
+                 "deaths": 0, "requeued": 0, "error": None},
+                {"id": "127.0.0.1:8644", "healthy": False, "protocol": None,
+                 "deaths": 1, "requeued": 5,
+                 "error": "unreachable: refused"},
             ],
         })
-        assert "gateway over 2 shard(s), 1 healthy" in out
-        assert "DOWN" in out and "unreachable: refused" in out
-        assert "64 virtual node(s)" in out
+        assert "Metrics: gateway (protocol v4" in out
+        assert "address:         127.0.0.1:9000" in out
+        assert "hash ring:       64 virtual node(s) per shard" in out
+        assert "requeued total:  5" in out
+        assert "shards healthy:  1/2" in out
+        assert "2 done" in out
+        header = next(line for line in out.splitlines()
+                      if line.startswith("shard "))
+        assert header.split()[:3] == ["shard", "health", "proto"]
+        up = next(line for line in out.splitlines()
+                  if line.startswith("127.0.0.1:8643"))
+        down = next(line for line in out.splitlines()
+                    if line.startswith("127.0.0.1:8644"))
+        assert up.split()[1:3] == ["up", "v4"]
+        assert down.split()[1:3] == ["DOWN", "?"]
+        assert "unreachable: refused" in down
 
 
 class TestMetricsRendering:

@@ -33,7 +33,7 @@ from fabric import (  # noqa: E402  (path bootstrap above)
     store_record_keys,
 )
 from repro.analysis.service_report import (  # noqa: E402
-    render_topology,
+    render_metrics,
     summarize_sweep_outcome,
 )
 from repro.hw.config import GB  # noqa: E402
@@ -75,7 +75,7 @@ def main() -> int:
                     bandwidth_gb=[BANDWIDTH_GB])
                 print("warm resubmit:")
                 print(summarize_sweep_outcome(warm))
-                print(render_topology(client.topology()))
+                print(render_metrics(client.metrics()))
 
         if len(cold.points) != N_POINTS:
             failures.append(f"cold sweep streamed {len(cold.points)} "
