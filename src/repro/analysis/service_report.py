@@ -145,10 +145,6 @@ def render_metrics(msg: Mapping[str, object]) -> str:
             f"(schema v{store.get('schema_version', '?')})")
         lines.append(
             f"  store entries:   {store.get('entries', 0)}")
-        lines.append(
-            f"  store hit rate:  {float(store.get('hit_rate', 0.0)):.2%} "  # type: ignore[arg-type]
-            f"({store.get('hits', 0)} hits / "
-            f"{store.get('misses', 0)} misses)")
         skipped = []
         for name in ("stale", "duplicates", "corrupt"):
             if store.get(name):

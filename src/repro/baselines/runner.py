@@ -69,15 +69,12 @@ def count_simulations(n: int = 1) -> None:
     global _SIMULATIONS
     with _SIM_LOCK:
         _SIMULATIONS += n
-        if _STORE is not None:
-            _STORE.simulations += n
 
 
 def peek(key: Tuple) -> Optional[SimResult]:
     """Cached base result for ``key``, consulting both tiers; no simulation.
 
-    A store hit is promoted into the process-local dict (and counted as a
-    store hit exactly once per process).
+    A store hit is promoted into the process-local dict.
     """
     base = _CACHE.get(key)
     if base is None and _STORE is not None:

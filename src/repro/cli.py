@@ -11,7 +11,7 @@ Usage::
     python -m repro all --jobs 4         # everything, sweeps 4-wide
     python -m repro sweep --workloads 'cg/*' --configs Flexagon,CELLO
     python -m repro tune gmres/fv1/m=8/N=1 --strategy grid
-    python -m repro cache stat           # persistent-cache hit counters
+    python -m repro cache stat           # store entries per workload
     python -m repro cache clear
     python -m repro bench --quick        # hot-path kernels -> BENCH_kernels.json
     python -m repro serve                # long-lived simulation service
@@ -170,13 +170,8 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _install_store(args: argparse.Namespace) -> Optional[ResultStore]:
-    if args.no_cache:
-        runner.set_store(None)
-        return None
-    store = ResultStore(args.cache_dir)
-    runner.set_store(store)
-    return store
+def _install_store(args: argparse.Namespace) -> None:
+    runner.set_store(None if args.no_cache else ResultStore(args.cache_dir))
 
 
 def _jobs_arg(args: argparse.Namespace) -> Optional[int]:
@@ -193,7 +188,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
         print(list_experiments(), file=sys.stderr)
         return 2
 
-    store = _install_store(args)
+    _install_store(args)
     jobs = _jobs_arg(args)
     try:
         seen = set()
@@ -205,8 +200,6 @@ def _run_experiments(args: argparse.Namespace) -> int:
             print(EXPERIMENTS[t](jobs))
             print()
     finally:
-        if store is not None:
-            store.save_stats()
         runner.set_store(None)
     return 0
 
@@ -303,12 +296,10 @@ def _sweep_main(argv: List[str]) -> int:
               f"known: {', '.join(sorted(all_workloads()))}", file=sys.stderr)
         return 2
 
-    store = _install_store(args)
+    _install_store(args)
     try:
         results = run_sweep(spec, jobs=_jobs_arg(args))
     finally:
-        if store is not None:
-            store.save_stats()
         runner.set_store(None)
 
     rows = []
@@ -413,7 +404,7 @@ def _tune_main(argv: List[str]) -> int:
         print(f"invalid tune space: {exc}", file=sys.stderr)
         return 2
 
-    store = _install_store(args)
+    _install_store(args)
     jobs = _jobs_arg(args)
     results = []
     try:
@@ -432,8 +423,6 @@ def _tune_main(argv: List[str]) -> int:
             print(render_tune_result(results[-1]))
             print()
     finally:
-        if store is not None:
-            store.save_stats()
         runner.set_store(None)
     if args.json:
         from pathlib import Path

@@ -44,9 +44,8 @@ from ..sim.results import SimResult
 #: so cache-baseline traffic at default granularity is finer-grained.
 SCHEMA_VERSION = 2
 
-#: File names inside the cache directory.
+#: File name inside the cache directory.
 RESULTS_FILE = "results.jsonl"
-STATS_FILE = "stats.json"
 
 #: Leading bytes of the results file that a reload compares against its
 #: previous scan to notice a file rewritten in place.
@@ -94,19 +93,15 @@ class ResultStore:
     are served from the in-memory index, and puts append one line — so a
     store survives crashes at any point with at most the in-flight record
     lost.  :meth:`reload` picks up other writers' appends.
-    ``hits``/``misses``/``simulations`` count this process's activity;
-    :meth:`save_stats` persists them for ``repro cache stat``.
+    ``stale``/``duplicates``/``corrupt`` count the records of the
+    current file that a load skipped.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
                  schema_version: int = SCHEMA_VERSION) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.path = self.directory / RESULTS_FILE
-        self.stats_path = self.directory / STATS_FILE
         self.schema_version = schema_version
-        self.hits = 0
-        self.misses = 0
-        self.simulations = 0
         self.stale = 0          # records skipped on load (schema mismatch)
         self.duplicates = 0     # records skipped on load (key already seen)
         self.corrupt = 0        # records skipped on load (not valid JSON)
@@ -286,13 +281,8 @@ class ResultStore:
             self._warned_corrupt = self.corrupt
 
     def get(self, key: Tuple) -> Optional[SimResult]:
-        with self._lock:  # counters are read-modify-write; threads race
-            result = self._index.get(self.key_str(key))
-            if result is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return result
+        with self._lock:
+            return self._index.get(self.key_str(key))
 
     def put(self, key: Tuple, result: SimResult) -> None:
         ks = self.key_str(key)
@@ -364,12 +354,13 @@ class ResultStore:
             self._unsynced.clear()
             self._offset, self._head, self._tail = 0, b"", b""
             self._ident = None
-            self.hits = self.misses = self.simulations = 0
             self.stale = self.duplicates = self.corrupt = 0
             self._warned_corrupt = 0
-            for p in (self.path, self.stats_path):
+            # stats.json is the run-counter ledger older versions kept
+            # beside the results; a clear leaves neither behind.
+            for name in (RESULTS_FILE, "stats.json"):
                 try:
-                    p.unlink()
+                    (self.directory / name).unlink()
                 except OSError:
                     pass
             return dropped
@@ -383,38 +374,6 @@ class ResultStore:
             workload = str(key[1]) if len(key) > 1 else "?"
             counts[workload] = counts.get(workload, 0) + 1
         return dict(sorted(counts.items()))
-
-    # -- stats -----------------------------------------------------------------
-
-    def save_stats(self) -> None:
-        """Persist this run's counters (read back by ``repro cache stat``)."""
-        previous = self.load_stats()
-        cumulative = previous.get("cumulative", {})
-        stats = {
-            "schema_version": self.schema_version,
-            "last_run": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "simulations": self.simulations,
-            },
-            "cumulative": {
-                "hits": cumulative.get("hits", 0) + self.hits,
-                "misses": cumulative.get("misses", 0) + self.misses,
-                "simulations": cumulative.get("simulations", 0) + self.simulations,
-            },
-        }
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self.stats_path.write_text(json.dumps(stats, indent=2) + "\n",
-                                       encoding="utf-8")
-        except OSError:
-            pass  # same degradation as put(): stats are best-effort
-
-    def load_stats(self) -> Dict:
-        try:
-            return json.loads(self.stats_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return {}
 
     def describe(self) -> str:
         """Human-readable summary for ``repro cache stat``."""
@@ -436,19 +395,4 @@ class ResultStore:
         for workload, count in self.workload_counts().items():
             lines.append(f"  {workload:30s} {count} entr"
                          + ("y" if count == 1 else "ies"))
-        stats = self.load_stats()
-        last = stats.get("last_run")
-        if last is not None:
-            lines.append(
-                "last run:       "
-                f"{last.get('hits', 0)} hits, {last.get('misses', 0)} misses, "
-                f"{last.get('simulations', 0)} simulations"
-            )
-        total = stats.get("cumulative")
-        if total is not None:
-            lines.append(
-                "cumulative:     "
-                f"{total.get('hits', 0)} hits, {total.get('misses', 0)} misses, "
-                f"{total.get('simulations', 0)} simulations"
-            )
         return "\n".join(lines)

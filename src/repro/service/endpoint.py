@@ -159,8 +159,8 @@ class Endpoint:
         self.port = server.sockets[0].getsockname()[1]
         background: List["asyncio.Task[None]"] = []
         # On the main thread SIGTERM stops the endpoint like a
-        # ``shutdown`` op, so pool workers are joined and the store's
-        # stats saved.  A thread (the loopback tests) cannot install
+        # ``shutdown`` op, so pending points are failed and pool
+        # workers joined.  A thread (the loopback tests) cannot install
         # signal handlers.  The handler goes in once the role has
         # started, so a pool forks its workers without it, and before
         # the announce line that tells a supervisor the endpoint is up.

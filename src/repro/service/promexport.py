@@ -189,15 +189,6 @@ def render_prometheus(msg: Mapping[str, object]) -> str:
             b.family("repro_store_entries", "gauge",
                      "Records resident in the persistent result store.",
                      [({}, int(store.get("entries", 0)))])  # type: ignore[arg-type]
-            b.family("repro_store_hits_total", "counter",
-                     "Store lookups answered from disk.",
-                     [({}, int(store.get("hits", 0)))])  # type: ignore[arg-type]
-            b.family("repro_store_misses_total", "counter",
-                     "Store lookups that missed.",
-                     [({}, int(store.get("misses", 0)))])  # type: ignore[arg-type]
-            b.family("repro_store_hit_rate", "gauge",
-                     "hits / (hits + misses) since process start.",
-                     [({}, float(store.get("hit_rate", 0.0)))])  # type: ignore[arg-type]
             b.family("repro_store_corrupt_lines_total", "counter",
                      "Corrupt store lines skipped on reload.",
                      [({}, int(store.get("corrupt", 0)))])  # type: ignore[arg-type]

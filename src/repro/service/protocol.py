@@ -23,7 +23,7 @@ metrics     the one status op, in-memory only: role, address, uptime,
             job counts, windowed rates and latency histograms; on a
             shard also queue depth and per-client lanes, dedup split
             (warm hits vs coalesced), pool workers and batches, store
-            directory, schema and hit rate; on a gateway the ring
+            directory, schema and entries; on a gateway the ring
             replicas, requeues and the per-shard health table
 cancel      stop a running sweep job by id (single response)
 shutdown    acknowledge, then stop the server (single response)

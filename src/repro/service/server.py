@@ -148,8 +148,6 @@ class SimulationService(Endpoint):
         if self.phase_profile:
             sim_engine.set_phase_hook(None)
             os.environ.pop(PHASE_PROFILE_ENV, None)
-        if self.store is not None:
-            self.store.save_stats()
         runner.set_store(None)
         set_shared_pool(None)
         self.pool.close()
@@ -263,18 +261,13 @@ class SimulationService(Endpoint):
         assert self._queue is not None
         store: Optional[Dict[str, object]] = None
         if self.store is not None:
-            lookups = self.store.hits + self.store.misses
             store = {
                 "directory": str(self.store.directory),
                 "schema_version": self.store.schema_version,
                 "entries": len(self.store),
-                "hits": self.store.hits,
-                "misses": self.store.misses,
-                "hit_rate": round(self.store.hits / lookups, 4)
-                if lookups else 0.0,
-                "corrupt": self.store.corrupt,
                 "stale": self.store.stale,
                 "duplicates": self.store.duplicates,
+                "corrupt": self.store.corrupt,
             }
         return {
             "type": "metrics",

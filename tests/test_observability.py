@@ -356,8 +356,7 @@ def _shard_metrics_msg():
         "jobs": {"done": 2, "running": 1},
         "rates": {"sims_per_s": 0.5, "points_per_s": 1.5,
                   "analytic_evals_per_s": 0.0, "window_s": 60.0},
-        "store": {"entries": 2, "hits": 1, "misses": 2,
-                  "hit_rate": 1 / 3, "corrupt": 0},
+        "store": {"entries": 2, "corrupt": 0},
         "latency": latency.snapshot(), "phases": phases.snapshot(),
     }
 
@@ -392,6 +391,8 @@ class TestRenderPrometheus:
             in text
         assert "repro_simulations_total 2" in text
         assert 'repro_queue_client_depth{client="tenant-a"} 2' in text
+        assert "repro_store_entries 2" in text
+        assert "repro_store_corrupt_lines_total 0" in text
 
     def test_gateway_exposition_passes_the_ci_checker(self):
         text = render_prometheus(_gateway_metrics_msg())

@@ -140,7 +140,6 @@ class TestResultStore:
         r = sample_result()
         store.put(key, r)
         assert store.get(key) == r
-        assert store.hits == 1
 
     def test_persists_across_instances(self, tmp_path):
         key = result_key("CELLO", "cg/fv1/N=1", CFG, None)
@@ -149,10 +148,9 @@ class TestResultStore:
         assert len(reopened) == 1
         assert reopened.get(key) == sample_result()
 
-    def test_miss_counted(self, tmp_path):
+    def test_miss_is_none(self, tmp_path):
         store = ResultStore(tmp_path)
         assert store.get(result_key("CELLO", "none", CFG, None)) is None
-        assert store.misses == 1
 
     def test_schema_bump_invalidates(self, tmp_path):
         key = result_key("CELLO", "cg/fv1/N=1", CFG, None)
@@ -165,9 +163,10 @@ class TestResultStore:
     def test_clear_removes_files(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(result_key("CELLO", "cg/fv1/N=1", CFG, None), sample_result())
-        store.save_stats()
+        legacy = tmp_path / "stats.json"   # an older version's run ledger
+        legacy.write_text("{}")
         assert store.clear() == 1
-        assert not store.path.exists() and not store.stats_path.exists()
+        assert not store.path.exists() and not legacy.exists()
         assert len(ResultStore(tmp_path)) == 0
 
     def test_torn_trailing_line_ignored(self, tmp_path):
@@ -188,7 +187,6 @@ class TestResultStore:
         runner.set_store(ResultStore(tmp_path))
         run_sweep(SPEC, jobs=2)
         assert runner.simulation_count() == 0
-        assert runner.get_store().misses == 0
 
     def test_unwritable_location_degrades_to_memory(self, tmp_path, capsys):
         blocked = tmp_path / "file"
@@ -196,18 +194,8 @@ class TestResultStore:
         store = ResultStore(blocked / "nested")
         key = result_key("CELLO", "cg/fv1/N=1", CFG, None)
         store.put(key, sample_result())          # must not raise
-        store.save_stats()                       # must not raise
         assert store.get(key) == sample_result()  # in-memory tier still works
         assert "unwritable" in capsys.readouterr().err
-
-    def test_stats_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.hits, store.misses, store.simulations = 3, 2, 2
-        store.save_stats()
-        stats = ResultStore(tmp_path).load_stats()
-        assert stats["last_run"] == {"hits": 3, "misses": 2, "simulations": 2}
-        described = ResultStore(tmp_path).describe()
-        assert "3 hits" in described
 
 
 class TestCliIntegration:
@@ -221,22 +209,45 @@ class TestCliIntegration:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "CELLO" in out and "Sweep: 2 points" in out
+        assert runner.simulation_count() == 2
 
         assert main(["cache", "stat", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "entries:        2" in out
-        assert "2 misses" in out and "2 simulations" in out
+        assert "cg/fv1/N=1@it2" in out and "2 entries" in out
 
-        # Second, warm run: zero misses / zero simulations.
+        # Second, warm run: every point replays from disk.
         runner.clear_cache()
+        runner.reset_simulation_count()
         assert main(argv) == 0
         capsys.readouterr()
+        assert runner.simulation_count() == 0
         assert main(["cache", "stat", "--cache-dir", cache]) == 0
-        out = capsys.readouterr().out
-        assert "0 misses" in out and "0 simulations" in out
+        assert "entries:        2" in capsys.readouterr().out
 
         assert main(["cache", "clear", "--cache-dir", cache]) == 0
         assert "cleared 2" in capsys.readouterr().out
+
+    def test_cache_commands_ignore_and_remove_an_old_run_ledger(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        ResultStore(cache).put(result_key("CELLO", "cg/fv1/N=1", CFG, None),
+                               sample_result())
+        # The run-counter ledger older versions wrote beside the results.
+        ledger = cache / "stats.json"
+        ledger.write_text(json.dumps({
+            "last_run": {"hits": 3, "misses": 2, "simulations": 2},
+            "cumulative": {"hits": 9, "misses": 4, "simulations": 4}}))
+        assert main(["cache", "stat", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "entries:        1" in out
+        assert "last run" not in out and "cumulative" not in out
+        assert "hits" not in out and "misses" not in out
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
+        assert "cleared 1" in capsys.readouterr().out
+        assert not ledger.exists() and not (cache / "results.jsonl").exists()
 
     def test_experiment_honours_no_cache(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

@@ -305,7 +305,7 @@ class TestMetricsOp:
         assert first["rates"]["window_s"] > 0
         assert first["queue_depth"] == 0 and first["max_pending"] >= 1
         store = first["store"]
-        assert 0.0 <= store["hit_rate"] <= 1.0
+        assert store["entries"] == DISTINCT_KEYS
         assert store["corrupt"] == 0
         # Polling must never move a counter backwards.
         for key in ("points_streamed", "simulations", "hits_total",
@@ -326,6 +326,42 @@ class TestMetricsOp:
         assert after["hits_total"] == before["hits_total"] + DISTINCT_KEYS
         assert after["coalesced_total"] == before["coalesced_total"]
         assert after["simulations"] == before["simulations"]
+
+    def test_store_block_and_warm_hits_count_what_happened(self, tmp_path):
+        """A cold 2-key sweep simulates 2 keys; a warm resubmit is
+        answered by 2 warm hits; a second daemon on the same directory
+        answers from disk with no new simulation.  The ``store`` block
+        describes the store, and counts no lookups."""
+        cache = str(tmp_path / "cache")
+        _reset_runner()
+        with ServerThread(cache_dir=cache) as srv:
+            with srv.client() as client:
+                cold = client.metrics()
+                submit_standard(client)
+                mid = client.metrics()
+                submit_standard(client)
+                warm = client.metrics()
+        assert cold["hits_total"] == 0 and cold["simulations"] == 0
+        assert mid["simulations"] == DISTINCT_KEYS
+        assert mid["hits_total"] == 0
+        assert warm["simulations"] == DISTINCT_KEYS
+        assert warm["hits_total"] == DISTINCT_KEYS
+        assert sorted(warm["store"]) == sorted((
+            "directory", "schema_version", "entries", "stale",
+            "duplicates", "corrupt"))
+        assert warm["store"]["entries"] == DISTINCT_KEYS
+
+        # A fresh process state on the same directory: the store answers.
+        _reset_runner()
+        with ServerThread(cache_dir=cache) as srv:
+            with srv.client() as client:
+                outcome = submit_standard(client)
+                again = client.metrics()
+        _reset_runner()
+        assert outcome.simulations == 0 and outcome.hits == DISTINCT_KEYS
+        assert again["simulations"] == 0
+        assert again["hits_total"] == DISTINCT_KEYS
+        assert again["store"]["entries"] == DISTINCT_KEYS
 
     def test_metrics_cli_verb_renders_and_emits_json(self, server, capsys):
         from repro.cli import main

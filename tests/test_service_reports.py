@@ -110,8 +110,7 @@ class TestStatusRendering:
             "pool": {"jobs": 4, "batches": 3, "payloads": 20,
                      "broken": True},
             "store": {"directory": "/tmp/cache", "schema_version": 3,
-                      "entries": 7, "hits": 12, "misses": 5,
-                      "hit_rate": 0.7059},
+                      "entries": 7},
         })
         assert ("pool:            4 worker(s), 3 batches / 20 payloads "
                 "[broken: serial fallback]") in out
@@ -178,8 +177,7 @@ class TestMetricsRendering:
             "queue_clients": {"alice": 2, "bob": 1},
             "rates": {"window_s": 60.0, "sims_per_s": 1.25,
                       "points_per_s": 5.0, "analytic_evals_per_s": 0.0},
-            "store": {"entries": 10, "hits": 20, "misses": 10,
-                      "hit_rate": 0.6667, "corrupt": 0, "stale": 0,
+            "store": {"entries": 10, "corrupt": 0, "stale": 0,
                       "duplicates": 2},
         })
         assert "Metrics: shard (protocol v5" in out
@@ -189,7 +187,7 @@ class TestMetricsRendering:
         assert "shed:            2" in out
         assert "queue depth:     3/64 (+5 in flight)" in out
         assert "alice" in out and "2 queued" in out
-        assert "store hit rate:  66.67% (20 hits / 10 misses)" in out
+        assert "store entries:   10" in out
         assert "2 duplicates" in out
         assert "check disk" not in out  # corrupt == 0: no scare line
 
@@ -197,8 +195,7 @@ class TestMetricsRendering:
         out = render_metrics({
             "role": "shard", "protocol": 5, "uptime_s": 1.0,
             "rates": {}, "queue_clients": {},
-            "store": {"entries": 1, "hits": 0, "misses": 1,
-                      "hit_rate": 0.0, "corrupt": 3, "stale": 0,
+            "store": {"entries": 1, "corrupt": 3, "stale": 0,
                       "duplicates": 0},
         })
         assert "3 corrupt" in out
