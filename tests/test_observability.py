@@ -394,6 +394,20 @@ class TestRenderPrometheus:
         assert "repro_store_entries 2" in text
         assert "repro_store_corrupt_lines_total 0" in text
 
+    def test_store_families_describe_the_store(self):
+        """Only the store's size and skipped records are exported; lookup
+        counters an older shard still sends are not."""
+        msg = _shard_metrics_msg()
+        msg["store"] = {"entries": 2, "hits": 0, "misses": 7,
+                        "hit_rate": 0.0, "corrupt": 1}
+        text = render_prometheus(msg)
+        assert _check_prom().check_text(text, "shard") == []
+        families = sorted(line.split()[2] for line in text.splitlines()
+                          if line.startswith("# TYPE repro_store_"))
+        assert families == ["repro_store_corrupt_lines_total",
+                            "repro_store_entries"]
+        assert "repro_store_corrupt_lines_total 1" in text
+
     def test_gateway_exposition_passes_the_ci_checker(self):
         text = render_prometheus(_gateway_metrics_msg())
         assert _check_prom().check_text(text, "gateway") == []

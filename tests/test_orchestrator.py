@@ -197,6 +197,84 @@ class TestResultStore:
         assert store.get(key) == sample_result()  # in-memory tier still works
         assert "unwritable" in capsys.readouterr().err
 
+    def test_lookups_leave_no_trace(self, tmp_path):
+        """``get`` is a plain lookup: a hit or a miss changes neither the
+        store object nor its directory."""
+        store = ResultStore(tmp_path)
+        key = result_key("CELLO", "cg/fv1/N=1", CFG, None)
+        store.put(key, sample_result())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        state = dict(vars(store))
+        for _ in range(3):
+            assert store.get(key) == sample_result()
+            assert store.get(result_key("CELLO", "none", CFG, None)) is None
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert sorted(before) == [store_mod.RESULTS_FILE]
+        assert vars(store).keys() == state.keys()
+        for name in ("hits", "misses", "simulations"):
+            assert not hasattr(store, name)
+
+    def test_concurrent_puts_and_gets_agree(self, tmp_path):
+        import threading
+
+        store = ResultStore(tmp_path)
+        keys = [result_key("CELLO", f"cg/fv1/N={n}", CFG, None)
+                for n in range(1, 33)]
+        seen = []
+
+        def worker(chunk):
+            for key in chunk:
+                store.put(key, sample_result())
+                seen.append(store.get(key))
+
+        threads = [threading.Thread(target=worker, args=(keys[i::4],))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [sample_result()] * len(keys)
+        assert len(store) == len(keys)
+        reopened = ResultStore(tmp_path)
+        assert all(reopened.get(key) == sample_result() for key in keys)
+
+    def test_clear_removes_a_lone_old_ledger(self, tmp_path):
+        legacy = tmp_path / "stats.json"   # an older version's run ledger
+        legacy.write_text('{"cumulative": {"hits": 1}}')
+        assert ResultStore(tmp_path).clear() == 0
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunnerTiers:
+    """The runner's two result tiers: the process-local memo in front of
+    the persistent store."""
+
+    def test_peek_promotes_a_store_hit_into_the_memo(self, tmp_path,
+                                                     monkeypatch):
+        key = result_key("CELLO", "cg/fv1/N=1", CFG, None)
+        store = ResultStore(tmp_path)
+        store.put(key, sample_result())
+        runner.set_store(store)
+        assert runner.peek(key) == sample_result()
+
+        def unreachable(_key):
+            raise AssertionError("a promoted key must not reach the store")
+
+        monkeypatch.setattr(store, "get", unreachable)
+        assert runner.peek(key) == sample_result()
+        assert runner.simulation_count() == 0
+
+    def test_warm_repeats_simulate_once_and_store_once(self, tmp_path):
+        store = ResultStore(tmp_path)
+        runner.set_store(store)
+        workload = resolve_workload("cg/fv1/N=1@it2")
+        results = [runner.run_workload_config(workload, "CELLO", CFG)
+                   for _ in range(3)]
+        assert results[0] == results[1] == results[2]
+        assert runner.simulation_count() == 1
+        assert len(store) == 1
+        assert len(store.path.read_text().splitlines()) == 1
+
 
 class TestCliIntegration:
     def test_sweep_and_cache_commands(self, tmp_path, capsys):
@@ -248,6 +326,26 @@ class TestCliIntegration:
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         assert "cleared 1" in capsys.readouterr().out
         assert not ledger.exists() and not (cache / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, written", [
+        (["fig2"], []),
+        (["sweep", "--workloads", "cg/fv1/N=1@it2", "--configs", "CELLO"],
+         [store_mod.RESULTS_FILE]),
+        (["tune", "cg/fv1/N=1@it2", "--sram-mb", "4", "--entries", "64"],
+         [store_mod.RESULTS_FILE]),
+    ], ids=["experiment", "sweep", "tune"])
+    def test_runs_write_no_run_ledger(self, tmp_path, capsys, argv, written):
+        """Experiment, sweep and tune runs write their results to the
+        store directory and nothing else (fig2 simulates nothing)."""
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        assert main([*argv, "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        found = sorted(p.name for p in cache.iterdir()) \
+            if cache.exists() else []
+        assert found == written
+        assert not hasattr(store_mod, "STATS_FILE")
 
     def test_experiment_honours_no_cache(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

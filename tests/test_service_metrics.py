@@ -362,6 +362,9 @@ class TestMetricsOp:
         assert again["simulations"] == 0
         assert again["hits_total"] == DISTINCT_KEYS
         assert again["store"]["entries"] == DISTINCT_KEYS
+        # Stopping a service leaves only the results in the directory.
+        assert [p.name for p in (tmp_path / "cache").iterdir()] \
+            == ["results.jsonl"]
 
     def test_metrics_cli_verb_renders_and_emits_json(self, server, capsys):
         from repro.cli import main

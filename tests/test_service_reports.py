@@ -201,6 +201,19 @@ class TestMetricsRendering:
         assert "3 corrupt" in out
         assert "corrupt records growing; check disk" in out
 
+    def test_shard_metrics_report_no_store_lookup_rate(self):
+        """The warm-hit counter is the one hit count shown; lookup
+        counters an older shard still sends are not rendered."""
+        out = render_metrics({
+            "role": "shard", "protocol": 7, "uptime_s": 1.0,
+            "hits_total": 4, "rates": {}, "queue_clients": {},
+            "store": {"entries": 2, "hits": 0, "misses": 7,
+                      "hit_rate": 0.0, "corrupt": 0},
+        })
+        assert "warm hits:       4" in out
+        assert "store entries:   2" in out
+        assert "hit rate" not in out and "misses" not in out
+
     def test_shard_metrics_without_a_store(self):
         out = render_metrics({"role": "shard", "protocol": 5,
                               "uptime_s": 0.0, "rates": {},
