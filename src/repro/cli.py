@@ -500,6 +500,19 @@ def _open_request_log(path: Optional[str]):
     return RequestLog.open(path)
 
 
+def _build_endpoint(factory, flags: Dict[str, str], *args, **kwargs):
+    """Construct a service endpoint, or return ``None`` after naming the
+    flag of a setting its constructor rejects (the caller exits 2)."""
+    from .service.endpoint import SettingError
+
+    try:
+        return factory(*args, **kwargs)
+    except SettingError as exc:
+        print(f"bad {flags.get(exc.setting, exc.setting)} {exc.value!r}: "
+              f"must be {exc.rule}", file=sys.stderr)
+        return None
+
+
 def _run_endpoint(endpoint, role: str, args: argparse.Namespace) -> int:
     """Serve ``endpoint`` until it stops; the CLI tail of both roles."""
     import asyncio
@@ -543,27 +556,6 @@ def _serve_main(argv: List[str]) -> int:
         help="bounded simulation-queue depth (backpressure; default 1024)",
     )
     parser.add_argument(
-        "--batch-window-ms", type=float, default=0.0, metavar="MS",
-        help="how long the dispatcher holds a batch open for more points "
-             "before running it (default 0: points queued while a batch "
-             "runs share the next one)",
-    )
-    parser.add_argument(
-        "--client-quota", type=int, default=None, metavar="N",
-        help="per-client cap on queued points (default: the global "
-             "--max-pending bound)",
-    )
-    parser.add_argument(
-        "--bulk-threshold", type=int, default=64, metavar="N",
-        help="untagged submissions larger than this schedule as bulk "
-             "(sheddable) instead of interactive (default 64)",
-    )
-    parser.add_argument(
-        "--client-weight", action="append", default=[], metavar="NAME=W",
-        help="weighted round-robin share for a client id (repeatable; "
-             "default weight 1)",
-    )
-    parser.add_argument(
         "--log-json", nargs="?", const="-", default=None, metavar="PATH",
         help="write one JSON line per served request to PATH "
              "(default stderr)",
@@ -581,35 +573,21 @@ def _serve_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    weights = {}
-    for spec in args.client_weight:
-        name, sep, value = spec.partition("=")
-        if not sep or not name.strip():
-            print(f"bad --client-weight {spec!r}: expected NAME=W",
-                  file=sys.stderr)
-            return 2
-        try:
-            weights[name.strip()] = int(value)
-        except ValueError:
-            print(f"bad --client-weight {spec!r}: weight must be an "
-                  "integer", file=sys.stderr)
-            return 2
-
-    service = SimulationService(
+    service = _build_endpoint(
+        SimulationService,
+        {"jobs": "--jobs", "max_pending": "--max-pending"},
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
         use_store=not args.no_cache,
-        jobs=None if args.jobs == 0 else max(1, args.jobs),
+        jobs=args.jobs,
         max_pending=args.max_pending,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        quota=args.client_quota,
-        weights=weights,
-        bulk_threshold=args.bulk_threshold,
         request_log=_open_request_log(args.log_json),
         prom_port=args.prom_port,
         phase_profile=args.phase_profile,
     )
+    if service is None:
+        return 2
     return _run_endpoint(service, "service", args)
 
 
@@ -629,10 +607,6 @@ def _gateway_main(argv: List[str]) -> int:
         "--shards", required=True, metavar="ADDRS",
         help="comma-separated shard addresses (host:port, or bare port "
              "for localhost), e.g. '8643,8644,8645'",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=64, metavar="N",
-        help="virtual nodes per shard on the hash ring (default 64)",
     )
     parser.add_argument(
         "--health-interval", type=float, default=2.0, metavar="S",
@@ -666,17 +640,22 @@ def _gateway_main(argv: List[str]) -> int:
     except ValueError as exc:
         print(f"bad --shards: {exc}", file=sys.stderr)
         return 2
-    gateway = GatewayService(
+    gateway = _build_endpoint(
+        GatewayService,
+        {"health_interval_s": "--health-interval",
+         "ping_timeout_s": "--ping-timeout",
+         "shard_read_timeout_s": "--shard-read-timeout"},
         shards,
         host=args.host,
         port=args.port,
-        replicas=args.replicas,
         health_interval_s=args.health_interval,
         ping_timeout_s=args.ping_timeout,
         shard_read_timeout_s=args.shard_read_timeout,
         request_log=_open_request_log(args.log_json),
         prom_port=args.prom_port,
     )
+    if gateway is None:
+        return 2
     return _run_endpoint(gateway, "gateway", args)
 
 

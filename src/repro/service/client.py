@@ -19,6 +19,7 @@ from ..orchestrator.spec import SweepPoint
 from ..sim.results import SimResult
 from .protocol import (
     DEFAULT_HOST,
+    ERROR_OVERLOADED,
     MAX_LINE_BYTES,
     ProtocolError,
     decode_message,
@@ -62,6 +63,20 @@ class Overloaded(JobFailed):
                  retry_after_s: float = 1.0) -> None:
         super().__init__(message, job_id)
         self.retry_after_s = retry_after_s
+
+
+def _job_error(msg: Mapping[str, object],
+               job_id: Optional[str]) -> JobFailed:
+    """The exception a job's terminal ``error`` message stands for: a
+    typed :class:`Overloaded` for a shed submission (it carries the
+    server's ``retry_after_s`` hint), :class:`JobFailed` otherwise."""
+    error = str(msg.get("error", "job failed"))
+    job = job_id or msg.get("job")
+    if msg.get("code") == ERROR_OVERLOADED:
+        return Overloaded(error, job,  # type: ignore[arg-type]
+                          retry_after_s=float(
+                              msg.get("retry_after_s", 1.0)))  # type: ignore[arg-type]
+    return JobFailed(error, job)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,7 @@ class ServiceClient:
         self.host = host
         self.port = default_port() if port is None else port
         #: Tenant tag attached to every submission (fair scheduling,
-        #: per-client quotas, request logs); ``None`` submits as "anon".
+        #: request logs); ``None`` submits as "anon".
         self.client_id = client_id
         #: Mint a root span per request: every hop the request takes
         #: through the fabric logs the same trace id.
@@ -379,13 +394,7 @@ class ServiceClient:
             elif kind == "cancelled":
                 raise JobFailed(f"job {job_id} was cancelled", job_id)
             elif kind == "error":
-                error = str(msg.get("error", "job failed"))
-                if msg.get("code") == "overloaded":
-                    raise Overloaded(
-                        error, job_id or msg.get("job"),  # type: ignore[arg-type]
-                        retry_after_s=float(
-                            msg.get("retry_after_s", 1.0)))  # type: ignore[arg-type]
-                raise JobFailed(error, job_id)
+                raise _job_error(msg, job_id)
             elif kind == "done":
                 return SweepOutcome(
                     job_id=str(msg["job"]),
@@ -429,13 +438,7 @@ class ServiceClient:
             elif kind == "tune-result":
                 tune_result = dict(msg["result"])  # type: ignore[arg-type]
             elif kind == "error":
-                error = str(msg.get("error", "tune failed"))
-                if msg.get("code") == "overloaded":
-                    raise Overloaded(
-                        error, job_id or msg.get("job"),  # type: ignore[arg-type]
-                        retry_after_s=float(
-                            msg.get("retry_after_s", 1.0)))  # type: ignore[arg-type]
-                raise JobFailed(error, job_id)
+                raise _job_error(msg, job_id)
             elif kind == "done":
                 if tune_result is None:
                     raise ServiceError("tune finished without a result")

@@ -45,7 +45,7 @@ from .protocol import (
     request_to_spec,
 )
 from .reqlog import RequestLog
-from .scheduling import DEFAULT_BULK_THRESHOLD, classify_priority
+from .scheduling import classify_priority
 from .tracing import parse_trace_fields
 
 
@@ -64,6 +64,18 @@ class _TypedJobError(Exception):
         self.fields = {name: value for name, value in
                        (("code", code), ("retry_after_s", retry_after_s))
                        if value is not None}
+
+
+class SettingError(ValueError):
+    """An endpoint constructor setting is out of range; it is refused,
+    never clamped.  :attr:`setting` is the parameter's name, so the CLI
+    can name the flag it came from."""
+
+    def __init__(self, setting: str, value: object, rule: str) -> None:
+        super().__init__(f"{setting} must be {rule}, got {value!r}")
+        self.setting = setting
+        self.value = value
+        self.rule = rule
 
 
 def _consume_exception(fut: "asyncio.Future[None]") -> None:
@@ -91,10 +103,6 @@ class Endpoint:
         self.prom_port = prom_port
         self.startup_error: Optional[BaseException] = None
         self.points_streamed = 0
-        #: Untagged submissions with more points than this schedule as
-        #: bulk.  A gateway classifies by the whole submission, so each
-        #: shard schedules its partition as a lone daemon would the job.
-        self.bulk_threshold = DEFAULT_BULK_THRESHOLD
         self._points_meter = RateMeter()
         self._latency = HistogramFamily(("op", "family", "priority"))
         self._prom: Optional[PromExporter] = None
@@ -403,8 +411,10 @@ class Endpoint:
                                       "error": str(exc)})
             return
 
-        priority = classify_priority(explicit_priority, len(points),
-                                     self.bulk_threshold)
+        # A gateway classifies by the whole submission and forwards the
+        # class, so each shard schedules its partition as a lone daemon
+        # would the job.
+        priority = classify_priority(explicit_priority, len(points))
         job = self.registry.create(str(req["op"]), summary=summary,
                                    client=client or "anon",
                                    priority=priority)

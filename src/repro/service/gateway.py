@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import time
 from dataclasses import dataclass
 from typing import (AsyncIterator, Awaitable, Callable, Dict, List, Mapping,
@@ -49,7 +50,8 @@ from typing import (AsyncIterator, Awaitable, Callable, Dict, List, Mapping,
 
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
-from .endpoint import Endpoint, _JobCancelled, _TypedJobError
+from .endpoint import (Endpoint, SettingError, _JobCancelled,
+                       _TypedJobError)
 from .hashing import DEFAULT_REPLICAS, HashRing
 from .jobs import Job, JobState, workload_family
 from .protocol import (
@@ -163,18 +165,23 @@ class GatewayService(Endpoint):
                  shards: Sequence[Tuple[str, int]],
                  host: str = DEFAULT_HOST,
                  port: int = 0,
-                 replicas: int = DEFAULT_REPLICAS,
                  health_interval_s: float = 2.0,
                  ping_timeout_s: float = 5.0,
                  shard_read_timeout_s: float = 600.0,
                  request_log: Optional[RequestLog] = None,
                  prom_port: Optional[int] = None) -> None:
+        for setting, seconds in (("health_interval_s", health_interval_s),
+                                 ("ping_timeout_s", ping_timeout_s),
+                                 ("shard_read_timeout_s",
+                                  shard_read_timeout_s)):
+            if not (math.isfinite(seconds) and seconds > 0):
+                raise SettingError(setting, seconds,
+                                   "a finite number of seconds above 0")
         super().__init__(host=host, port=port, request_log=request_log,
                          prom_port=prom_port)
-        self.replicas = max(1, replicas)
-        self.health_interval_s = max(0.05, health_interval_s)
-        self.ping_timeout_s = max(0.05, ping_timeout_s)
-        self.shard_read_timeout_s = max(0.05, shard_read_timeout_s)
+        self.health_interval_s = health_interval_s
+        self.ping_timeout_s = ping_timeout_s
+        self.shard_read_timeout_s = shard_read_timeout_s
         self.requeued_total = 0
         self._shards: "Dict[str, ShardState]" = {}
         for shard_host, shard_port in shards:
@@ -208,7 +215,7 @@ class GatewayService(Endpoint):
                      if self._prom is not None else "")
         return (f"repro gateway listening on {self.host}:{self.port} "
                 f"(shards: {healthy}/{len(self._shards)} healthy, "
-                f"ring replicas: {self.replicas}{prom_desc})")
+                f"ring replicas: {DEFAULT_REPLICAS}{prom_desc})")
 
     # -- shard health ----------------------------------------------------------
 
@@ -295,7 +302,7 @@ class GatewayService(Endpoint):
         healthy = [s.id for s in self._shards.values() if s.healthy]
         if not healthy:
             raise _NoHealthyShards
-        return HashRing(healthy, replicas=self.replicas)
+        return HashRing(healthy)
 
     @contextlib.asynccontextmanager
     async def _shard_conn(self, shard: ShardState,
@@ -374,7 +381,7 @@ class GatewayService(Endpoint):
             "server": "repro-gateway",
             "host": self.host,
             "port": self.port,
-            "replicas": self.replicas,
+            "replicas": DEFAULT_REPLICAS,
             "uptime_s": round(time.monotonic() - self._t0, 3),
             "points_streamed": self.points_streamed,
             "requeued_total": self.requeued_total,

@@ -4,21 +4,20 @@ The daemon used to feed its dispatcher from a single bounded FIFO, which
 made backpressure global: one tenant submitting a 10k-point bulk sweep
 filled the queue and every interactive client behind it waited out the
 whole backlog.  :class:`FairQueue` replaces that FIFO with per-client
-lanes drained by weighted round-robin:
+lanes drained round-robin:
 
-* each client id owns one lane; the dispatcher takes up to ``weight``
-  entries (default 1) from a lane before rotating to the next, so a
-  tenant's latency is bounded by the *number of tenants*, not by the
-  depth of anyone else's backlog;
+* each client id owns one lane; the dispatcher takes one entry from a
+  lane before rotating to the next, so a tenant's latency is bounded by
+  the *number of tenants*, not by the depth of anyone else's backlog;
 * within a lane, ``interactive`` entries are served before ``bulk``
   ones, so a tenant's own small probe is never stuck behind its own
   sweep;
-* capacity is still globally bounded (``max_pending``, the existing
-  backpressure knob) plus an optional per-client ``quota``; when a
-  bulk submission cannot be admitted, the server sheds it with a typed
-  ``overloaded`` wire error (:class:`Overloaded`) instead of queueing —
-  interactive work is never shed, it blocks on the bounded queue like
-  before.
+* capacity is globally bounded (``max_pending``, the backpressure
+  knob).  The server sheds at admission: a bulk submission arriving
+  while the queue has no free slot is refused with a typed
+  ``overloaded`` wire error (:meth:`FairQueue.overload_reason`,
+  :meth:`FairQueue.retry_after_s`) instead of queueing.  Interactive
+  work is never shed; it blocks on the bounded queue.
 
 Shedding is tiered lowest-priority-first: tune searches (which occupy a
 worker thread for their whole run) are refused once the queue passes
@@ -27,49 +26,33 @@ no capacity is free at admission; interactive submissions always queue.
 
 Everything here runs on the server's event loop; the waiting primitives
 are futures (the same scheme ``asyncio.Queue`` uses), so the sync
-mutators (``put_nowait``/``get_nowait``) need no locks.
+``get_nowait`` needs no lock.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 #: Wire-visible priority classes, highest first.
 PRIORITIES = ("interactive", "bulk")
 
 #: A submission with more points than this classifies as ``bulk`` when
 #: the client did not say otherwise.
-DEFAULT_BULK_THRESHOLD = 64
+BULK_THRESHOLD = 64
 
 #: Tune jobs are shed once the queue is this full (they are the lowest
 #: tier: a whole search occupies a worker thread, not one queue slot).
 TUNE_SHED_FRACTION = 0.5
 
 
-class Overloaded(Exception):
-    """The server refused work it cannot absorb right now.
-
-    Carried onto the wire as an ``error`` response with
-    ``code="overloaded"`` and a ``retry_after_s`` hint; well-behaved
-    clients back off (with jitter) and resubmit — completed simulations
-    are warm by then, so retries never duplicate work.
-    """
-
-    def __init__(self, reason: str, retry_after_s: float = 1.0) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.retry_after_s = retry_after_s
-
-
-def classify_priority(explicit: Optional[str], n_points: int,
-                      bulk_threshold: int = DEFAULT_BULK_THRESHOLD) -> str:
+def classify_priority(explicit: Optional[str], n_points: int) -> str:
     """The submission's scheduling class: the client's explicit choice
-    when given, else by size against ``bulk_threshold``."""
+    when given, else by size against :data:`BULK_THRESHOLD`."""
     if explicit in PRIORITIES:
         return str(explicit)
-    return "bulk" if n_points > bulk_threshold else "interactive"
+    return "bulk" if n_points > BULK_THRESHOLD else "interactive"
 
 
 class _Lane:
@@ -93,29 +76,19 @@ class _Lane:
 
 
 class FairQueue:
-    """Bounded multi-tenant queue drained by weighted round-robin.
+    """Bounded multi-tenant queue drained by round-robin.
 
     API mirrors the ``asyncio.Queue`` subset the dispatcher uses
-    (``put``/``put_nowait``/``get``/``get_nowait``/``qsize``), with
-    every put tagged by ``client`` and ``priority``.  ``get_nowait``
-    raises :class:`asyncio.QueueEmpty` so the dispatcher's drain loop is
-    unchanged; ``put_nowait`` raises :class:`Overloaded` instead of
-    ``QueueFull`` because "no room" is a scheduling decision here, not
-    an error.
+    (``put``/``get``/``get_nowait``/``qsize``), with every put tagged by
+    ``client`` and ``priority``.  ``get_nowait`` raises
+    :class:`asyncio.QueueEmpty` so the dispatcher's drain loop is
+    unchanged.
     """
 
-    def __init__(self, maxsize: int,
-                 quota: Optional[int] = None,
-                 weights: Optional[Mapping[str, int]] = None) -> None:
-        self.maxsize = max(1, int(maxsize))
-        #: Per-client cap on queued entries (defaults to the global cap,
-        #: i.e. no extra restriction).
-        self.quota = self.maxsize if quota is None else max(1, int(quota))
-        self._weights: Dict[str, int] = {
-            str(k): max(1, int(v)) for k, v in (weights or {}).items()}
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
         self._lanes: Dict[str, _Lane] = {}
         self._order: Deque[str] = deque()   # clients with queued entries
-        self._credits: Optional[int] = None  # head client's remaining turn
         self._total = 0
         self._getters: List["asyncio.Future[None]"] = []
         self._putters: List["asyncio.Future[None]"] = []
@@ -127,62 +100,13 @@ class FairQueue:
 
     def client_depths(self) -> Dict[str, int]:
         """Queued entries per client (the metrics op's per-tenant view)."""
-        return {c: len(lane) for c, lane in sorted(self._lanes.items())
-                if len(lane)}
+        return {c: len(lane) for c, lane in sorted(self._lanes.items())}
 
-    def free_slots(self, client: str) -> int:
-        """How many entries ``client`` could enqueue right now."""
-        lane = self._lanes.get(client)
-        used = len(lane) if lane is not None else 0
-        return max(0, min(self.maxsize - self._total, self.quota - used))
+    def free_slots(self) -> int:
+        """How many entries could be enqueued right now."""
+        return self.maxsize - self._total
 
-    def weight(self, client: str) -> int:
-        return self._weights.get(client, 1)
-
-    # -- enqueue ---------------------------------------------------------------
-
-    def _has_room(self, client: str) -> bool:
-        return self.free_slots(client) > 0
-
-    def _enqueue(self, item: object, client: str, priority: str) -> None:
-        lane = self._lanes.get(client)
-        if lane is None:
-            lane = self._lanes[client] = _Lane()
-        if not len(lane):
-            self._order.append(client)
-        lane.push(item, priority)
-        self._total += 1
-        self._wake(self._getters)
-
-    async def put(self, item: object, client: str = "anon",
-                  priority: str = "interactive") -> None:
-        """Enqueue, blocking while the client has no free slot (the
-        backpressure path: interactive work and an admitted bulk job's
-        own trickle)."""
-        while not self._has_room(client):
-            fut = asyncio.get_running_loop().create_future()
-            self._putters.append(fut)
-            try:
-                await fut
-            finally:
-                if fut in self._putters:
-                    self._putters.remove(fut)
-        self._enqueue(item, client, priority)
-
-    def put_nowait(self, item: object, client: str = "anon",
-                   priority: str = "interactive") -> None:
-        """Enqueue or raise :class:`Overloaded` — the shedding path."""
-        if not self._has_room(client):
-            raise Overloaded(self.overload_reason(client),
-                             self.retry_after_s())
-        self._enqueue(item, client, priority)
-
-    def overload_reason(self, client: str) -> str:
-        lane = self._lanes.get(client)
-        used = len(lane) if lane is not None else 0
-        if self.quota - used <= 0 and self.maxsize - self._total > 0:
-            return (f"client {client!r} is at its queue quota "
-                    f"({used}/{self.quota} entries)")
+    def overload_reason(self) -> str:
         return (f"queue full ({self._total}/{self.maxsize} pending across "
                 f"{len(self._order)} client(s))")
 
@@ -190,25 +114,41 @@ class FairQueue:
         """Backoff hint scaled to the backlog; small queues clear fast."""
         return round(min(30.0, max(0.1, 0.02 * self._total)), 3)
 
-    # -- dequeue (weighted round-robin) ----------------------------------------
+    # -- enqueue ---------------------------------------------------------------
+
+    async def put(self, item: object, client: str = "anon",
+                  priority: str = "interactive") -> None:
+        """Enqueue, blocking while the queue is full (the backpressure
+        path: interactive work and an admitted bulk job's own trickle)."""
+        while self._total >= self.maxsize:
+            fut = asyncio.get_running_loop().create_future()
+            self._putters.append(fut)
+            try:
+                await fut
+            finally:
+                if fut in self._putters:
+                    self._putters.remove(fut)
+        lane = self._lanes.get(client)
+        if lane is None:
+            lane = self._lanes[client] = _Lane()
+            self._order.append(client)
+        lane.push(item, priority)
+        self._total += 1
+        self._wake(self._getters)
+
+    # -- dequeue (round-robin) -------------------------------------------------
 
     def _pop_next(self) -> object:
-        client = self._order[0]
+        client = self._order.popleft()
         lane = self._lanes[client]
-        if self._credits is None:
-            self._credits = self.weight(client)
         item = lane.pop()
         self._total -= 1
-        self._credits -= 1
-        if not len(lane):
+        if len(lane):
+            self._order.append(client)  # back of the rotation
+        else:
             # Lane drained: drop the client from the rotation entirely
             # (an empty lane must not burn turns).
-            self._order.popleft()
             del self._lanes[client]
-            self._credits = None
-        elif self._credits <= 0:
-            self._order.rotate(-1)
-            self._credits = None
         self._wake(self._putters)
         return item
 

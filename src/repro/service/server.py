@@ -39,7 +39,7 @@ import asyncio
 import functools
 import os
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines import runner
 from ..hw.config import mib_to_bytes
@@ -49,7 +49,8 @@ from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
 from ..sim import engine as sim_engine
 from ..workloads.registry import is_resolvable, resolve_workload
-from .endpoint import Endpoint, _consume_exception, _JobCancelled
+from .endpoint import (Endpoint, SettingError, _consume_exception,
+                       _JobCancelled)
 from .jobs import Job, JobState, workload_family
 from .metrics import HistogramFamily, RateMeter
 from .protocol import (
@@ -64,11 +65,7 @@ from .protocol import (
 )
 from .reqlog import RequestLog
 from .tracing import parse_trace_fields
-from .scheduling import (
-    DEFAULT_BULK_THRESHOLD,
-    TUNE_SHED_FRACTION,
-    FairQueue,
-)
+from .scheduling import TUNE_SHED_FRACTION, FairQueue
 
 #: Seconds between the ``progress`` heartbeats a running tune sends, so
 #: a long search does not starve its client's per-read socket timeout.
@@ -84,29 +81,28 @@ class SimulationService(Endpoint):
                  port: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  use_store: bool = True,
-                 jobs: Optional[int] = None,
+                 jobs: int = 0,
                  max_pending: int = 1024,
-                 batch_window_s: float = 0.0,
                  max_batch: int = 64,
-                 quota: Optional[int] = None,
-                 weights: Optional[Mapping[str, int]] = None,
-                 bulk_threshold: int = DEFAULT_BULK_THRESHOLD,
                  request_log: Optional[RequestLog] = None,
                  prom_port: Optional[int] = None,
                  phase_profile: bool = False) -> None:
+        if jobs < 0:
+            raise SettingError("jobs", jobs,
+                               "at least 0 (0 = one worker per core)")
+        for setting, value in (("max_pending", max_pending),
+                               ("max_batch", max_batch)):
+            if value < 1:
+                raise SettingError(setting, value, "at least 1")
         super().__init__(host=host,
                          port=default_port() if port is None else port,
                          request_log=request_log,
                          prom_port=prom_port)
         self.cache_dir = cache_dir
         self.use_store = use_store
-        self.max_pending = max(1, max_pending)
-        self.batch_window_s = max(0.0, batch_window_s)
-        self.max_batch = max(1, max_batch)
-        self.quota = quota
-        self.weights = dict(weights or {})
-        self.bulk_threshold = max(0, bulk_threshold)
-        self.pool = OrchestratorPool(jobs)
+        self.max_pending = max_pending
+        self.max_batch = max_batch
+        self.pool = OrchestratorPool(jobs or None)
         self.store: Optional[ResultStore] = None
         self.hits_total = 0
         self.coalesced_total = 0
@@ -126,8 +122,7 @@ class SimulationService(Endpoint):
         assert self._loop is not None
         # Everything up to the pool warm-up runs before the first await,
         # so no connection is served without the queue and the store.
-        self._queue = FairQueue(self.max_pending, quota=self.quota,
-                                weights=self.weights)
+        self._queue = FairQueue(self.max_pending)
         self.store = ResultStore(self.cache_dir) if self.use_store else None
         runner.set_store(self.store)
         set_shared_pool(self.pool)
@@ -311,12 +306,11 @@ class SimulationService(Endpoint):
                      writer: asyncio.StreamWriter) -> bool:
         await self._sync_store(points)
         assert self._queue is not None
-        if job.priority == "bulk" and self._queue.free_slots(job.client) <= 0:
-            # Tiered shedding: bulk work is refused while the client has
-            # no free capacity at admission.  Interactive submissions are
-            # never shed — they block on the bounded queue like before.
-            await self._shed(job, writer,
-                             self._queue.overload_reason(job.client),
+        if job.priority == "bulk" and self._queue.free_slots() <= 0:
+            # Tiered shedding: bulk work is refused while the queue has
+            # no free slot at admission.  Interactive submissions are
+            # never shed — they block on the bounded queue instead.
+            await self._shed(job, writer, self._queue.overload_reason(),
                              self._queue.retry_after_s())
             return False
         return True
@@ -453,11 +447,6 @@ class SimulationService(Endpoint):
         assert self._loop is not None and self._queue is not None
         while True:
             batch: List[Tuple[str, SweepPoint]] = [await self._queue.get()]
-            if self.batch_window_s > 0:
-                # An optional gather window holds the batch open for
-                # stragglers.  Off by default: points queued while a
-                # batch runs already share the next one.
-                await asyncio.sleep(self.batch_window_s)
             while len(batch) < self.max_batch:
                 try:
                     batch.append(self._queue.get_nowait())

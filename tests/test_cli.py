@@ -46,6 +46,20 @@ class TestCli:
         assert report["results"]["analytic_eval"]["analytic_over_simulated"] > 1.0
         assert "Cache kernel backends" in capsys.readouterr().out
 
+    def test_analytic_rung_reports_the_median_of_alternating_rounds(self):
+        import statistics
+
+        from repro.analysis import kernel_bench
+
+        rung = kernel_bench.bench_analytic_eval(10, sim_evals=1,
+                                                batch_points=64)
+        assert rung["rounds"] == 5
+        assert (rung["evals"], rung["sim_evals"]) == (10, 5)
+        for ratio in ("analytic_over_simulated", "batch_over_pointwise"):
+            per_round = rung[f"{ratio}_rounds"]
+            assert len(per_round) == 5 and min(per_round) > 0
+            assert rung[ratio] == statistics.median(per_round)
+
     def test_list_workloads(self, capsys):
         from repro.workloads.registry import all_workloads
 

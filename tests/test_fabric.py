@@ -11,10 +11,12 @@ Three layers:
 * ``TestChaos`` — one fabric per test, each broken differently: shard
   SIGKILLed mid-stream, connection dropped mid-stream, acks delayed past
   the gateway's read timeout, and a fabric with no live shards at all.
-  Every chaos test pins the same three invariants: the job still
+  Every such test pins the same three invariants: the job still
   completes with every point, ``requeued`` says so, and the shared store
   holds exactly one record per distinct traffic key (no duplicate
-  simulations, ever).
+  simulations, ever).  The load-shedding test runs its one shard
+  in-process behind a gateway thread, so it can hold the shard's
+  dispatcher with a gate while the queue is full.
 * ``TestStalledShard`` — a DOWN shard that accepts connections and never
   answers: jobs on the survivors must not wait for its ping timeout.
 """
@@ -55,6 +57,7 @@ from test_service import (
     ServerThread,
     _reset_runner,
     expected_results,
+    held_dispatcher,
 )
 
 #: The chaos grid: 4 workloads x 2 configs x 1 bandwidth = 8 points with
@@ -416,90 +419,98 @@ class TestChaos:
             self._check_store_exactly_once(fab, points)
 
     def test_shed_bulk_job_retries_through_the_gateway_without_duplicates(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """Load shedding end to end across the fabric: a shard with a
         one-slot queue sheds a second tenant's bulk partition with the
         typed ``overloaded`` error, the gateway passes the code through,
         the client backs off and resubmits — and when the dust settles
         nothing was simulated twice.
 
-        Determinism comes from the shard's gather window: with
-        ``--max-pending 1`` and a 1 s ``--batch-window-ms`` the first
-        tenant's trickle keeps the queue pinned full between batches, so
-        the second tenant's admission check during the window always
-        sheds (the test polls the shard's live queue depth before
-        submitting tenant B).
+        Determinism comes from holding the shard's dispatcher: the shard
+        runs in-process with ``max_pending=1`` behind a gateway, and its
+        dispatcher waits on a gate with the first tenant's first point
+        while the second keeps the queue full.  The second tenant's
+        admission check therefore always sheds; its first backoff opens
+        the gate.
         """
-        from repro.service import Overloaded, ServiceClient
+        from repro.service import Overloaded
 
         points = chaos_points()
-        fab = Fabric(str(tmp_path / "cache"), n_shards=1,
-                     shard_args=["--max-pending", "1",
-                                 "--batch-window-ms", "1000"],
-                     ping_timeout_s=2.0, health_interval_s=0.5)
-        with fab:
-            a_done = {}
+        cache = tmp_path / "cache"
+        _reset_runner()
+        try:
+            with ServerThread(cache_dir=str(cache), max_pending=1) as srv, \
+                    GatewayThread([("127.0.0.1", srv.port)]) as gw, \
+                    held_dispatcher(monkeypatch) as gate:
+                a_done = {}
 
-            def tenant_a():
-                with fab.client(client_id="tenant-a") as client:
-                    a_done["outcome"] = client.submit_sweep(
-                        list(CHAOS_WORKLOADS),
-                        configs=list(CHAOS_CONFIGS),
-                        bandwidth_gb=[CHAOS_BANDWIDTH_GB],
-                        priority="bulk")
+                def tenant_a():
+                    with gw.client(client_id="tenant-a") as client:
+                        a_done["outcome"] = client.submit_sweep(
+                            list(CHAOS_WORKLOADS),
+                            configs=list(CHAOS_CONFIGS),
+                            bandwidth_gb=[CHAOS_BANDWIDTH_GB],
+                            priority="bulk")
 
-            thread = threading.Thread(target=tenant_a)
-            thread.start()
-            shard_port = fab.proxies[0].port
-            with ServiceClient(port=shard_port, timeout=60.0) as probe:
-                assert wait_until(
-                    lambda: probe.metrics()["queue_depth"] >= 1,
-                    timeout_s=30.0, interval_s=0.01)
+                thread = threading.Thread(target=tenant_a)
+                thread.start()
+                try:
+                    assert wait_until(
+                        lambda: srv.service._queue.qsize() >= 1,
+                        timeout_s=30.0, interval_s=0.005)
 
-            retries = []
-            with fab.client(client_id="tenant-b") as client:
-                out_b = client.submit_sweep(
-                    list(CHAOS_WORKLOADS[:2]),
-                    configs=list(CHAOS_CONFIGS), sram_mb=[2.0],
-                    bandwidth_gb=[CHAOS_BANDWIDTH_GB],
-                    priority="bulk", overload_retries=12,
-                    on_retry=lambda n, delay, exc:
-                        retries.append(exc))
-                warm_b = client.submit_sweep(
-                    list(CHAOS_WORKLOADS[:2]),
-                    configs=list(CHAOS_CONFIGS), sram_mb=[2.0],
-                    bandwidth_gb=[CHAOS_BANDWIDTH_GB],
-                    priority="bulk", overload_retries=12)
-            thread.join(timeout=300)
-            assert not thread.is_alive()
-            with ServiceClient(port=shard_port, timeout=60.0) as probe:
-                shard_metrics = probe.metrics()
+                    retries = []
 
-            # The shed fired, carried its typed fields through the
-            # gateway, and the retry loop absorbed it.
-            assert retries, "tenant B was never shed"
-            assert all(isinstance(exc, Overloaded) for exc in retries)
-            assert all(exc.retry_after_s > 0 for exc in retries)
-            assert shard_metrics["shed_total"] >= 1
+                    def open_gate(n, delay, exc):
+                        retries.append(exc)
+                        gate.set()
 
-            # Both tenants' jobs completed in full...
-            assert len(a_done["outcome"].points) == CHAOS_POINTS
-            assert len(out_b.points) == 4
-            assert warm_b.simulations == 0
-            assert warm_b.hits == 4
-            assert fingerprint(warm_b) == fingerprint(out_b)
-            # ...and the shed/retry cycle duplicated zero simulations:
-            # the store holds exactly one record per distinct key across
-            # both tenants' grids.
-            b_points = SweepSpec(workloads=CHAOS_WORKLOADS[:2],
-                                 configs=CHAOS_CONFIGS,
-                                 sram_bytes=(2 * MIB,),
-                                 bandwidths=(CHAOS_BANDWIDTH_GB * GB,)
-                                 ).points()
-            assert duplicate_store_keys(fab.results_file()) == []
-            assert set(store_record_keys(fab.results_file())) == {
-                ResultStore.key_str(p.key())
-                for p in [*points, *b_points]}
+                    with gw.client(client_id="tenant-b") as client:
+                        out_b = client.submit_sweep(
+                            list(CHAOS_WORKLOADS[:2]),
+                            configs=list(CHAOS_CONFIGS), sram_mb=[2.0],
+                            bandwidth_gb=[CHAOS_BANDWIDTH_GB],
+                            priority="bulk", overload_retries=12,
+                            on_retry=open_gate)
+                        warm_b = client.submit_sweep(
+                            list(CHAOS_WORKLOADS[:2]),
+                            configs=list(CHAOS_CONFIGS), sram_mb=[2.0],
+                            bandwidth_gb=[CHAOS_BANDWIDTH_GB],
+                            priority="bulk", overload_retries=12)
+                finally:
+                    gate.set()
+                    thread.join(timeout=300)
+                assert not thread.is_alive()
+                with srv.client() as probe:
+                    shard_metrics = probe.metrics()
+        finally:
+            _reset_runner()
+
+        # The shed fired, carried its typed fields through the gateway,
+        # and the retry loop absorbed it.
+        assert retries, "tenant B was never shed"
+        assert all(isinstance(exc, Overloaded) for exc in retries)
+        assert all(exc.retry_after_s > 0 for exc in retries)
+        assert shard_metrics["shed_total"] >= 1
+
+        # Both tenants' jobs completed in full...
+        assert len(a_done["outcome"].points) == CHAOS_POINTS
+        assert len(out_b.points) == 4
+        assert warm_b.simulations == 0
+        assert warm_b.hits == 4
+        assert fingerprint(warm_b) == fingerprint(out_b)
+        # ...and the shed/retry cycle duplicated zero simulations: the
+        # store holds exactly one record per distinct key across both
+        # tenants' grids.
+        b_points = SweepSpec(workloads=CHAOS_WORKLOADS[:2],
+                             configs=CHAOS_CONFIGS,
+                             sram_bytes=(2 * MIB,),
+                             bandwidths=(CHAOS_BANDWIDTH_GB * GB,)
+                             ).points()
+        results = cache / "results.jsonl"
+        assert duplicate_store_keys(results) == []
+        assert set(store_record_keys(results)) == {
+            ResultStore.key_str(p.key()) for p in [*points, *b_points]}
 
     def test_no_healthy_shards_is_a_clean_error(self, tmp_path):
         """A gateway whose every shard is unreachable must still start,

@@ -7,6 +7,7 @@ resubmission, cancellation, backpressure plumbing and the CLI verbs.
 """
 
 import asyncio
+import contextlib
 import json
 import socket
 import threading
@@ -60,7 +61,6 @@ class ServerThread:
     def __init__(self, **kwargs):
         kwargs.setdefault("port", 0)
         kwargs.setdefault("jobs", 1)
-        kwargs.setdefault("batch_window_s", 0.0)
         self.service = SimulationService(**kwargs)
         self._thread = threading.Thread(
             target=self._run, name="repro-service-test", daemon=True)
@@ -89,6 +89,31 @@ class ServerThread:
     def client(self, **kwargs):
         kwargs.setdefault("timeout", 60.0)
         return ServiceClient(port=self.port, **kwargs)
+
+
+@contextlib.contextmanager
+def held_dispatcher(monkeypatch):
+    """Hold every dispatcher batch until the yielded gate is set.
+
+    The dispatcher takes its first point and then waits on the gate
+    inside :meth:`SimulationService._execute_batch`, so whatever a test
+    queues behind it stays queued for exactly as long as the test
+    wants: no wall-clock window decides what the admission check sees.
+    The gate opens on exit, so leave this context before the server's.
+    """
+    gate = threading.Event()
+    original = SimulationService._execute_batch
+
+    def held_batch(self, batch):
+        if not gate.wait(timeout=120):
+            raise RuntimeError("the test never opened the dispatcher gate")
+        return original(self, batch)
+
+    monkeypatch.setattr(SimulationService, "_execute_batch", held_batch)
+    try:
+        yield gate
+    finally:
+        gate.set()
 
 
 @pytest.fixture
@@ -741,6 +766,61 @@ class TestNonFiniteNumbers:
         assert main([*argv, "--no-cache"]) == 2
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
+
+
+class TestOutOfRangeSettings:
+    """A numeric endpoint setting out of range is refused where the
+    endpoint is built, never clamped; the CLI names the flag and exits
+    2 before anything listens."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["serve", "--no-cache", "--max-pending", "0"],
+         "bad --max-pending 0: must be at least 1"),
+        (["serve", "--no-cache", "--jobs", "-1"],
+         "bad --jobs -1: must be at least 0 (0 = one worker per core)"),
+        (["gateway", "--shards", "9", "--health-interval", "0"],
+         "bad --health-interval 0.0: must be a finite number of seconds"),
+        (["gateway", "--shards", "9", "--ping-timeout", "-1"],
+         "bad --ping-timeout -1.0: must be a finite number of seconds"),
+        (["gateway", "--shards", "9", "--shard-read-timeout", "0"],
+         "bad --shard-read-timeout 0.0: must be a finite number of "
+         "seconds"),
+    ])
+    def test_cli_names_the_flag_and_exits_2(self, argv, message, capsys):
+        assert main([*argv, "--port", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "Traceback" not in err and "listening" not in out
+
+    @pytest.mark.parametrize("setting,value", [
+        ("max_pending", 0), ("max_batch", 0), ("jobs", -2)])
+    def test_shard_constructor_raises(self, setting, value):
+        with pytest.raises(ValueError, match=f"^{setting} must be"):
+            SimulationService(port=0, **{setting: value})
+
+    @pytest.mark.parametrize("setting", [
+        "health_interval_s", "ping_timeout_s", "shard_read_timeout_s"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_gateway_constructor_raises(self, setting, value):
+        from repro.service import GatewayService
+
+        with pytest.raises(ValueError, match=f"^{setting} must be"):
+            GatewayService([("127.0.0.1", 9)], **{setting: value})
+
+    def test_smallest_settings_are_kept_as_given(self):
+        from repro.service import GatewayService
+
+        shard = SimulationService(port=0, jobs=1, max_pending=1,
+                                  max_batch=1)
+        assert (shard.pool.jobs, shard.max_pending, shard.max_batch) \
+            == (1, 1, 1)
+        gateway = GatewayService([("127.0.0.1", 9)],
+                                 health_interval_s=0.01,
+                                 ping_timeout_s=0.01,
+                                 shard_read_timeout_s=0.01)
+        assert (gateway.health_interval_s, gateway.ping_timeout_s,
+                gateway.shard_read_timeout_s) == (0.01, 0.01, 0.01)
 
 
 class TestServiceCli:

@@ -6,11 +6,12 @@ byte-stability of the streamed sweep messages.
 The unit tests pin the scheduling/counting primitives with injected
 clocks and in-memory streams; the loopback tests drive a real daemon
 over TCP the same way ``tests/test_service.py`` does (its harness is
-imported here).  Shedding is made deterministic by exploiting the
-dispatcher's gather window: with ``max_batch=1`` and a long
-``batch_window_s`` the dispatcher sits on its first point while the
-queue stays full, so an admission check during the window always sees
-zero free slots — no sleeps, no racing the simulator.
+imported here).  Shedding is made deterministic by holding the
+dispatcher with a gate (``held_dispatcher``): with ``max_pending=1``
+and ``max_batch=1`` the dispatcher waits on the gate with its first
+point while the second keeps the queue full, so an admission check
+before the test opens the gate always sees zero free slots — no sleeps,
+no racing the simulator.
 """
 
 import asyncio
@@ -31,7 +32,6 @@ from repro.service import (
     classify_priority,
 )
 from repro.service.protocol import KNOWN_OPS, encode_message
-from repro.service.scheduling import Overloaded as SchedOverloaded
 from test_service import (
     BANDWIDTH_GB,
     CONFIGS,
@@ -39,6 +39,7 @@ from test_service import (
     WORKLOAD,
     ServerThread,
     _reset_runner,
+    held_dispatcher,
     submit_standard,
 )
 
@@ -92,9 +93,6 @@ class TestClassifyPriority:
         assert classify_priority(None, 64) == "interactive"
         assert classify_priority(None, 65) == "bulk"
 
-    def test_threshold_is_configurable(self):
-        assert classify_priority(None, 5, bulk_threshold=4) == "bulk"
-
 
 def run(coro):
     return asyncio.run(coro)
@@ -105,64 +103,42 @@ class TestFairQueue:
         async def go():
             q = FairQueue(10)
             for item in ("a1", "a2", "a3"):
-                q.put_nowait(item, client="alice")
-            q.put_nowait("b1", client="bob")
+                await q.put(item, client="alice")
+            await q.put("b1", client="bob")
             return [q.get_nowait() for _ in range(4)]
 
         # alice's backlog does not starve bob: he is served after one
         # alice entry, not after three.
         assert run(go()) == ["a1", "b1", "a2", "a3"]
 
-    def test_weights_grant_longer_turns(self):
-        async def go():
-            q = FairQueue(10, weights={"alice": 2})
-            for item in ("a1", "a2", "a3"):
-                q.put_nowait(item, client="alice")
-            q.put_nowait("b1", client="bob")
-            return [q.get_nowait() for _ in range(4)]
-
-        assert run(go()) == ["a1", "a2", "b1", "a3"]
-
     def test_interactive_jumps_own_bulk_backlog(self):
         async def go():
             q = FairQueue(10)
-            q.put_nowait("sweep", client="alice", priority="bulk")
-            q.put_nowait("probe", client="alice", priority="interactive")
+            await q.put("sweep", client="alice", priority="bulk")
+            await q.put("probe", client="alice", priority="interactive")
             return [q.get_nowait() for _ in range(2)]
 
         assert run(go()) == ["probe", "sweep"]
 
-    def test_quota_sheds_one_tenant_but_not_others(self):
-        async def go():
-            q = FairQueue(10, quota=2)
-            q.put_nowait("a1", client="alice")
-            q.put_nowait("a2", client="alice")
-            assert q.free_slots("alice") == 0
-            with pytest.raises(SchedOverloaded) as exc_info:
-                q.put_nowait("a3", client="alice")
-            assert "quota" in str(exc_info.value)
-            q.put_nowait("b1", client="bob")  # bob is unaffected
-            return q.qsize(), q.client_depths()
-
-        assert run(go()) == (3, {"alice": 2, "bob": 1})
-
     def test_full_queue_sheds_with_retry_hint(self):
+        # What the server's admission check reads before it sheds.
         async def go():
             q = FairQueue(2)
-            q.put_nowait("x", client="a")
-            q.put_nowait("y", client="b")
-            with pytest.raises(SchedOverloaded) as exc_info:
-                q.put_nowait("z", client="c")
-            assert "queue full" in str(exc_info.value)
-            return exc_info.value.retry_after_s
+            assert q.free_slots() == 2
+            await q.put("x", client="a")
+            assert q.free_slots() == 1
+            await q.put("y", client="b")
+            return q.free_slots(), q.overload_reason(), q.retry_after_s()
 
-        hint = run(go())
+        free, reason, hint = run(go())
+        assert free == 0
+        assert reason == "queue full (2/2 pending across 2 client(s))"
         assert 0.1 <= hint <= 30.0
 
     def test_blocking_put_waits_for_a_slot(self):
         async def go():
             q = FairQueue(1)
-            q.put_nowait("first", client="a")
+            await q.put("first", client="a")
             admitted = []
 
             async def putter():
@@ -184,7 +160,7 @@ class TestFairQueue:
             task = asyncio.ensure_future(q.get())
             await asyncio.sleep(0)
             assert not task.done()
-            q.put_nowait("late", client="a")
+            await q.put("late", client="a")
             return await task
 
         assert run(go()) == "late"
@@ -200,20 +176,14 @@ class TestFairQueue:
     def test_drained_lane_leaves_the_rotation(self):
         async def go():
             q = FairQueue(10)
-            q.put_nowait("a1", client="alice")
-            q.put_nowait("b1", client="bob")
+            await q.put("a1", client="alice")
+            await q.put("b1", client="bob")
             q.get_nowait()  # alice drained and removed
-            q.put_nowait("b2", client="bob")
-            return [q.get_nowait() for _ in range(2)]
+            await q.put("b2", client="bob")
+            return [q.get_nowait() for _ in range(2)], q.client_depths()
 
         # No empty alice lane burning turns: bob drains back-to-back.
-        assert run(go()) == ["b1", "b2"]
-
-    def test_exports_are_one_class(self):
-        # The client raises its own Overloaded (a JobFailed subclass);
-        # the queue raises the scheduling one.  Both are exported, the
-        # package-level name is the client-facing one.
-        assert Overloaded is not SchedOverloaded
+        assert run(go()) == (["b1", "b2"], {})
 
 
 class TestRequestLog:
@@ -383,45 +353,44 @@ class TestMetricsOp:
 
 class TestLoadShedding:
     @pytest.fixture
-    def tiny_server(self, tmp_path):
-        # max_pending=1 + a long gather window: after the dispatcher
-        # takes its single-point batch it sleeps in the window, so a
-        # second queued point keeps the queue pinned full for seconds —
-        # admission checks during the window deterministically shed.
+    def tiny_server(self, tmp_path, monkeypatch):
+        # max_pending=1 + a held dispatcher: the dispatcher takes its
+        # single-point batch and waits on the gate, so a second queued
+        # point keeps the queue full until the test opens the gate —
+        # admission checks before that deterministically see no slot.
         _reset_runner()
         with ServerThread(cache_dir=str(tmp_path / "cache"),
-                          max_pending=1, max_batch=1,
-                          batch_window_s=2.0) as srv:
-            yield srv
+                          max_pending=1, max_batch=1) as srv, \
+                held_dispatcher(monkeypatch) as gate:
+            yield srv, gate
         _reset_runner()
 
     def _fill_queue(self, srv):
         """Submit a 2-point interactive sweep in the background and wait
         until its second point is sitting in the (size-1) queue."""
-        done = threading.Event()
         outcome = {}
 
-        def bulk_filler():
+        def filler():
             with srv.client(client_id="filler") as client:
                 outcome["filler"] = client.submit_sweep(
                     [WORKLOAD], configs=[CONFIGS[0]],
                     sram_mb=[1.0, 2.0], bandwidth_gb=[BANDWIDTH_GB[0]])
-            done.set()
 
-        thread = threading.Thread(target=bulk_filler)
+        thread = threading.Thread(target=filler)
         thread.start()
         deadline = time.monotonic() + 30
         while srv.service._queue is None \
                 or srv.service._queue.qsize() < 1:
             assert time.monotonic() < deadline, "queue never filled"
             time.sleep(0.005)
-        return thread, done, outcome
+        return thread, outcome
 
     def test_bulk_is_shed_with_typed_error_then_retry_succeeds(
             self, tiny_server):
-        thread, _, _ = self._fill_queue(tiny_server)
+        srv, gate = tiny_server
+        thread, filled = self._fill_queue(srv)
         try:
-            with tiny_server.client(client_id="bulky") as client:
+            with srv.client(client_id="bulky") as client:
                 with pytest.raises(Overloaded) as exc_info:
                     client.submit_sweep(
                         [WORKLOAD], configs=[CONFIGS[1]],
@@ -430,16 +399,21 @@ class TestLoadShedding:
                 assert exc_info.value.retry_after_s > 0
                 assert "overloaded" in str(exc_info.value)
 
-                # Same submission with retries enabled: backs off past
-                # the gather windows, is admitted, and completes without
+                # Same submission with retries enabled: it is shed again
+                # while the gate is shut, the first backoff opens it, and
+                # the retry is admitted and completes without
                 # re-simulating anything another client already ran.
                 retries = []
+
+                def open_gate(n, delay, exc):
+                    retries.append((n, delay))
+                    gate.set()
+
                 outcome = client.submit_sweep(
                     [WORKLOAD], configs=[CONFIGS[1]],
                     bandwidth_gb=list(BANDWIDTH_GB),
                     priority="bulk", overload_retries=50,
-                    on_retry=lambda n, delay, exc:
-                        retries.append((n, delay)))
+                    on_retry=open_gate)
                 assert retries, "retry path never fired"
                 assert all(delay <= 60.0 for _, delay in retries)
                 assert len(outcome.points) == 2
@@ -449,37 +423,52 @@ class TestLoadShedding:
             # every key in the store was simulated exactly once.
             assert metrics["simulations"] == 3  # 2 filler srams + 1 CELLO
         finally:
+            gate.set()
             thread.join(timeout=120)
             assert not thread.is_alive()
+        assert len(filled["filler"].points) == 2
 
     def test_tune_is_shed_before_bulk_capacity_is_reached(
             self, tiny_server):
         # Tune searches are the lowest tier: with max_pending=1 the tune
         # shed threshold is one queued entry, which _fill_queue pins.
-        from repro.service.client import JobFailed
-
-        thread, _, _ = self._fill_queue(tiny_server)
+        srv, gate = tiny_server
+        thread, _ = self._fill_queue(srv)
         try:
-            with tiny_server.client(client_id="tuner") as client:
-                with pytest.raises(JobFailed) as exc_info:
+            with srv.client(client_id="tuner") as client:
+                with pytest.raises(Overloaded) as exc_info:
                     client.submit_tune(WORKLOAD, strategy="grid",
                                        budget=4, sram_mb=[4.0],
                                        entries=[64])
-            assert "overloaded" in str(exc_info.value)
+            assert exc_info.value.retry_after_s > 0
+            assert "tune searches are shed first" in str(exc_info.value)
         finally:
+            gate.set()
             thread.join(timeout=120)
             assert not thread.is_alive()
 
     def test_interactive_is_never_shed_it_queues(self, tiny_server):
-        thread, _, _ = self._fill_queue(tiny_server)
+        # The probe is admitted (``accepted``) while the queue is full;
+        # only then does the test open the gate and let it through.
+        srv, gate = tiny_server
+        thread, _ = self._fill_queue(srv)
+
+        def open_on_accept(msg):
+            if msg.get("type") == "accepted":
+                assert srv.service._queue.free_slots() == 0
+                gate.set()
+
         try:
-            with tiny_server.client(client_id="probe") as client:
+            with srv.client(client_id="probe") as client:
                 outcome = client.submit_sweep(
                     [WORKLOAD], configs=[CONFIGS[1]],
                     bandwidth_gb=[BANDWIDTH_GB[0]],
+                    on_message=open_on_accept,
                     overload_retries=0)  # would raise if shed
             assert len(outcome.points) == 1
+            assert gate.is_set()
         finally:
+            gate.set()
             thread.join(timeout=120)
             assert not thread.is_alive()
 
@@ -488,13 +477,13 @@ class TestFairnessUnderLoad:
     def test_interactive_tenant_is_not_starved_by_a_bulk_sweep(
             self, tmp_path):
         """Two tenants: one submits a wide bulk sweep, the other a
-        1-point probe after the bulk backlog is queued.  Weighted
-        round-robin must finish the probe long before the sweep — under
+        1-point probe after the bulk backlog is queued.  Round-robin
+        lanes must finish the probe long before the sweep — under
         the old single FIFO the probe waited out the whole backlog."""
         _reset_runner()
         finished = {}
         with ServerThread(cache_dir=str(tmp_path / "cache"),
-                          max_batch=1, batch_window_s=0.0) as srv:
+                          max_batch=1) as srv:
             bulk_started = threading.Event()
 
             def bulk_tenant():

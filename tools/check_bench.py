@@ -19,12 +19,16 @@ ride along:
   15-19x at parity today);
 * the analytic traffic model must still be dramatically faster than the
   simulated path it replaces (``analytic_over_simulated`` stays above
-  ``--min-analytic-speedup``, default 100 — several hundred x today;
+  ``--min-analytic-speedup``, default 100 — ~160x on a 2-vCPU VM today;
   below that the hybrid tuner's fast path has stopped being fast);
 * the batch analytic evaluator must still amortise the Python dispatch
   it exists to remove (``batch_over_pointwise`` stays above
   ``--min-batch-speedup``, default 50 — the columnar tuner path is
   pointless below that).
+
+Both ratios are medians over the bench's alternating timing rounds (the
+per-round values sit beside them as ``*_rounds``), so one noisy stretch
+of the host moves one round, not the gated number.
 
 Usage::
 
