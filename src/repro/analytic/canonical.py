@@ -221,7 +221,7 @@ def canonicalize(schedule: Schedule) -> CanonicalProgram:
         pipe_bytes=pipe_bytes,
         chord_access_bytes=chord_access_bytes,
         operand_bytes=0,
-        total_macs=sum(op.macs for op in dag.ops),
+        total_macs=dag.total_macs,
     )
 
 
@@ -276,7 +276,7 @@ def canonicalize_oracle(dag, covered: Set[str]) -> CanonicalProgram:
         pipe_bytes=0,
         chord_access_bytes=0,
         operand_bytes=operand_bytes,
-        total_macs=sum(op.macs for op in dag.ops),
+        total_macs=dag.total_macs,
     )
 
 

@@ -33,7 +33,7 @@ def run_set(dag: TensorDag, cfg: AcceleratorConfig,
     return make_result(
         config="SET",
         workload=workload_name,
-        total_macs=sum(op.macs for op in dag.ops),
+        total_macs=dag.total_macs,
         dram_read_bytes=reads,
         dram_write_bytes=writes,
         cfg=cfg,

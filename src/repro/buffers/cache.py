@@ -10,26 +10,13 @@ preserves streaming/capacity behaviour (validated in tests).
 Two backends produce byte-identical :class:`BufferStats`:
 
 ``vector`` (default when the policy supports it)
-    Array-state simulation.  Each chunk of the trace first tries the
-    *eviction-free* closed form: when every set's valid ways plus the
-    chunk's distinct non-resident blocks in it fit the associativity, no
-    access can evict, so misses are the distinct new blocks and the
-    policy only sees one fill per new block and one hit per re-touched
-    line.  The closed form reads the chunk's :class:`ChunkFacts` (its
-    distinct blocks with their first and last touch and write flag), a
-    function of the trace alone that the caller may keep across cache
-    geometries (``access_arrays``' ``memo``, up to
-    :data:`KEPT_FACTS_BYTES` a trace); per cache it does
-    O(distinct blocks + lines) work.  A chunk whose block range is wider
-    than twice the cache's lines, or that has more distinct blocks than
-    lines, is rejected on that alone.  Chunks that do not fit are
-    resolved in *conflict-free batches* — maximal contiguous runs of the
-    trace in which every set index appears at most once — so hit
-    detection, victim choice, fills and writeback accounting are
-    whole-batch numpy ops instead of a Python loop with an
-    ``np.nonzero`` per access.  Within a batch the per-set
-    states cannot interact, and batches are processed in trace order,
-    so the result is exactly the sequential simulation.
+    Array-state simulation in *conflict-free batches* — maximal
+    contiguous runs of the trace in which every set index appears at
+    most once — so hit detection, victim choice, fills and writeback
+    accounting are whole-batch numpy ops instead of a Python loop with
+    an ``np.nonzero`` per access.  Within a batch the per-set states
+    cannot interact, and batches are processed in trace order, so the
+    result is exactly the sequential simulation.
 
 ``reference``
     The original scalar per-access loop over per-set policy objects, kept
@@ -39,14 +26,17 @@ Two backends produce byte-identical :class:`BufferStats`:
 Replacement policies implement per-set state: :class:`LruPolicy` and
 :class:`BrripPolicy` live in sibling modules and provide both the scalar
 and the array-state (``vec_*``) protocol.
+
+A trace whose :class:`TraceFootprint` fits the cache needs neither
+backend: no set ever overflows, so no policy is ever asked for a victim
+and the stats follow from the footprint alone (the cache engine
+resolves such points without building a cache).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import (Any, Callable, Hashable, Iterable, List, Optional,
-                    Protocol, Tuple)
+from typing import Iterable, List, Protocol, Tuple
 
 import numpy as np
 
@@ -84,18 +74,8 @@ class VectorReplacementPolicy(Protocol):
     """Array-state replacement protocol for the vectorized backend.
 
     ``rows`` are set indices, ``ways`` the matching way indices, ``times``
-    the global access order positions (strictly increasing).  Two rules
-    hold for every ``vec_on_hit`` / ``vec_on_fill`` call:
-
-    * a row may repeat, but each (row, way) pair appears at most once —
-      the eviction-free closed form fills and hits several ways of one
-      set in one call, so each pair must be an independent update;
-    * ``vec_on_hit`` sees each line once, at its *last* hit time — a line
-      hit k times in a chunk arrives as one entry, so the hook must give
-      the same state as those k hits in order (LRU recency and RRIP hit
-      promotion do; a hit-frequency counter would not).
-
-    ``vec_choose_victims`` rows are unique within one call.
+    the global access order positions (strictly increasing).  Each call
+    covers one conflict-free batch, so its rows are unique.
     ``vec_on_fill`` receives fills in trace order — policies with global
     counters (BRRIP's bimodal throttle) rely on it.
     """
@@ -116,113 +96,120 @@ def supports_vector(policy: object) -> bool:
     return all(callable(getattr(policy, m, None)) for m in _VECTOR_METHODS)
 
 
-Memo = Callable[[Hashable, Callable[[], Any]], Any]
+def cache_sets(capacity_bytes: int, line_bytes: int,
+               associativity: int) -> int:
+    """The set count of a cache geometry; ``ValueError`` when the
+    geometry is not a positive whole number of sets."""
+    if capacity_bytes <= 0 or line_bytes <= 0 or associativity <= 0:
+        raise ValueError("cache geometry must be positive")
+    n_lines = capacity_bytes // line_bytes
+    if n_lines == 0 or n_lines % associativity:
+        raise ValueError(
+            f"capacity {capacity_bytes}B / line {line_bytes}B must be a "
+            f"multiple of associativity {associativity}"
+        )
+    return n_lines // associativity
+
+
+def resolve_backend(policy: object, backend: str = "auto") -> str:
+    """The backend ``"vector"`` or ``"reference"`` a cache of ``policy``
+    runs (``"auto"``: vector when the policy supports it)."""
+    if backend == "auto":
+        backend = "vector" if supports_vector(policy) else "reference"
+    if backend not in ("vector", "reference"):
+        raise ValueError(f"unknown cache backend {backend!r}")
+    if backend == "vector" and not supports_vector(policy):
+        raise ValueError(
+            f"policy {type(policy).__name__} lacks the vec_* protocol "
+            "required by the vector backend"
+        )
+    return backend
+
+
+def _merged(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The disjoint, ascending ``[lo, hi)`` rows covering the same
+    integers as the given intervals (touching ones merge)."""
+    if lo.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    heads = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    tails = np.append(heads[1:], lo.size) - 1
+    return np.column_stack((lo[heads], reach[tails]))
 
 
 @dataclass(frozen=True)
-class ChunkFacts:
-    """What the eviction-free closed form needs of one expanded chunk.
+class TraceFootprint:
+    """The blocks a trace touches at one block size.
 
-    They depend on the trace, the block size and the chunk bounds alone,
-    never on the cache, so one DAG's facts serve every cache geometry
-    that replays it.  ``blocks`` are the chunk's distinct blocks in
-    first-touch order; ``first`` and ``last`` each block's first and last
-    position in the chunk, ``dirty`` whether any of its accesses writes,
-    and ``by_last`` the indices into ``blocks`` in last-touch order.
+    ``blocks`` and ``written`` are disjoint ascending ``[lo, hi)`` block
+    intervals: every block the trace accesses, and every block it
+    writes.  ``accesses`` is the trace's block-access count.  All three
+    depend on the trace and the block size alone, never on the cache.
+
+    When :meth:`fits` a cache, no set ever holds more distinct blocks
+    than it has ways, so nothing is evicted under any policy: each
+    distinct block misses once, every other access hits, and the final
+    flush writes back each written block once (:meth:`stats`).
     """
 
     blocks: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    dirty: np.ndarray
-    by_last: np.ndarray
+    written: np.ndarray
+    accesses: int
 
     @classmethod
-    def of(cls, blocks: np.ndarray, writes: np.ndarray) -> "ChunkFacts":
-        """The facts of a non-empty in-order block stream: one stable
-        sort groups each block's accesses in trace order."""
-        n = blocks.size
-        order = np.argsort(blocks, kind="stable")
-        grouped = blocks[order]
-        heads = np.flatnonzero(np.concatenate(
-            ([True], grouped[1:] != grouped[:-1])))
-        first = order[heads]
-        last = order[np.append(heads[1:], n) - 1]
-        dirty = np.logical_or.reduceat(writes[order], heads)
-        by_first = np.argsort(first)
-        last = last[by_first]
-        return cls(blocks=grouped[heads][by_first],
-                   first=first[by_first], last=last,
-                   dirty=dirty[by_first], by_last=np.argsort(last))
+    def of(cls, starts: np.ndarray, nbytes: np.ndarray,
+           is_write: np.ndarray, block_bytes: int) -> "TraceFootprint":
+        """The footprint of the trace ``[starts[i], starts[i] + nbytes[i])``
+        (zero-byte rows touch nothing)."""
+        keep = nbytes > 0
+        first = starts[keep] // block_bytes
+        end = (starts[keep] + nbytes[keep] - 1) // block_bytes + 1
+        w = is_write[keep]
+        return cls(blocks=_merged(first, end),
+                   written=_merged(first[w], end[w]),
+                   accesses=int((end - first).sum()))
 
+    @staticmethod
+    def _count(intervals: np.ndarray) -> int:
+        return int((intervals[:, 1] - intervals[:, 0]).sum())
 
-#: Bytes of :class:`ChunkFacts` per distinct block: four int64 arrays
-#: and one bool array.
-FACT_BYTES_PER_BLOCK = 4 * 8 + 1
+    def fits(self, n_sets: int, assoc: int) -> bool:
+        """Whether every set index ``r`` has at most ``assoc`` footprint
+        blocks ``b`` with ``b % n_sets == r``.
 
-#: Ceiling on the :class:`ChunkFacts` one replayed trace keeps through
-#: :meth:`SetAssociativeCache.access_arrays`' ``memo``, shared among its
-#: chunks in proportion to their length.  It holds every fitting chunk
-#: of the paper's 4 MiB cache points (4.9 MB for cg/fv1/N=1, 8.4 MB for
-#: bicgstab/fv1/N=1); a chunk whose facts exceed its share builds them
-#: at each point instead, as a memo-free replay does.
-KEPT_FACTS_BYTES = 16 * 2**20
+        An interval of length L covers every set ``L // n_sets`` times,
+        plus once each the ``L % n_sets`` sets from its start's.  When
+        even every partial wrap landing on one set would fit, that
+        bound decides in O(intervals); otherwise a difference array over
+        two wraps of the sets adds them up, in O(intervals + n_sets).
+        """
+        if self._count(self.blocks) > n_sets * assoc:
+            return False
+        lo, hi = self.blocks[:, 0], self.blocks[:, 1]
+        wraps = int(((hi - lo) // n_sets).sum())
+        first = lo % n_sets
+        end = first + (hi - lo) % n_sets
+        partials = int(np.count_nonzero(end > first))
+        if wraps + partials <= assoc:
+            return True
+        if wraps >= assoc:
+            return False
+        covered = np.cumsum(np.bincount(first, minlength=2 * n_sets)
+                            - np.bincount(end, minlength=2 * n_sets))
+        per_set = covered[:n_sets] + covered[n_sets:2 * n_sets]
+        return wraps + int(per_set.max()) <= assoc
 
-
-def _distinct_count(blocks: np.ndarray, lo: int, span: int) -> int:
-    """Distinct blocks of a stream whose blocks lie in ``[lo, lo+span)``:
-    a span-sized presence mask, no sort."""
-    seen = np.zeros(span, dtype=bool)
-    seen[blocks - lo] = True
-    return int(np.count_nonzero(seen))
-
-
-class _Chunk:
-    """One chunk of a replayed stream: ``n`` accesses whose blocks are
-    expanded on first use, and whose block range, distinct count and
-    facts come through ``memo`` under ``key`` (computed afresh without
-    one).  Facts larger than ``keep_bytes`` are never memoised."""
-
-    def __init__(self, n: int,
-                 expand: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                 memo: Optional[Memo] = None, key: Tuple = (),
-                 keep_bytes: float = 0.0) -> None:
-        self.n = n
-        self._expand = expand
-        self._memo = memo
-        self._key = key
-        self._keep_bytes = keep_bytes
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The chunk's (blocks, writes), expanded once."""
-        if self._arrays is None:
-            self._arrays = self._expand()
-        return self._arrays
-
-    def _memoised(self, name: str, compute: Callable[[], Any]) -> Any:
-        if self._memo is None:
-            return compute()
-        return self._memo(self._key + (name,), compute)
-
-    def bounds(self) -> Tuple[int, int]:
-        """The chunk's lowest block and the width of its block range."""
-        def compute() -> Tuple[int, int]:
-            blocks = self.arrays()[0]
-            lo = int(blocks.min())
-            return lo, int(blocks.max()) - lo + 1
-        return self._memoised("bounds", compute)
-
-    def distinct(self) -> int:
-        return self._memoised("distinct", lambda: _distinct_count(
-            self.arrays()[0], *self.bounds()))
-
-    def facts(self) -> ChunkFacts:
-        def compute() -> ChunkFacts:
-            return ChunkFacts.of(*self.arrays())
-        if self.distinct() * FACT_BYTES_PER_BLOCK > self._keep_bytes:
-            return compute()
-        return self._memoised("facts", compute)
+    def stats(self, block_bytes: int) -> BufferStats:
+        """The stats, after the final flush, of a replay that fits."""
+        misses = self._count(self.blocks)
+        writebacks = self._count(self.written)
+        return BufferStats(accesses=self.accesses,
+                           hits=self.accesses - misses, misses=misses,
+                           writebacks=writebacks,
+                           dram_read_bytes=misses * block_bytes,
+                           dram_write_bytes=writebacks * block_bytes)
 
 
 class SetAssociativeCache:
@@ -248,27 +235,12 @@ class SetAssociativeCache:
         policy: ReplacementPolicy,
         backend: str = "auto",
     ) -> None:
-        if capacity_bytes <= 0 or line_bytes <= 0 or associativity <= 0:
-            raise ValueError("cache geometry must be positive")
-        n_lines = capacity_bytes // line_bytes
-        if n_lines == 0 or n_lines % associativity:
-            raise ValueError(
-                f"capacity {capacity_bytes}B / line {line_bytes}B must be a "
-                f"multiple of associativity {associativity}"
-            )
-        if backend == "auto":
-            backend = "vector" if supports_vector(policy) else "reference"
-        if backend not in ("vector", "reference"):
-            raise ValueError(f"unknown cache backend {backend!r}")
-        if backend == "vector" and not supports_vector(policy):
-            raise ValueError(
-                f"policy {type(policy).__name__} lacks the vec_* protocol "
-                "required by the vector backend"
-            )
+        n_sets = cache_sets(capacity_bytes, line_bytes, associativity)
+        backend = resolve_backend(policy, backend)
         self.capacity_bytes = capacity_bytes
         self.line_bytes = line_bytes
         self.assoc = associativity
-        self.n_sets = n_lines // associativity
+        self.n_sets = n_sets
         self.policy = policy
         self.backend = backend
         self.stats = BufferStats()
@@ -382,92 +354,8 @@ class SetAssociativeCache:
                                     times[miss_mask])
         return hit_mask
 
-    def _resolve_eviction_free(self, chunk: "_Chunk") -> bool:
-        """Resolve a whole chunk in closed form if it cannot evict.
-
-        The chunk fits when every set's valid ways plus its distinct
-        non-resident blocks number at most ``assoc`` (valid ways are a
-        prefix: fills take the first invalid way and nothing invalidates a
-        line).  Then every miss is compulsory and the replacement policy
-        is never asked for a victim, so the chunk's effect is a function
-        of its :class:`ChunkFacts` and the cache's state:
-
-        * misses are the distinct non-resident blocks, hits the rest;
-        * new blocks fill their set's free ways in order of first touch,
-          through one ``vec_on_fill`` in trace order (BRRIP's global
-          counter sees the sequential fill order);
-        * every re-touched line gets one ``vec_on_hit`` at its last touch,
-          in trace order;
-        * dirty bits OR in the block's writes.
-
-        Returns ``False``, having changed nothing, when the chunk does not
-        fit.  A chunk whose block range is wider than twice the cache's
-        lines is rejected on its range alone (its count's presence mask is
-        range-sized; a wider chunk may still fit and then takes the batch
-        kernel instead, which on the paper's cache points none does), and
-        one with more distinct blocks than lines on its count, before its
-        facts are built.  The rest is O(distinct blocks + lines).
-        """
-        n_sets, assoc = self.n_sets, self.assoc
-        lines = n_sets * assoc
-        if chunk.bounds()[1] > 2 * lines or chunk.distinct() > lines:
-            return False
-        facts = chunk.facts()
-        d_sets = facts.blocks % n_sets
-        d_tags = facts.blocks // n_sets
-        # Residency: only blocks of sets that hold a valid way can hit.
-        valid = np.count_nonzero(self._tags != -1, axis=1)
-        occupied = np.flatnonzero(valid[d_sets])
-        hit_mat = (self._tags[d_sets[occupied]]
-                   == d_tags[occupied][:, None])
-        occupied_hit = hit_mat.any(axis=1)
-        r_idx = occupied[occupied_hit]
-        resident = np.zeros(facts.blocks.size, dtype=bool)
-        resident[r_idx] = True
-        new = np.flatnonzero(~resident)
-        f_sets = d_sets[new]
-        new_per_set = np.bincount(f_sets, minlength=n_sets)
-        if (valid + new_per_set).max() > assoc:
-            return False
-
-        # Fills, in trace order of first touch: each set's new blocks take
-        # its free ways in turn, after the valid prefix.
-        order = np.argsort(f_sets, kind="stable")
-        first_free = valid - (np.cumsum(new_per_set) - new_per_set)
-        f_ways = np.empty_like(order)
-        f_ways[order] = first_free[f_sets[order]] + np.arange(order.size)
-        self._tags[f_sets, f_ways] = d_tags[new]
-        self._dirty[f_sets, f_ways] = facts.dirty[new]
-        self.policy.vec_on_fill(self._vstate, f_sets, f_ways,
-                                self._tick + facts.first[new])
-
-        # Hits: one per re-touched line (resident, or filled and touched
-        # again), at its last touch, in trace order.
-        way = np.empty(facts.blocks.size, dtype=np.int64)
-        way[new] = f_ways
-        r_ways = hit_mat[occupied_hit].argmax(axis=1)
-        way[r_idx] = r_ways
-        self._dirty[d_sets[r_idx], r_ways] |= facts.dirty[r_idx]
-        retouched = resident | (facts.last != facts.first)
-        h = facts.by_last[retouched[facts.by_last]]
-        self.policy.vec_on_hit(self._vstate, d_sets[h], way[h],
-                               self._tick + facts.last[h])
-
-        n, n_miss = chunk.n, f_sets.size
-        self._tick += n
-        self.stats.accesses += n
-        self.stats.hits += n - n_miss
-        self.stats.misses += n_miss
-        self.stats.dram_read_bytes += n_miss * self.line_bytes
-        return True
-
     def _simulate_blocks(self, blocks: np.ndarray, writes: np.ndarray) -> None:
-        """Simulate an in-order block stream held in memory (no memo)."""
-        self._simulate_chunk(_Chunk(blocks.size, lambda: (blocks, writes)))
-
-    def _simulate_chunk(self, chunk: "_Chunk") -> None:
-        """Simulate one chunk: in closed form when it cannot evict
-        (:meth:`_resolve_eviction_free`), else in conflict-free batches.
+        """Simulate an in-order block stream in conflict-free batches.
 
         Batch boundaries come from a suffix-minimum over the next-occurrence
         index of each access's set: for a batch starting at ``s``, the first
@@ -476,10 +364,9 @@ class SetAssociativeCache:
         O(1) per batch, so conflict-heavy traces degrade gracefully instead
         of quadratically.
         """
-        n = chunk.n
-        if n == 0 or self._resolve_eviction_free(chunk):
+        n = blocks.size
+        if n == 0:
             return
-        blocks, writes = chunk.arrays()
         sets = blocks % self.n_sets
         order = np.argsort(sets, kind="stable")
         next_occ = np.full(n, n, dtype=np.int64)
@@ -515,7 +402,6 @@ class SetAssociativeCache:
         nbytes: np.ndarray,
         is_write: np.ndarray,
         chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
-        memo: Optional[Memo] = None,
     ) -> None:
         """Replay a trace given as parallel arrays, one row per byte range
         ``[starts[i], starts[i] + nbytes[i])`` accessed with ``is_write[i]``.
@@ -526,15 +412,6 @@ class SetAssociativeCache:
         whole expanded stream, splitting a range where a boundary falls,
         so memory is bounded by the chunk, not the trace.  The reference
         backend replays range by range (:meth:`access_range`).
-
-        ``memo(key, compute)`` keeps what the closed form needs of each
-        chunk — its block range, its distinct count and, for a chunk that
-        fits the lines, its :class:`ChunkFacts` — across replays of the
-        same trace (the cache engine passes :meth:`TensorDag.derived`).
-        Kept facts are bounded per trace by :data:`KEPT_FACTS_BYTES`, each
-        chunk's share in proportion to its length.  A chunk resolved from
-        memoised facts is never expanded.  Without a memo, or above the
-        bound, they are computed per chunk and dropped.
         """
         if chunk_accesses <= 0:
             raise ValueError("chunk_accesses must be positive")
@@ -567,12 +444,8 @@ class SetAssociativeCache:
             blocks += np.arange(lo, hi, dtype=np.int64)
             return blocks, np.repeat(is_write[i:j], c)
 
-        for k, lo in enumerate(range(0, total, chunk_accesses)):
-            hi = min(lo + chunk_accesses, total)
-            self._simulate_chunk(_Chunk(
-                hi - lo, functools.partial(expand, lo, hi), memo,
-                ("chunk", self.line_bytes, chunk_accesses, k),
-                KEPT_FACTS_BYTES * (hi - lo) / total))
+        for lo in range(0, total, chunk_accesses):
+            self._simulate_blocks(*expand(lo, min(lo + chunk_accesses, total)))
 
     def access_segments(
         self,

@@ -174,8 +174,20 @@ def _install_store(args: argparse.Namespace) -> None:
     runner.set_store(None if args.no_cache else ResultStore(args.cache_dir))
 
 
+def _parse_cache_args(parser: argparse.ArgumentParser,
+                      argv: List[str]) -> Optional[argparse.Namespace]:
+    """Parse ``argv``, or return ``None`` after naming an out-of-range
+    ``--jobs`` (the caller exits 2); it is refused, never clamped."""
+    args = parser.parse_args(argv)
+    if args.jobs < 0:
+        print(f"bad --jobs {args.jobs!r}: must be at least 0 "
+              "(0 = one worker per core)", file=sys.stderr)
+        return None
+    return args
+
+
 def _jobs_arg(args: argparse.Namespace) -> Optional[int]:
-    return None if args.jobs == 0 else max(1, args.jobs)
+    return None if args.jobs == 0 else args.jobs
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
@@ -265,7 +277,9 @@ def _sweep_main(argv: List[str]) -> int:
         help="comma-separated DRAM bandwidths in GB/s (default: 1000)",
     )
     _add_cache_args(parser)
-    args = parser.parse_args(argv)
+    args = _parse_cache_args(parser, argv)
+    if args is None:
+        return 2
 
     configs = _split_configs(args.configs)
     if not _check_configs(configs):
@@ -381,7 +395,9 @@ def _tune_main(argv: List[str]) -> int:
         help="also write the full results as JSON to PATH",
     )
     _add_cache_args(parser)
-    args = parser.parse_args(argv)
+    args = _parse_cache_args(parser, argv)
+    if args is None:
+        return 2
 
     bad = [w for w in args.workloads if not is_resolvable(w)]
     if bad:
@@ -503,7 +519,7 @@ def _open_request_log(path: Optional[str]):
 def _build_endpoint(factory, flags: Dict[str, str], *args, **kwargs):
     """Construct a service endpoint, or return ``None`` after naming the
     flag of a setting its constructor rejects (the caller exits 2)."""
-    from .service.endpoint import SettingError
+    from .orchestrator.parallel import SettingError
 
     try:
         return factory(*args, **kwargs)
@@ -961,7 +977,9 @@ def main(argv: list | None = None) -> int:
              "'gateway', 'submit', 'jobs' and 'metrics' subcommands",
     )
     _add_cache_args(parser)
-    args = parser.parse_args(argv)
+    args = _parse_cache_args(parser, argv)
+    if args is None:
+        return 2
 
     targets = args.experiments or ["list"]
     if targets == ["list"]:

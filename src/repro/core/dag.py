@@ -161,6 +161,12 @@ class TensorDag:
         return tuple(self._ops[n] for n in self._order)
 
     @property
+    def total_macs(self) -> int:
+        """MACs of the whole program, summed once and kept (``derived``)."""
+        return self.derived("total-macs",
+                            lambda: sum(op.macs for op in self.ops))
+
+    @property
     def op_names(self) -> Tuple[str, ...]:
         return tuple(self._order)
 

@@ -78,6 +78,27 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+class SettingError(ValueError):
+    """A constructor setting (a service endpoint's or the pool's width)
+    is out of range; it is refused, never clamped.  :attr:`setting` is
+    the parameter's name, so the CLI can name the flag it came from."""
+
+    def __init__(self, setting: str, value: object, rule: str) -> None:
+        super().__init__(f"{setting} must be {rule}, got {value!r}")
+        self.setting = setting
+        self.value = value
+        self.rule = rule
+
+
+def _width(jobs: Optional[int]) -> int:
+    """Worker processes for ``jobs``: one per core for ``None``."""
+    if jobs is None:
+        return default_jobs()
+    if jobs < 1:
+        raise SettingError("jobs", jobs, "at least 1 (None = one per core)")
+    return jobs
+
+
 def _noop(_: int) -> None:
     """Trivial worker task used to spawn pool processes eagerly."""
     return None
@@ -95,7 +116,7 @@ class OrchestratorPool:
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = default_jobs() if jobs is None else max(1, jobs)
+        self.jobs = _width(jobs)
         self.broken = False
         self.strikes = 0          # infrastructure failures seen so far
         self.batches = 0          # successful parallel batches dispatched
@@ -281,7 +302,7 @@ def prewarm(points: Sequence[SweepPoint], jobs: Optional[int] = None,
     otherwise a transient pool spins up when ``jobs > 1``.
     """
     pool = pool if pool is not None else get_shared_pool()
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = _width(jobs)
     todo: List[SweepPoint] = []
     seen = set()
     for p in _resolvable(points):

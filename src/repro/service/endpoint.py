@@ -66,18 +66,6 @@ class _TypedJobError(Exception):
                        if value is not None}
 
 
-class SettingError(ValueError):
-    """An endpoint constructor setting is out of range; it is refused,
-    never clamped.  :attr:`setting` is the parameter's name, so the CLI
-    can name the flag it came from."""
-
-    def __init__(self, setting: str, value: object, rule: str) -> None:
-        super().__init__(f"{setting} must be {rule}, got {value!r}")
-        self.setting = setting
-        self.value = value
-        self.rule = rule
-
-
 def _consume_exception(fut: "asyncio.Future[None]") -> None:
     """Done-callback that retrieves an abandoned future's exception so
     the event loop does not log 'exception was never retrieved'."""

@@ -48,10 +48,10 @@ from dataclasses import dataclass
 from typing import (AsyncIterator, Awaitable, Callable, Dict, List, Mapping,
                     Optional, Sequence, Tuple)
 
+from ..orchestrator.parallel import SettingError
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
-from .endpoint import (Endpoint, SettingError, _JobCancelled,
-                       _TypedJobError)
+from .endpoint import Endpoint, _JobCancelled, _TypedJobError
 from .hashing import DEFAULT_REPLICAS, HashRing
 from .jobs import Job, JobState, workload_family
 from .protocol import (

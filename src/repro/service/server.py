@@ -44,13 +44,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..baselines import runner
 from ..hw.config import mib_to_bytes
 from ..orchestrator.parallel import (PHASE_PROFILE_ENV, OrchestratorPool,
-                                     prewarm, set_shared_pool)
+                                     SettingError, prewarm, set_shared_pool)
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
 from ..sim import engine as sim_engine
 from ..workloads.registry import is_resolvable, resolve_workload
-from .endpoint import (Endpoint, SettingError, _consume_exception,
-                       _JobCancelled)
+from .endpoint import Endpoint, _consume_exception, _JobCancelled
 from .jobs import Job, JobState, workload_family
 from .metrics import HistogramFamily, RateMeter
 from .protocol import (

@@ -12,10 +12,11 @@ model, so every Table IV configuration is directly comparable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
-from ..buffers.cache import ReplacementPolicy, SetAssociativeCache
+from ..buffers.cache import (ReplacementPolicy, SetAssociativeCache,
+                             TraceFootprint, cache_sets, resolve_backend)
 from ..chord.buffer import ChordBuffer
 from ..chord.metadata import RiffIndexTable
 from ..core.dag import TensorDag
@@ -28,7 +29,7 @@ from .perf import make_result
 # workers and the layer ladder install the hook through this module.
 from .phases import get_phase_hook, set_phase_hook  # noqa: F401
 from .results import SimResult
-from .trace import auto_granularity, program_trace_arrays, program_trace_bytes
+from .trace import auto_granularity, program_trace_arrays
 
 
 def address_map(dag: TensorDag, line_bytes: int) -> AddressMap:
@@ -160,7 +161,6 @@ class ScheduleEngine:
         )
         self.last_chord = chord
         self.last_dram = dram
-        total_macs = sum(op.macs for op in dag.ops)
         onchip = {
             "chord": chord.stats.accesses // cfg.line_bytes,
             "rf": rf_bytes_touched // cfg.line_bytes,
@@ -169,7 +169,7 @@ class ScheduleEngine:
         return make_result(
             config=config_name,
             workload=workload_name,
-            total_macs=total_macs,
+            total_macs=dag.total_macs,
             dram_read_bytes=dram.read_bytes,
             dram_write_bytes=dram.write_bytes,
             cfg=cfg,
@@ -184,21 +184,22 @@ class CacheEngine:
     The trace depends on the DAG, ``rf_bytes`` and the line size alone,
     never on the cache, so it is kept on the DAG
     (:meth:`TensorDag.derived`) as three compact segment arrays
-    (:func:`~repro.sim.trace.program_trace_arrays`) and every later run
-    of the DAG replays it without regenerating it.  The expanded block
-    stream is never kept: on cg/G2_circuit/N=16 it is ~18x the arrays.
-    :meth:`SetAssociativeCache.access_arrays` expands and resolves it in
-    bounded chunks as batched array kernels, at 3–5 M accesses per second
-    on real traces when the cache evicts.  The eviction-free closed form
-    reads per-chunk facts that are kept on the DAG too, next to the
-    trace, for each chunk with no more distinct blocks than the cache
-    has lines, up to :data:`~repro.buffers.cache.KEPT_FACTS_BYTES` per
-    trace (4.9 MB for cg/fv1/N=1); their one-off build is reported as
-    ``trace-gen``, while facts above the bound are rebuilt at each point
-    inside ``cache-kernel``.  From kept facts a fitting chunk resolves at
-    ~50 M accesses per second without being expanded.  ``backend``
-    selects the cache implementation (``"reference"`` replays the scalar
-    per-access loop range by range, for parity tests and benchmarking).
+    (:func:`~repro.sim.trace.program_trace_arrays`) and their byte
+    total, and every later run of the DAG replays it without
+    regenerating it.  The expanded block stream is never kept: on
+    cg/G2_circuit/N=16 it is ~18x the arrays.  Next to the trace, per
+    block size, the DAG keeps its
+    :class:`~repro.buffers.cache.TraceFootprint` (the merged block
+    intervals it touches and writes); both builds are reported as
+    ``trace-gen``.  A point whose footprint fits every set of the cache
+    cannot evict, so it resolves from the footprint in O(intervals +
+    sets) with no cache built: one miss per distinct block, one
+    writeback per written block.  Any other point replays the trace
+    through :meth:`SetAssociativeCache.access_arrays`, which expands it
+    in bounded chunks into the batch kernel (3–5 M accesses per second
+    on real traces).  ``backend`` selects the cache implementation;
+    ``"reference"`` always replays, through the scalar per-access loop
+    range by range, as the oracle for parity tests and benchmarking.
     """
 
     def __init__(
@@ -216,47 +217,49 @@ class CacheEngine:
     def run(self, dag: TensorDag, config_name: str = "cache",
             workload_name: str = "workload") -> SimResult:
         cfg = self.cfg
-        total = program_trace_bytes(dag)
-        g = self.granularity or auto_granularity(total, cfg.line_bytes)
-        block_bytes = cfg.line_bytes * g
-        cache = SetAssociativeCache(
-            capacity_bytes=cfg.sram_bytes,
-            line_bytes=block_bytes,
-            associativity=cfg.cache_associativity,
-            policy=self.policy,
-            backend=self.backend,
-        )
         key = ("cache-trace", cfg.rf_bytes, cfg.line_bytes)
         hook = get_phase_hook()
         t0 = time.perf_counter() if hook is not None else 0.0
-        starts, nbytes, writes = dag.derived(key, lambda: program_trace_arrays(
-            dag, address_map(dag, cfg.line_bytes), rf_bytes=cfg.rf_bytes))
+        starts, nbytes, writes, total = dag.derived(
+            key, lambda: _trace(dag, cfg))
+        g = self.granularity or auto_granularity(total, cfg.line_bytes)
+        block_bytes = cfg.line_bytes * g
+        assoc = cfg.cache_associativity
+        n_sets = cache_sets(cfg.sram_bytes, block_bytes, assoc)
+        footprint = None
+        if resolve_backend(self.policy, self.backend) == "vector":
+            footprint = dag.derived(key + (block_bytes,), lambda: (
+                TraceFootprint.of(starts, nbytes, writes, block_bytes)))
         t1 = time.perf_counter() if hook is not None else 0.0
-        # The closed form's chunk facts are trace work: kept on the DAG
-        # next to the trace, and their build time is reported as trace-gen.
-        built = []
-
-        def memo(chunk_key, compute):
-            def build():
-                t = time.perf_counter()
-                value = compute()
-                built.append(time.perf_counter() - t)
-                return value
-            return dag.derived(key + chunk_key, build)
-
-        cache.access_arrays(starts, nbytes, writes, memo=memo)
-        cache.flush()
+        if footprint is not None and footprint.fits(n_sets, assoc):
+            stats = footprint.stats(block_bytes)
+        else:
+            cache = SetAssociativeCache(
+                capacity_bytes=cfg.sram_bytes,
+                line_bytes=block_bytes,
+                associativity=assoc,
+                policy=self.policy,
+                backend=self.backend,
+            )
+            cache.access_arrays(starts, nbytes, writes)
+            cache.flush()
+            stats = cache.stats
         if hook is not None:
-            t2 = time.perf_counter()
-            hook("trace-gen", t1 - t0 + sum(built))
-            hook("cache-kernel", t2 - t1 - sum(built))
-        total_macs = sum(op.macs for op in dag.ops)
+            hook("trace-gen", t1 - t0)
+            hook("cache-kernel", time.perf_counter() - t1)
         return make_result(
             config=config_name,
             workload=workload_name,
-            total_macs=total_macs,
-            dram_read_bytes=cache.stats.dram_read_bytes,
-            dram_write_bytes=cache.stats.dram_write_bytes,
+            total_macs=dag.total_macs,
+            dram_read_bytes=stats.dram_read_bytes,
+            dram_write_bytes=stats.dram_write_bytes,
             cfg=cfg,
-            onchip_accesses={"cache": cache.stats.accesses * g},
+            onchip_accesses={"cache": stats.accesses * g},
         )
+
+
+def _trace(dag: TensorDag, cfg: AcceleratorConfig) -> Tuple:
+    """The cache trace's (starts, nbytes, is_write) arrays and byte total."""
+    starts, nbytes, writes = program_trace_arrays(
+        dag, address_map(dag, cfg.line_bytes), rf_bytes=cfg.rf_bytes)
+    return starts, nbytes, writes, int(nbytes.sum())

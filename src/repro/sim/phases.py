@@ -7,9 +7,10 @@ point, with phases
   (:func:`repro.workloads.registry.workload_dag`; a hit reports nothing),
 * ``"schedule"`` — one :meth:`repro.score.scheduler.Score.schedule` call,
 * ``"trace-gen"`` — producing the cache baselines' address trace and
-  the eviction-free closed form's chunk facts, both functions of the
-  DAG alone (near zero when the DAG already holds them),
-* ``"cache-kernel"`` — the set-associative replay, and
+  its block footprint, both functions of the DAG alone (near zero when
+  the DAG already holds them),
+* ``"cache-kernel"`` — the footprint's fit check, and the
+  set-associative replay when it does not fit, and
 * ``"chord-accounting"`` — the schedule-driven op walk.
 
 ``None`` (the default) keeps the hot paths timer-free; the service

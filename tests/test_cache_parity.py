@@ -1,17 +1,20 @@
 """Golden-parity suite: the vectorized cache backend must be byte-identical
 to the scalar reference backend.
 
-The vector backend resolves chunks that cannot evict in closed form and
-the rest in conflict-free batches; these tests pit it against the
-original per-access scalar loop on randomized and adversarial traces
-(same-set conflict storms, write-allocate mixes, flushes, closed-form
-hand-offs) for every policy, requiring exact :class:`BufferStats`
-equality and identical final tag/dirty state.  Golden DRAM bytes pin the
-cache baselines on real traces.  Also covers the streaming trace
+The vector backend resolves traces in conflict-free batches; these tests
+pit it against the original per-access scalar loop on randomized and
+adversarial traces (same-set conflict storms, write-allocate mixes,
+flushes, state carried across chunks) for every policy, requiring exact
+:class:`BufferStats` equality and identical final tag/dirty state.  A
+trace whose :class:`TraceFootprint` fits the cache resolves with no
+replay at all; both replays are its oracles, at geometries that fit
+exactly and at one block more.  Golden DRAM bytes pin the cache
+baselines on real traces.  Also covers the streaming trace
 iterator (laziness + equality with the eager form) and the segment
 chunking path.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -21,7 +24,8 @@ import pytest
 
 from repro.baselines.configs import run_config
 from repro.buffers.brrip import BrripPolicy
-from repro.buffers.cache import ChunkFacts, SetAssociativeCache, supports_vector
+from repro.buffers.cache import (SetAssociativeCache, TraceFootprint,
+                                 supports_vector)
 from repro.buffers.lru import LruPolicy
 from repro.buffers.srrip import SrripPolicy
 from repro.hw.config import MIB, AcceleratorConfig
@@ -199,49 +203,39 @@ class TestAdversarialParity:
         assert vec.stats.accesses == 3
 
 
-def spy_closed_form(cache):
-    """Record the verdict of every eviction-free attempt on ``cache``."""
-    verdicts = []
-    inner = cache._resolve_eviction_free
-
-    def spy(chunk):
-        verdicts.append(inner(chunk))
-        return verdicts[-1]
-
-    cache._resolve_eviction_free = spy
-    return verdicts
-
-
-def batch_only(policy_name, capacity=4096, line=16, assoc=4):
-    """A vector cache with the closed form disabled: the batch kernel's
-    policy matrices are the oracle for the closed form's."""
-    cache = SetAssociativeCache(capacity, line, assoc,
-                                POLICIES[policy_name](), backend="vector")
-    cache._resolve_eviction_free = lambda chunk: False
-    return cache
-
-
-def assert_same_policy_state(vec, batched):
-    assert vec._tick == batched._tick
-    for name, matrix in vars(vec._vstate).items():
-        np.testing.assert_array_equal(matrix, getattr(batched._vstate, name))
-
-
 def block_segments(blocks, is_write, line=16):
     return [StreamSegment("T", b * line, line, is_write) for b in blocks]
 
 
-class TestEvictionFreeParity:
-    """The closed form that resolves chunks which cannot evict, and its
-    hand-off to and from the batch kernel, against the scalar reference."""
+def arrays_of(segments):
+    """A segment list as ``access_arrays``' three arrays."""
+    return (np.array([s.start for s in segments], dtype=np.int64),
+            np.array([s.nbytes for s in segments], dtype=np.int64),
+            np.array([s.is_write for s in segments], dtype=bool))
+
+
+def replay_stats(policy, arrays, capacity, line, assoc, backend="vector"):
+    """Stats of a full replay plus the final flush: the batch kernel
+    (``vector``) or the scalar oracle (``reference``)."""
+    cache = SetAssociativeCache(capacity, line, assoc, POLICIES[policy](),
+                                backend=backend)
+    cache.access_arrays(*arrays)
+    cache.flush()
+    return cache.stats.as_dict()
+
+
+class TestWarmCacheParity:
+    """The batch kernel on a cache that carries state from chunk to
+    chunk — stretches that fit, a sweep that overflows, re-reads of what
+    survives it — against the scalar reference."""
 
     # 64 sets x 4 ways of 16 B lines.
     GEOMETRY = dict(capacity=4096, line=16, assoc=4)
 
-    def handoff_segments(self):
-        """Fitting chunks (a warm-up and dirty re-touches), a sweep 4x the
+    def sweep_segments(self):
+        """A warm-up and dirty re-touches that fit, a sweep 4x the
         capacity that overflows, then re-reads of the sweep's tail, which
-        is resident again and so fits."""
+        is resident again."""
         return (block_segments(range(100), False)
                 + block_segments(range(50, 150), True)
                 + block_segments(range(200), False)
@@ -250,44 +244,33 @@ class TestEvictionFreeParity:
                 + block_segments(range(992, 1024), False))
 
     @pytest.mark.parametrize("policy", list(POLICIES))
-    def test_fitting_chunks_hand_off_to_the_batch_kernel(self, policy):
+    def test_warm_up_sweep_and_reread(self, policy):
         ref, vec = pair(policy, **self.GEOMETRY)
-        batched = batch_only(policy, **self.GEOMETRY)
-        verdicts = spy_closed_form(vec)
-        segments = self.handoff_segments()
+        segments = self.sweep_segments()
         replay_segments(ref, segments)
         replay_segments(vec, segments, chunk_accesses=64)
-        replay_segments(batched, segments, chunk_accesses=64)
         assert_identical(ref, vec)
-        # Closed form first, then the batch kernel, then closed form again.
-        assert verdicts[0] and not all(verdicts)
-        assert verdicts[-1]
-        # The policy matrices and the clock match the batch kernel's too.
-        assert_same_policy_state(vec, batched)
         ref.flush()
         vec.flush()
         assert vec.stats.as_dict() == ref.stats.as_dict()
 
-    def test_brrip_throttle_survives_the_handoff(self):
+    def test_brrip_throttle_across_chunks(self):
         ref = SetAssociativeCache(4096, 16, 4, BrripPolicy(bimodal_throttle=8),
                                   backend="reference")
         vec = SetAssociativeCache(4096, 16, 4, BrripPolicy(bimodal_throttle=8),
                                   backend="vector")
-        verdicts = spy_closed_form(vec)
-        # 7 fills per fitting chunk: the long insertions land mid-chunk.
-        segments = self.handoff_segments()
+        # 7 accesses per chunk: the long insertions land mid-chunk.
+        segments = self.sweep_segments()
         replay_segments(ref, segments)
         replay_segments(vec, segments, chunk_accesses=7)
-        assert True in verdicts and False in verdicts
         assert_identical(ref, vec)
         assert vec.policy._fill_counter == ref.policy._fill_counter
 
     @pytest.mark.parametrize("policy", list(POLICIES))
     def test_resident_dirty_lines_retouched(self, policy):
-        """A fitting chunk re-reads dirty lines (they stay dirty), writes
+        """A second replay re-reads dirty lines (they stay dirty), writes
         clean resident ones (they turn dirty) and fills new ones."""
         ref, vec = pair(policy, **self.GEOMETRY)
-        verdicts = spy_closed_form(vec)
         segments = (block_segments(range(32), True)
                     + block_segments(range(32, 64), False)
                     + block_segments(range(64), False)
@@ -295,7 +278,6 @@ class TestEvictionFreeParity:
         replay_segments(ref, segments)
         replay_segments(vec, segments[:64])
         replay_segments(vec, segments[64:])
-        assert verdicts == [True, True]
         assert_identical(ref, vec)
         assert vec._dirty.sum() == 64
         ref.flush()
@@ -305,196 +287,212 @@ class TestEvictionFreeParity:
     @pytest.mark.parametrize("policy", list(POLICIES))
     @pytest.mark.parametrize("n_resident", [0, 2])
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_set_at_assoc_fits_and_assoc_plus_one_does_not(
-            self, policy, n_resident, extra):
-        """Set 0 ends the chunk holding ``assoc + extra`` lines: its
-        resident ones plus the chunk's new blocks.  With resident lines
-        the chunk's own distinct count stays within ``assoc``, so only
-        the residency check can reject it."""
+    def test_set_filled_to_assoc_and_one_more(self, policy, n_resident,
+                                              extra):
+        """Set 0 ends the stream holding ``assoc + extra`` lines: its
+        resident ones plus the stream's new blocks."""
         ref, vec = pair(policy, capacity=1024, line=16, assoc=4)  # 16 sets
-        batched = batch_only(policy, capacity=1024, line=16, assoc=4)
         for i in range(n_resident):
-            for cache in (ref, vec, batched):
+            for cache in (ref, vec):
                 cache.access_line(16 * i, True)
-        verdicts = spy_closed_form(vec)
         new = [16 * i for i in range(n_resident, 4 + extra)]
         trace = (new + [1, 17] + new[::-1]) * 2
         writes = [i % 3 == 0 for i in range(len(trace))]
         for b, w in zip(trace, writes):
             ref.access_line(b, w)
-        for cache in (vec, batched):
-            cache._simulate_blocks(np.array(trace, dtype=np.int64),
-                                   np.array(writes, dtype=bool))
-        assert verdicts == [extra == 0]
+        vec._simulate_blocks(np.array(trace, dtype=np.int64),
+                             np.array(writes, dtype=bool))
+        assert (vec.stats.evictions > 0) == bool(extra)
         assert_identical(ref, vec)
-        # Re-touched new lines end at their last touch (LRU) or promoted
-        # (RRIP), exactly as the batch kernel leaves them.
-        assert_same_policy_state(vec, batched)
 
 
-class CountingMemo:
-    """A ``memo(key, compute)`` for ``access_arrays`` that records what it
-    builds: the last element of each key computed (``bounds``,
-    ``distinct`` or ``facts``)."""
-
-    def __init__(self):
-        self.kept = {}
-        self.built = []
-
-    def __call__(self, key, compute):
-        if key not in self.kept:
-            self.built.append(key[-1])
-            self.kept[key] = compute()
-        return self.kept[key]
+def random_segments(rng, n, span, line=16):
+    """``n`` segments over ``[0, span)``: they overlap, start and end
+    mid-block, and include zero-byte rows and writes."""
+    segments = []
+    for _ in range(n):
+        size = rng.choice((0, rng.randrange(1, line),
+                           rng.randrange(1, 12 * line)))
+        segments.append(StreamSegment("T", rng.randrange(0, span), size,
+                                      rng.random() < 0.3))
+    return segments
 
 
-def cache_state(cache):
-    """Everything a replay can change, copied."""
-    return {"stats": cache.stats.as_dict(), "tick": cache._tick,
-            "tags": cache._tags.copy(), "dirty": cache._dirty.copy(),
-            "fill_counter": getattr(cache.policy, "_fill_counter", None),
-            **{k: v.copy() for k, v in vars(cache._vstate).items()}}
+def footprint_oracle(segments, line=16):
+    """The blocks a trace touches and writes, and its access count, by
+    enumeration."""
+    touched, written, accesses = set(), set(), 0
+    for s in segments:
+        if s.nbytes == 0:
+            continue
+        blocks = range(s.start // line, (s.start + s.nbytes - 1) // line + 1)
+        touched.update(blocks)
+        accesses += len(blocks)
+        if s.is_write:
+            written.update(blocks)
+    return touched, written, accesses
 
 
-def assert_same_state(a, b):
-    assert a.keys() == b.keys()
-    for k in a:
-        np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+def busiest_set(blocks, n_sets):
+    return max(collections.Counter(b % n_sets for b in blocks).values())
 
 
-class TestChunkFactsMemo:
-    """The closed form reads each chunk's :class:`ChunkFacts` through a
-    memo shared by every cache geometry that replays the trace; no state
-    may leak from one replay to the next through it."""
+class TestTraceFootprint:
+    """A trace whose footprint fits every set resolves without a replay
+    (:class:`TraceFootprint`); the batch kernel and the scalar reference
+    are its oracles."""
 
-    def test_facts_of_a_small_stream(self):
-        facts = ChunkFacts.of(np.array([5, 3, 5, 7, 3, 5], dtype=np.int64),
-                              np.array([0, 1, 0, 0, 0, 1], dtype=bool))
-        np.testing.assert_array_equal(facts.blocks, [5, 3, 7])
-        np.testing.assert_array_equal(facts.first, [0, 1, 3])
-        np.testing.assert_array_equal(facts.last, [5, 4, 3])
-        np.testing.assert_array_equal(facts.dirty, [True, True, False])
-        np.testing.assert_array_equal(facts.by_last, [2, 1, 0])
+    def test_footprint_of_a_small_trace(self):
+        segments = [StreamSegment("A", 5, 35, True),     # blocks 0-2
+                    StreamSegment("B", 30, 3, False),    # blocks 1-2
+                    StreamSegment("Z", 200, 0, True),    # touches nothing
+                    StreamSegment("C", 64, 16, False),   # block 4
+                    StreamSegment("D", 100, 1, True)]    # block 6
+        fp = TraceFootprint.of(*arrays_of(segments), 16)
+        np.testing.assert_array_equal(fp.blocks, [[0, 3], [4, 5], [6, 7]])
+        np.testing.assert_array_equal(fp.written, [[0, 3], [6, 7]])
+        assert fp.accesses == 7
+        stats = fp.stats(16)
+        assert (stats.misses, stats.hits, stats.evictions, stats.writebacks,
+                stats.dram_read_bytes, stats.dram_write_bytes) \
+            == (5, 2, 0, 4, 80, 64)
 
-    #: 147,699 line accesses in five chunks, so four of them start on a
-    #: non-empty cache.  At 1 MiB the first four fit and the last
-    #: overflows a set; 3.5 and 4.5 MiB fit throughout.
-    WORKLOAD = "bicgstab/fv1/N=1@it1"
-    CHUNK = 1 << 15
-    SIZES_MIB = (1, 3.5, 4.5, 3.5)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fit_counts_the_blocks_of_every_set(self, seed):
+        """Intervals longer than the set count wrap it; others start near
+        its end and wrap around to set 0."""
+        rng = random.Random(seed)
+        n_sets = rng.choice((1, 3, 8, 64))
+        segments = random_segments(rng, rng.randrange(1, 40),
+                                   span=16 * 4 * n_sets)
+        segments += [StreamSegment("W", 16 * rng.randrange(0, 200),
+                                   16 * rng.randrange(n_sets, 3 * n_sets),
+                                   False)]
+        fp = TraceFootprint.of(*arrays_of(segments), 16)
+        touched, written, accesses = footprint_oracle(segments)
+        assert fp.accesses == accesses
+        assert TraceFootprint._count(fp.blocks) == len(touched)
+        assert TraceFootprint._count(fp.written) == len(written)
+        busiest = busiest_set(touched, n_sets)
+        for assoc in (busiest - 1, busiest, busiest + 1):
+            if assoc >= 1:
+                assert fp.fits(n_sets, assoc) == (assoc >= busiest)
 
-    @pytest.fixture(scope="class")
-    def trace(self):
-        dag = _golden_dag(self.WORKLOAD)
-        cfg = AcceleratorConfig()
-        return program_trace_arrays(
-            dag, AddressMap.for_dag(dag, line_bytes=cfg.line_bytes),
-            rf_bytes=cfg.rf_bytes)
-
-    @pytest.mark.parametrize("policy", list(POLICIES))
-    def test_alternating_geometries_share_one_memo(self, policy, trace):
-        cfg = AcceleratorConfig()
-        memo = CountingMemo()
-        reference = {}
-        for i, mib in enumerate(self.SIZES_MIB):
-            def make(backend="vector"):
-                return SetAssociativeCache(
-                    int(mib * MIB), cfg.line_bytes, cfg.cache_associativity,
-                    POLICIES[policy](), backend=backend)
-
-            memoised, fresh = make(), make()
-            verdicts = spy_closed_form(memoised)
-            memo.built.clear()
-            memoised.access_arrays(*trace, chunk_accesses=self.CHUNK,
-                                   memo=memo)
-            fresh.access_arrays(*trace, chunk_accesses=self.CHUNK)
-            if i == 0:
-                # Every chunk fits the lines, so each builds its facts;
-                # the last is then rejected and takes the batch kernel.
-                assert memo.built == ["bounds", "distinct", "facts"] * 5
-                assert verdicts[:4] == [True] * 4 and not verdicts[4]
-            else:
-                assert memo.built == [] and verdicts == [True] * 5
-            memoised.flush()
-            fresh.flush()
-            assert_same_state(cache_state(memoised), cache_state(fresh))
-            if mib not in reference:
-                ref = make("reference")
-                ref.access_arrays(*trace)
-                ref.flush()
-                reference[mib] = ref.stats.as_dict()
-            assert memoised.stats.as_dict() == reference[mib]
+    @pytest.mark.parametrize(
+        "policy,seed,extra",
+        list(itertools.product(POLICIES, range(3), (0, 1))))
+    def test_fit_path_matches_batch_and_reference_replays(self, policy,
+                                                          seed, extra):
+        """The busiest set holds ``assoc + extra`` footprint blocks: at
+        ``assoc`` the trace fits and its footprint's stats equal both
+        replays'; one more and it must replay, and does evict."""
+        rng = random.Random(100 + seed)
+        segments = random_segments(rng, 150, span=4096)
+        arrays = arrays_of(segments)
+        touched, _, _ = footprint_oracle(segments)
+        n_sets = rng.choice((4, 8, 16))
+        assoc = busiest_set(touched, n_sets) - extra
+        geometry = dict(capacity=16 * n_sets * assoc, line=16, assoc=assoc)
+        fp = TraceFootprint.of(*arrays, 16)
+        batched = replay_stats(policy, arrays, **geometry)
+        assert replay_stats(policy, arrays, backend="reference",
+                            **geometry) == batched
+        assert fp.fits(n_sets, assoc) == (extra == 0)
+        if extra == 0:
+            assert fp.stats(16).as_dict() == batched
+        else:
+            assert batched["evictions"] > 0
 
     @pytest.mark.parametrize("policy", list(POLICIES))
     def test_fitting_count_overflowing_one_set(self, policy):
-        """The chunk spans fewer blocks than twice the cache's lines and
-        has fewer distinct blocks than lines, so its facts are built, but
-        set 0 receives at least one block more than it has ways: the
-        closed form must reject it without touching the cache, and the
-        batch kernel must resolve it exactly."""
-        geometry = dict(capacity=4096, line=16, assoc=4)  # 64 sets x 4 ways
+        """Fewer distinct blocks than lines, but set 0 receives one block
+        more than it has ways: the trace does not fit, and its replay
+        evicts."""
         rng = random.Random(29)
-        warm = [rng.randrange(0, 512) for _ in range(120)]
         hot = [64 * (3 + k) for k in range(5)]            # all in set 0
         stream = [rng.randrange(0, 512) for _ in range(150)] + hot * 3
         rng.shuffle(stream)
-        warm_w = [rng.random() < 0.3 for _ in warm]
-        stream_w = [rng.random() < 0.3 for _ in stream]
-        ref, vec = pair(policy, **geometry)
-        batched = batch_only(policy, **geometry)
-        for b, w in zip(warm + stream, warm_w + stream_w):
-            ref.access_line(b, w)
-        for cache in (vec, batched):
-            cache._simulate_blocks(np.array(warm, dtype=np.int64),
-                                   np.array(warm_w, dtype=bool))
-        attempts = []
-        inner = vec._resolve_eviction_free
-
-        def spy(chunk):
-            before = cache_state(vec)
-            attempts.append(inner(chunk))
-            if not attempts[-1]:
-                assert_same_state(cache_state(vec), before)
-            return attempts[-1]
-
-        vec._resolve_eviction_free = spy
-        memo = CountingMemo()
-        arrays = (np.array(stream, dtype=np.int64) * 16,
-                  np.full(len(stream), 16, dtype=np.int64),
-                  np.array(stream_w, dtype=bool))
-        assert len(set(stream)) <= vec.n_sets * vec.assoc
-        assert max(stream) - min(stream) < 2 * vec.n_sets * vec.assoc
-        vec.access_arrays(*arrays, memo=memo)
-        batched.access_arrays(*arrays)
-        assert attempts == [False]
-        assert memo.built == ["bounds", "distinct", "facts"]
-        assert_identical(ref, vec)
-        assert_same_state(cache_state(vec), cache_state(batched))
-
+        segments = [StreamSegment("T", 16 * b, 16, rng.random() < 0.3)
+                    for b in stream]
+        geometry = dict(capacity=4096, line=16, assoc=4)  # 64 sets x 4 ways
+        fp = TraceFootprint.of(*arrays_of(segments), 16)
+        assert TraceFootprint._count(fp.blocks) <= 64 * 4
+        assert not fp.fits(64, 4)
+        batched = replay_stats(policy, arrays_of(segments), **geometry)
+        assert batched == replay_stats(policy, arrays_of(segments),
+                                       backend="reference", **geometry)
+        assert batched["evictions"] > 0
 
     @pytest.mark.parametrize("policy", list(POLICIES))
-    def test_wide_chunk_rejected_on_its_range(self, policy):
-        """Four distinct blocks fit 64 lines, but they span more blocks
-        than twice the lines: the closed form rejects the chunk on its
-        range, before counting it, and the batch kernel resolves it."""
+    def test_sparse_wide_footprint_fits(self, policy):
+        """Four blocks spread over more blocks than twice the cache's
+        lines still fit it: the fit is per set, not per address range."""
+        segments = [StreamSegment("T", 16 * b, 16, w) for b, w in zip(
+            [0, 16, 1, 200, 0, 16], [True, False, False, True, False, True])]
         geometry = dict(capacity=1024, line=16, assoc=4)  # 16 sets x 4 ways
-        ref, vec = pair(policy, **geometry)
-        verdicts = spy_closed_form(vec)
-        stream = [0, 16, 1, 200, 0, 16]
-        writes = [True, False, False, True, False, True]
-        for b, w in zip(stream, writes):
-            ref.access_line(b, w)
-        memo = CountingMemo()
-        vec.access_arrays(np.array(stream, dtype=np.int64) * 16,
-                          np.full(len(stream), 16, dtype=np.int64),
-                          np.array(writes, dtype=bool), memo=memo)
-        assert verdicts == [False]
-        assert memo.built == ["bounds"]
-        assert_identical(ref, vec)
+        fp = TraceFootprint.of(*arrays_of(segments), 16)
+        assert fp.fits(16, 4)
+        assert fp.stats(16).as_dict() == replay_stats(
+            policy, arrays_of(segments), backend="reference", **geometry)
+
+    #: 147,699 line accesses.  At 1 MiB a set overflows; 3.5 and 4.5 MiB
+    #: fit.
+    WORKLOAD = "bicgstab/fv1/N=1@it1"
+    SIZES_MIB = (1, 3.5, 4.5, 3.5)
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_alternating_geometries_share_one_footprint(self, policy,
+                                                        monkeypatch):
+        """One DAG at alternating SRAM sizes builds its footprint once,
+        replays where it overflows and nowhere else, and matches the
+        reference engine at every size."""
+        calls = {"footprint": 0, "replay": 0}
+        of, replay = TraceFootprint.of, SetAssociativeCache.access_arrays
+
+        def spy_of(*args):
+            calls["footprint"] += 1
+            return of(*args)
+
+        def spy_replay(*args, **kwargs):
+            calls["replay"] += 1
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(TraceFootprint, "of", spy_of)
+        monkeypatch.setattr(SetAssociativeCache, "access_arrays", spy_replay)
+        dag = resolve_workload(self.WORKLOAD).build()
+        reference = {}
+        for i, mib in enumerate(self.SIZES_MIB):
+            cfg = AcceleratorConfig(sram_bytes=int(mib * MIB))
+            calls.update(footprint=0, replay=0)
+            result = CacheEngine(cfg, POLICIES[policy]()).run(dag)
+            assert calls == {"footprint": int(i == 0), "replay": int(i == 0)}
+            if mib not in reference:
+                reference[mib] = CacheEngine(
+                    cfg, POLICIES[policy](), backend="reference").run(dag)
+            assert result == reference[mib]
+
+    def test_reference_engine_never_takes_the_fit_path(self, monkeypatch):
+        dag = build_cg_dag(CgProblem(matrix=FV1, n=1, iterations=1))
+        cfg = AcceleratorConfig()
+        vector = CacheEngine(cfg, LruPolicy(), granularity=4).run(dag)
+
+        def refuse(*args):
+            raise AssertionError("the reference backend took the fit path")
+
+        monkeypatch.setattr(TraceFootprint, "of", refuse)
+        monkeypatch.setattr(TraceFootprint, "fits", refuse)
+        fresh = build_cg_dag(CgProblem(matrix=FV1, n=1, iterations=1))
+        reference = CacheEngine(cfg, LruPolicy(), granularity=4,
+                                backend="reference").run(fresh)
+        assert reference == vector
+
 
 class TestVectorPolicyContract:
-    """Every built-in policy honours the two rules the closed form relies
-    on (see ``VectorReplacementPolicy``)."""
+    """Every built-in policy's ``vec_*`` hooks are per-line updates, as
+    the scalar protocol's are: repeated rows in one call equal one pair
+    at a time, and a line's hits collapsed to its last one equal every
+    hit.  The batch kernel's calls have unique rows, so it needs neither;
+    these pin that the state does not depend on how calls are batched."""
 
     @staticmethod
     def state_of(policy, state):
@@ -613,8 +611,8 @@ class TestEngineParity:
 #: SRAM bytes) -> exact DRAM (read, write) bytes of ``run_config`` at the
 #: default granularity.  The fv1/N=1 solver traces fit every size here
 #: (no eviction ever happens), gnn/cora overflows them, and cg at 1 MiB
-#: overflows too — so both the eviction-free and the evicting kernel
-#: paths are pinned on real traces, not just on the random parity ones.
+#: overflows too — so both the footprint fit path and the evicting batch
+#: kernel are pinned on real traces, not just on the random parity ones.
 _FIT_SIZES = tuple(4 * MIB + 512 * k for k in (-1024, 37, 1023))
 GOLDEN_CACHE_TRAFFIC = (
     ("cg/fv1/N=1", "Flex+LRU", _FIT_SIZES[0], 2373088, 1537280),
@@ -678,25 +676,19 @@ class TestGoldenCacheTraffic:
             == (read, write)
 
     @pytest.mark.parametrize("config", ["Flex+LRU", "Flex+BRRIP"])
-    def test_fig12_trace_resolves_in_closed_form(self, config, monkeypatch):
-        """Every chunk of the fig12 CG trace at the default config takes
-        the eviction-free closed form; the spy sees every chunk, since the
-        distinct-count rejection is part of the closed form.  Losing it
-        keeps the traffic above but costs the ``real_trace_*`` bench
-        rungs ~2x against the committed baseline, which the 10x rate
-        gate would not catch."""
-        verdicts = []
-        inner = SetAssociativeCache._resolve_eviction_free
+    def test_fig12_trace_resolves_from_its_footprint(self, config,
+                                                     monkeypatch):
+        """The fig12 CG trace fits the default config's cache, so it
+        resolves from its footprint and no cache is built.  Losing the
+        fit path keeps the traffic above, but costs the ``real_trace_*``
+        bench rungs ~10x against the committed baseline, at the edge of
+        the rate gate's factor; this test is what guards it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fitting trace built a cache")
 
-        def spy(cache, chunk):
-            verdicts.append(inner(cache, chunk))
-            return verdicts[-1]
-
-        monkeypatch.setattr(SetAssociativeCache, "_resolve_eviction_free",
-                            spy)
+        monkeypatch.setattr(SetAssociativeCache, "__init__", refuse)
         result = run_config(config, _golden_dag("cg/fv1/N=1"),
                             AcceleratorConfig())
-        assert verdicts and all(verdicts)
         assert result.dram_read_bytes == 2373088
 
 

@@ -82,6 +82,20 @@ class TestCli:
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fig2"],
+        ["sweep", "--workloads", "cg/fv1/N=1@it2", "--configs", "CELLO"],
+        ["tune", "cg/fv1/N=1@it2"],
+    ])
+    def test_negative_jobs_is_refused(self, capsys, argv):
+        """An out-of-range ``--jobs`` exits 2 naming the flag, as
+        ``repro serve`` does, instead of running one worker."""
+        assert main([*argv, "--no-cache", "--jobs", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "bad --jobs -5: must be at least 0 (0 = one worker per core)")
+        assert captured.out == ""
+
     def test_run_light_experiment(self, capsys):
         assert main(["fig2"]) == 0
         out = capsys.readouterr().out

@@ -78,6 +78,16 @@ class TestConstruction:
             dag.op_index("zzz")
 
 
+class TestTotals:
+    def test_total_macs_is_kept_and_dropped_by_add_op(self):
+        dag = diamond_dag()
+        macs = dag.total_macs
+        assert macs == sum(op.macs for op in dag.ops) > 0
+        assert dag.derived("total-macs", lambda: None) == macs
+        dag.add_op(_op("tail", ["Out"], "Tail"))
+        assert dag.total_macs == sum(op.macs for op in dag.ops) > macs
+
+
 class TestTopology:
     def test_producer_and_consumers(self):
         dag = diamond_dag()

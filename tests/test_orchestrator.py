@@ -391,6 +391,17 @@ class TestOrchestratorPool:
                 [("cg/fv1/N=1@it2", "CELLO", CFG)]) is None
             assert pool.snapshot()["batches"] == 0
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_out_of_range_width_is_refused(self, jobs):
+        from repro.orchestrator import OrchestratorPool
+        from repro.orchestrator.parallel import SettingError
+
+        with pytest.raises(SettingError, match="jobs must be at least 1"):
+            OrchestratorPool(jobs)
+        with pytest.raises(SettingError) as refused:
+            prewarm([SweepPoint("cg/fv1/N=1@it2", "CELLO", CFG)], jobs=jobs)
+        assert (refused.value.setting, refused.value.value) == ("jobs", jobs)
+
     def test_pool_reused_across_batches(self):
         from repro.orchestrator import OrchestratorPool
 

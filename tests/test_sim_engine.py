@@ -6,9 +6,11 @@ from dataclasses import replace
 import pytest
 
 from repro.buffers.lru import LruPolicy
+from repro.core.dag import TensorDag
 from repro.hw.config import AcceleratorConfig
 from repro.score.scheduler import Score, ScoreOptions
 from repro.sim.engine import CacheEngine, EngineOptions, ScheduleEngine
+from repro.sim.trace import program_trace_bytes
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.gnn import build_gnn_dag, protein_problem
 from repro.workloads.matrices import FV1
@@ -142,6 +144,23 @@ class TestCacheEngine:
         dag = cg_dag(n=1, iters=1)
         r = CacheEngine(CFG, LruPolicy()).run(dag)
         assert r.dram_bytes > 0
+
+    def test_trace_total_is_kept_with_the_trace(self):
+        """The byte total that sizes the granularity is kept with the
+        trace arrays, equals ``program_trace_bytes``, and ``add_op``
+        drops it with them."""
+        ops = cg_dag(n=1, iters=1).ops
+        dag = TensorDag()
+        for op in ops[:-1]:
+            dag.add_op(op)
+        key = ("cache-trace", CFG.rf_bytes, CFG.line_bytes)
+        for added in (None, ops[-1]):
+            if added is not None:
+                dag.add_op(added)
+                assert key not in dag._derived
+            CacheEngine(CFG, LruPolicy()).run(dag)
+            _, nbytes, _, total = dag._derived[key]
+            assert total == program_trace_bytes(dag) == nbytes.sum()
 
     def test_cache_traffic_at_least_compulsory(self):
         dag = cg_dag(n=16, iters=1)

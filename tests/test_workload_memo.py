@@ -8,13 +8,13 @@ cache trace (``TensorDag.derived``).  These tests pin three things:
 * a point computed on the shared DAG equals the same point on a freshly
   built DAG with empty caches, for every Table IV config, Flex+SRRIP and
   a CELLO knob variant, at SRAM sizes where the cache path evicts and
-  where it resolves in closed form;
+  where it resolves from its trace footprint;
 * a second point of a workload at a new SRAM size builds no DAG, runs no
   Algorithm 2 and generates no trace (the gain, guarded by call counts
   rather than timing);
-* the cache path's chunk facts are built once per DAG for a trace that
-  fits, never kept for one that overflows the cache, and kept only up to
-  ``KEPT_FACTS_BYTES`` per trace.
+* the cache path's trace footprint is built once per DAG, resolves every
+  point it fits without building a cache, and is never larger than the
+  trace it summarises.
 """
 
 import random
@@ -45,7 +45,7 @@ from repro.workloads.registry import (
 #: The CI fabric-smoke grid's four DAGs (the smoke-cold benchmark's).
 SMOKE = ("cg/fv1/N=1", "bicgstab/fv1/N=1", "gnn/cora", "mg/fv1/N=1")
 CONFIGS = (*config_names(), "Flex+SRRIP", "CELLO[riff=0,swz=0]")
-#: 1 MiB evicts on the cache path; 4 MiB + 512·k resolves in closed form
+#: 1 MiB evicts on the cache path; 4 MiB + 512·k resolves from the footprint
 #: for the solver traces (gnn/cora overflows both).
 SRAM_SIZES = (1 * MIB, 4 * MIB - 512 * 37, 4 * MIB + 512 * 1023)
 
@@ -194,80 +194,85 @@ class TestSecondPointCount:
         assert spies == {"dag": 0, "classify": 0, "op_trace": 0}
 
 
-class TestChunkFacts:
-    """The eviction-free closed form's per-chunk facts, kept on the DAG
-    next to the cache trace."""
+class TestTraceFootprint:
+    """The cache path's trace footprint, kept on the DAG next to the
+    cache trace, and the points it resolves without building a cache."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        calls = {"distinct": 0, "facts": 0}
-        distinct = cache_mod._distinct_count
-        facts = cache_mod.ChunkFacts.of
+        calls = {"footprint": 0, "cache": 0}
+        of = cache_mod.TraceFootprint.of
+        init = cache_mod.SetAssociativeCache.__init__
 
-        def spy_distinct(*args):
-            calls["distinct"] += 1
-            return distinct(*args)
+        def spy_of(*args):
+            calls["footprint"] += 1
+            return of(*args)
 
-        def spy_facts(*args):
-            calls["facts"] += 1
-            return facts(*args)
+        def spy_init(*args, **kwargs):
+            calls["cache"] += 1
+            init(*args, **kwargs)
 
-        monkeypatch.setattr(cache_mod, "_distinct_count", spy_distinct)
-        monkeypatch.setattr(cache_mod.ChunkFacts, "of", spy_facts)
+        monkeypatch.setattr(cache_mod.TraceFootprint, "of", spy_of)
+        monkeypatch.setattr(cache_mod.SetAssociativeCache, "__init__",
+                            spy_init)
         return calls
 
     @staticmethod
-    def kept_facts(dag):
+    def kept_footprints(dag):
         return [v for v in dag._derived.values()
-                if isinstance(v, cache_mod.ChunkFacts)]
+                if isinstance(v, cache_mod.TraceFootprint)]
 
-    def test_second_fitting_size_builds_no_facts(self, builds):
+    def test_second_fitting_size_builds_no_footprint(self, builds):
         dag = workload_dag(resolve_workload("cg/fv1/N=1"))
-        run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=4 * MIB))
-        assert builds == {"distinct": 1, "facts": 1}
-        builds.update(distinct=0, facts=0)
+        result = run_config("Flex+LRU", dag,
+                            AcceleratorConfig(sram_bytes=4 * MIB))
+        assert result.dram_read_bytes == 2373088
+        assert builds == {"footprint": 1, "cache": 0}
+        builds.update(footprint=0)
         for config in ("Flex+LRU", "Flex+BRRIP"):
             for sram in (4 * MIB + 512 * 7, int(3.5 * MIB)):
-                run_config(config, dag, AcceleratorConfig(sram_bytes=sram))
-        assert builds == {"distinct": 0, "facts": 0}
-        assert len(self.kept_facts(dag)) == 1
+                result = run_config(config, dag,
+                                    AcceleratorConfig(sram_bytes=sram))
+                assert result.dram_read_bytes == 2373088
+        assert builds == {"footprint": 0, "cache": 0}
+        assert len(self.kept_footprints(dag)) == 1
 
-    def test_overflowing_trace_keeps_no_facts(self, builds):
-        """Every chunk of cg/fv1/N=16 spans more blocks than twice a
-        4 MiB cache's lines or holds more distinct blocks than it has
-        lines: each is rejected before any facts are built."""
+    def test_overflowing_trace_replays(self, builds):
+        """cg/fv1/N=16 overflows a 4 MiB cache: its footprint is kept,
+        and every point replays the trace through a cache."""
         dag = workload_dag(resolve_workload("cg/fv1/N=16"))
-        run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=4 * MIB))
-        assert builds["facts"] == 0
-        assert self.kept_facts(dag) == []
-
-    def test_kept_facts_are_bounded_per_trace(self, builds):
-        """gnn/cora's three chunks fit a 16 MiB cache, but each one's
-        facts (~33 MB) exceed its share of ``KEPT_FACTS_BYTES``: they are
-        built at every point and none is kept.  cg/fv1/N=1's facts fit
-        the bound and are kept."""
-        dag = workload_dag(resolve_workload("gnn/cora"))
         for config in ("Flex+LRU", "Flex+BRRIP"):
-            run_config(config, dag, AcceleratorConfig(sram_bytes=16 * MIB))
-        assert builds["facts"] == 6
-        assert self.kept_facts(dag) == []
-        dag = workload_dag(resolve_workload("cg/fv1/N=1"))
-        run_config("Flex+LRU", dag, AcceleratorConfig(sram_bytes=16 * MIB))
-        kept = self.kept_facts(dag)
-        assert kept and sum(
-            f.blocks.size for f in kept) * cache_mod.FACT_BYTES_PER_BLOCK \
-            <= cache_mod.KEPT_FACTS_BYTES
+            run_config(config, dag, AcceleratorConfig(sram_bytes=4 * MIB))
+        assert builds == {"footprint": 1, "cache": 2}
+        assert len(self.kept_footprints(dag)) == 1
 
-    def test_facts_build_is_reported_as_trace_gen(self, monkeypatch):
-        """The facts are a function of the DAG alone, so their build
+    def test_kept_footprint_is_bounded_by_its_trace(self, builds):
+        """The footprint merges the trace's segments, so it never has
+        more intervals than the trace has rows, whether the trace fits
+        (cg/fv1/N=1 at 16 MiB) or overflows (gnn/cora, whose two points
+        replay).  Each of these traces touches one contiguous range."""
+        cfg = AcceleratorConfig(sram_bytes=16 * MIB)
+        for name in ("cg/fv1/N=1", "gnn/cora"):
+            dag = workload_dag(resolve_workload(name))
+            for config in ("Flex+LRU", "Flex+BRRIP"):
+                run_config(config, dag, cfg)
+            [footprint] = self.kept_footprints(dag)
+            rows = dag._derived[
+                ("cache-trace", cfg.rf_bytes, cfg.line_bytes)][0].size
+            assert len(footprint.blocks) == 1
+            assert len(footprint.written) <= rows
+        assert builds == {"footprint": 2, "cache": 2}
+
+    def test_footprint_build_is_reported_as_trace_gen(self, monkeypatch):
+        """The footprint is a function of the DAG alone, so its build
         counts as trace generation, not as the cache kernel."""
-        facts = cache_mod.ChunkFacts.of
+        of = cache_mod.TraceFootprint.of
 
-        def slow_facts(*args):
+        def slow_of(*args):
             time.sleep(0.5)
-            return facts(*args)
+            return of(*args)
 
-        monkeypatch.setattr(cache_mod.ChunkFacts, "of", slow_facts)
+        monkeypatch.setattr(cache_mod.TraceFootprint, "of", slow_of)
         dag = workload_dag(resolve_workload("cg/fv1/N=1"))
         seen = {}
         sim_engine.set_phase_hook(
