@@ -12,7 +12,8 @@ baseline).
 The headline number is the vector-vs-reference cache speedup on a
 streaming trace — the rewrite this file exists to guard — expected to be
 well above 10x.  The ``real_trace_*`` rungs time Flex+LRU/BRRIP on the
-fig12 CG trace, so the rate gate also covers a real workload.
+gnn/cora trace, which overflows the default cache, so the rate gate also
+covers the batch kernel on a real workload.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import platform
 import statistics
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from ..chord.buffer import ChordBuffer
 from ..chord.hints import ReuseHints, TensorHints
 from ..hw.config import AcceleratorConfig
 from ..sim.engine import CacheEngine, ScheduleEngine
-from ..sim.trace import StreamSegment
 from .report import render_table
 
 #: Bumped when the benchmark definitions change incomparably.
@@ -49,7 +49,7 @@ _POLICIES: Dict[str, Callable[[], object]] = {
 }
 
 
-#: Result key -> cache baseline timed on the real fig12 CG trace.
+#: Result key -> cache baseline timed on the real gnn/cora trace.
 REAL_TRACE_RUNGS = {"real_trace_lru": "Flex+LRU",
                     "real_trace_brrip": "Flex+BRRIP"}
 
@@ -69,29 +69,25 @@ def streaming_segments(
     chunk: int = 4096,
     n_streams: int = 3,
     passes: int = 2,
-) -> List[StreamSegment]:
-    """A synthetic best-intra-op-style trace: ``n_streams`` tensors woven
-    together ``chunk`` bytes at a time (one of them written), repeated
-    ``passes`` times so the cache sees streaming misses *and* reuse hits.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A synthetic best-intra-op-style trace as ``access_arrays``' three
+    arrays: ``n_streams`` tensors woven together ``chunk`` bytes at a
+    time (the last one written), repeated ``passes`` times so the cache
+    sees streaming misses *and* reuse hits.
 
     Stream bases are chunk-aligned like real ``AddressMap`` extents —
     unaligned bases would make consecutive chunks re-touch their shared
     boundary line, artificially capping the conflict-free batch length.
     """
     per_stream = (total_bytes // n_streams) // chunk * chunk
-    bases = [i * per_stream for i in range(n_streams)]
-    segments: List[StreamSegment] = []
-    for _ in range(passes):
-        off = 0
-        while off < per_stream:
-            n = min(chunk, per_stream - off)
-            for i, base in enumerate(bases):
-                segments.append(StreamSegment(
-                    tensor=f"T{i}", start=base + off, nbytes=n,
-                    is_write=(i == n_streams - 1),
-                ))
-            off += n
-    return segments
+    offsets = np.arange(0, per_stream, chunk, dtype=np.int64)
+    # Row (pass, offset, stream): every stream's slice at one offset.
+    starts = np.tile(offsets[:, None] + per_stream * np.arange(n_streams),
+                     (passes, 1)).ravel()
+    nbytes = np.full(starts.size, chunk, dtype=np.int64)
+    writes = np.tile(np.arange(n_streams) == n_streams - 1,
+                     passes * offsets.size)
+    return starts, nbytes, writes
 
 
 def bench_cache_backends(policy_name: str, accesses: int,
@@ -101,7 +97,7 @@ def bench_cache_backends(policy_name: str, accesses: int,
     The trace totals ~``accesses`` line-granularity accesses over a
     footprint 4x the cache capacity — the streaming-with-reuse shape the
     paper's baselines simulate.  Both backends replay the identical
-    segment list; their stats are asserted equal, so the speedup is for
+    trace arrays; their stats are asserted equal, so the speedup is for
     byte-identical work.
     """
     passes = 2
@@ -110,14 +106,14 @@ def bench_cache_backends(policy_name: str, accesses: int,
     # passes still find partial reuse, so both hit and fill paths run.
     unit = line_bytes * 8
     capacity = max(unit, (total_bytes // 4) // unit * unit)
-    segments = streaming_segments(total_bytes, passes=passes)
+    trace = streaming_segments(total_bytes, passes=passes)
     results = {}
     stats = {}
     for backend in ("vector", "reference"):
         cache = SetAssociativeCache(
             capacity, line_bytes, 8, _POLICIES[policy_name](), backend=backend
         )
-        seconds = _timed(lambda: cache.access_segments(segments))
+        seconds = _timed(lambda: cache.access_arrays(*trace))
         cache.flush()
         n = cache.stats.accesses
         results[f"{backend}_s"] = seconds
@@ -199,27 +195,22 @@ def bench_cache_engine(iterations: int) -> Dict[str, float]:
 
 def bench_real_trace(config: str, repeats: int) -> Dict[str, float]:
     """One cache baseline on a real trace: ``run_config`` of ``config``
-    on the fig12 CG workload (cg/fv1/N=1) at the default config.
+    on gnn/cora at the default config.
 
-    The synthetic ``cache_*`` rungs stream a footprint 4x the cache, so
-    they only time the evicting batch kernel.  This trace fits the
-    default 4 MiB cache, so it times the path fig12 actually takes: the
-    trace footprint's fit check, with no cache built.  The rate counts
-    line accesses over the whole call, best of ``repeats`` on one DAG.
-    The first call builds the trace and its footprint and keeps them on
-    the DAG, so the best run times a point that reuses them, as every
-    later point of a workload runs.
-
-    Losing the fit path costs this rung over 100x (the batch kernel
-    replays a few million accesses a second), far outside the rate
-    gate's 10x factor; ``test_fig12_trace_resolves_from_its_footprint``
-    (tests/test_cache_parity.py) guards it too.
+    The synthetic ``cache_*`` rungs stream a footprint 4x the cache.
+    This trace overflows the default 4 MiB cache too, so it is replayed
+    through the batch kernel (a fitting one would resolve from its
+    footprint with no replay, and time only bookkeeping).  The rate
+    counts line accesses over the whole call, best of ``repeats`` on one
+    DAG.  The first call builds the trace and its footprint and keeps
+    them on the DAG, so the best run times a point that reuses them, as
+    every later point of a workload runs.
     """
     from ..baselines.configs import run_config
     from ..workloads.registry import resolve_workload
 
     cfg = AcceleratorConfig()
-    dag = resolve_workload("cg/fv1/N=1").build()
+    dag = resolve_workload("gnn/cora").build()
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -364,9 +355,7 @@ def run_kernel_bench(quick: bool = False) -> Dict:
         iterations=2 if quick else 8
     )
     for key, config in REAL_TRACE_RUNGS.items():
-        # A warm point takes tens of microseconds, so one slow sample
-        # (a context switch) must not be the best of the few.
-        results[key] = bench_real_trace(config, repeats=10 if quick else 20)
+        results[key] = bench_real_trace(config, repeats=2 if quick else 5)
     results["analytic_eval"] = bench_analytic_eval(
         evals=1_000 if quick else 10_000,
         sim_evals=3 if quick else 20,
@@ -427,6 +416,6 @@ def render_bench(report: Dict) -> str:
         r = res.get(key)
         if r:
             extra.append(
-                f"{config} cg/fv1/N=1: {r['accesses_per_s'] / 1e6:.2f} M "
-                f"accesses/s ({r['seconds'] * 1e3:.3f} ms)")
+                f"{config} gnn/cora: {r['accesses_per_s'] / 1e6:.2f} M "
+                f"accesses/s ({r['seconds'] * 1e3:.1f} ms)")
     return table + "\n" + "\n".join(extra)

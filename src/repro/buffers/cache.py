@@ -36,7 +36,7 @@ resolves such points without building a cache).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Protocol, Tuple
+from typing import List, Protocol, Tuple
 
 import numpy as np
 
@@ -446,27 +446,6 @@ class SetAssociativeCache:
 
         for lo in range(0, total, chunk_accesses):
             self._simulate_blocks(*expand(lo, min(lo + chunk_accesses, total)))
-
-    def access_segments(
-        self,
-        segments: Iterable,
-        chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
-    ) -> None:
-        """Replay an iterable of :class:`~repro.sim.trace.StreamSegment`:
-        a thin adapter that packs the segments into arrays and calls
-        :meth:`access_arrays`.  The segments are held as compact arrays
-        (one row per segment), never as expanded blocks.
-        """
-        starts: List[int] = []
-        sizes: List[int] = []
-        writes: List[bool] = []
-        for seg in segments:
-            starts.append(seg.start)
-            sizes.append(seg.nbytes)
-            writes.append(seg.is_write)
-        self.access_arrays(np.array(starts, dtype=np.int64),
-                           np.array(sizes, dtype=np.int64),
-                           np.array(writes, dtype=bool), chunk_accesses)
 
     def flush(self) -> None:
         """Write back all dirty lines (end-of-program drain)."""

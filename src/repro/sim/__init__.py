@@ -11,14 +11,9 @@ from .results import (
 from .perf import compute_seconds, make_result, memory_seconds
 from .energy import EnergyBreakdown, energy_of, offchip_energy_j, onchip_energy_j
 from .trace import (
-    StreamSegment,
     auto_granularity,
-    iter_program_trace,
-    op_trace,
-    program_trace,
     program_trace_arrays,
     program_trace_bytes,
-    trace_bytes,
 )
 from .engine import CacheEngine, EngineOptions, ScheduleEngine
 from .cluster_timing import (
@@ -43,14 +38,9 @@ __all__ = [
     "energy_of",
     "offchip_energy_j",
     "onchip_energy_j",
-    "StreamSegment",
     "auto_granularity",
-    "iter_program_trace",
-    "op_trace",
-    "program_trace",
     "program_trace_arrays",
     "program_trace_bytes",
-    "trace_bytes",
     "CacheEngine",
     "EngineOptions",
     "ScheduleEngine",

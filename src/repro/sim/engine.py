@@ -183,10 +183,10 @@ class CacheEngine:
 
     The trace depends on the DAG, ``rf_bytes`` and the line size alone,
     never on the cache, so it is kept on the DAG
-    (:meth:`TensorDag.derived`) as three compact segment arrays
-    (:func:`~repro.sim.trace.program_trace_arrays`) and their byte
-    total, and every later run of the DAG replays it without
-    regenerating it.  The expanded block stream is never kept: on
+    (:meth:`TensorDag.derived`) as three compact segment arrays, built
+    in one vectorised pass (:func:`~repro.sim.trace.program_trace_arrays`),
+    and their byte total, and every later run of the DAG replays it
+    without regenerating it.  The expanded block stream is never kept: on
     cg/G2_circuit/N=16 it is ~18x the arrays.  Next to the trace, per
     block size, the DAG keeps its
     :class:`~repro.buffers.cache.TraceFootprint` (the merged block

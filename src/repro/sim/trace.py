@@ -1,4 +1,4 @@
-"""Stream-segment traces for the cache baselines (Flex+LRU / Flex+BRRIP).
+"""The cache trace of the Flex+LRU / Flex+BRRIP baselines.
 
 The best-intra-op schedule streams every operand once per op: large
 operands tile-interleaved (a tile of each input is read while a tile of the
@@ -7,21 +7,19 @@ exactly this access stream through an implicitly-managed cache; whatever
 inter-op reuse the cache captures is whatever survives its replacement
 policy — the comparison Fig. 12 makes.
 
-Traces are sequences of :class:`StreamSegment` (byte ranges + R/W flavour),
-packed for replay into three parallel arrays (:func:`program_trace_arrays`).
+A trace is three parallel arrays, one row per byte range
+(:func:`program_trace_arrays`), built in one vectorised pass.
 :data:`INTERLEAVE_CHUNK` sets how finely concurrent operand streams are
 woven together (real engines fetch tiles round-robin).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..core.dag import TensorDag
-from ..core.einsum import EinsumOp
 from .address_map import AddressMap
 
 #: Bytes of each large operand (and of the output) streamed per
@@ -29,128 +27,46 @@ from .address_map import AddressMap
 INTERLEAVE_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class StreamSegment:
-    """A contiguous byte range accessed with one flavour."""
-
-    tensor: str
-    start: int      # global byte address
-    nbytes: int
-    is_write: bool
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError("segment size must be non-negative")
-
-
-def _chunks(base: int, nbytes: int, chunk: int) -> Iterator[Tuple[int, int]]:
-    off = 0
-    while off < nbytes:
-        n = min(chunk, nbytes - off)
-        yield base + off, n
-        off += n
-
-
-def op_trace(
-    op: EinsumOp,
-    dag: TensorDag,
-    amap: AddressMap,
-    rf_bytes: int = 32 * 1024,
-) -> List[StreamSegment]:
-    """The access stream of one op under the best-intra-op schedule.
-
-    Small operands (≤ ``rf_bytes``) are read whole up front (they park in
-    the RF); large operands and the output stream in
-    :data:`INTERLEAVE_CHUNK` slices, round-robin, modelling
-    tile-synchronous dataflow.
-    """
-    segments: List[StreamSegment] = []
-    small: List[StreamSegment] = []
-    streams: List[Iterator[Tuple[int, int]]] = []
-    stream_meta: List[Tuple[str, bool]] = []
-
-    for t in op.inputs:
-        ext = amap.get(t.name)
-        if t.bytes <= rf_bytes:
-            small.append(StreamSegment(t.name, ext.base, ext.nbytes, is_write=False))
-        else:
-            streams.append(_chunks(ext.base, ext.nbytes, INTERLEAVE_CHUNK))
-            stream_meta.append((t.name, False))
-    out_ext = amap.get(op.output.name)
-    if op.output.bytes <= rf_bytes:
-        small.append(StreamSegment(op.output.name, out_ext.base, out_ext.nbytes, is_write=True))
-    else:
-        streams.append(_chunks(out_ext.base, out_ext.nbytes, INTERLEAVE_CHUNK))
-        stream_meta.append((op.output.name, True))
-
-    segments.extend(small)
-    live = list(range(len(streams)))
-    while live:
-        nxt: List[int] = []
-        for i in live:
-            try:
-                base, n = next(streams[i])
-            except StopIteration:
-                continue
-            name, is_write = stream_meta[i]
-            segments.append(StreamSegment(name, base, n, is_write=is_write))
-            nxt.append(i)
-        live = nxt
-    return segments
-
-
-def iter_program_trace(
-    dag: TensorDag,
-    amap: AddressMap,
-    rf_bytes: int = 32 * 1024,
-) -> Iterator[StreamSegment]:
-    """Whole-program trace as a generator: ops in program order.
-
-    Only one op's segments are materialized at a time.
-    ``program_trace_arrays`` packs it into the arrays the cache engine
-    replays; ``program_trace`` is the eager list form (small traces,
-    tests).
-    """
-    for op in dag.ops:
-        yield from op_trace(op, dag, amap, rf_bytes=rf_bytes)
-
-
 def program_trace_arrays(
     dag: TensorDag,
     amap: AddressMap,
-    rf_bytes: int = 32 * 1024,
+    rf_bytes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whole-program trace as three parallel arrays, one row a segment:
+    """Whole-program trace as three parallel arrays, one row a byte range:
     ``(start, nbytes, is_write)`` as int64, int64 and bool.
 
+    Ops run in program order.  Within an op, small operands
+    (≤ ``rf_bytes``) come first, read whole (they park in the RF): the
+    inputs, then the output, one row each.  Large operands and the output
+    follow in :data:`INTERLEAVE_CHUNK` slices, round-robin, modelling
+    tile-synchronous dataflow: round r holds the r-th slice of every
+    stream still running, in operand order.  One ``lexsort`` over
+    (op, round, operand slot) yields that order.
+
     The compact form the cache engine keeps on a DAG and replays through
-    :meth:`SetAssociativeCache.access_arrays`: ~17 bytes a segment
-    (cg/G2_circuit/N=16's ~344k segments are ~6 MB), where the expanded
+    :meth:`SetAssociativeCache.access_arrays`: ~17 bytes a row
+    (cg/G2_circuit/N=16's ~344k rows are ~6 MB), where the expanded
     block stream would be 8 bytes a *line* (~100 MB for the same trace).
     """
-    starts: List[int] = []
-    sizes: List[int] = []
-    writes: List[bool] = []
-    for seg in iter_program_trace(dag, amap, rf_bytes=rf_bytes):
-        starts.append(seg.start)
-        sizes.append(seg.nbytes)
-        writes.append(seg.is_write)
-    return (np.array(starts, dtype=np.int64), np.array(sizes, dtype=np.int64),
-            np.array(writes, dtype=bool))
+    def operands():
+        for i, op in enumerate(dag.ops):
+            for j, t in enumerate((*op.inputs, op.output)):
+                ext = amap.get(t.name)
+                yield i, j, ext.base, ext.nbytes, j == len(op.inputs)
 
-
-def program_trace(
-    dag: TensorDag,
-    amap: AddressMap,
-    rf_bytes: int = 32 * 1024,
-) -> List[StreamSegment]:
-    """Whole-program trace: ops in program order (eager list form)."""
-    return list(iter_program_trace(dag, amap, rf_bytes=rf_bytes))
-
-
-def trace_bytes(segments: Iterable[StreamSegment]) -> int:
-    """Total bytes touched by a trace (sanity metric)."""
-    return sum(s.nbytes for s in segments)
+    op_idx, slot, base, size, write = np.array(
+        list(operands()), dtype=np.int64).reshape(-1, 5).T
+    small = size <= rf_bytes
+    # A small operand is one row; a large one, one row per slice.
+    counts = np.where(small, 1, -(-size // INTERLEAVE_CHUNK))
+    row = np.repeat(np.arange(size.size), counts)
+    k = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    offset = k * INTERLEAVE_CHUNK
+    nbytes = np.where(small[row], size[row],
+                      np.minimum(INTERLEAVE_CHUNK, size[row] - offset))
+    order = np.lexsort((slot[row], np.where(small[row], -1, k), op_idx[row]))
+    return ((base[row] + offset)[order], nbytes[order],
+            write[row][order].astype(bool))
 
 
 def program_trace_bytes(dag: TensorDag) -> int:
@@ -158,8 +74,8 @@ def program_trace_bytes(dag: TensorDag) -> int:
 
     Every op streams each input once and its output once, so the total is
     pure operand arithmetic — this is what sizes ``auto_granularity`` for
-    the streaming path (equality with ``trace_bytes(program_trace(...))``
-    is pinned in tests).
+    the streaming path (equality with the sum of
+    :func:`program_trace_arrays`' ``nbytes`` is pinned in tests).
     """
     return sum(
         sum(t.bytes for t in op.inputs) + op.output.bytes for op in dag.ops

@@ -9,9 +9,9 @@ flushes, state carried across chunks) for every policy, requiring exact
 trace whose :class:`TraceFootprint` fits the cache resolves with no
 replay at all; both replays are its oracles, at geometries that fit
 exactly and at one block more.  Golden DRAM bytes pin the cache
-baselines on real traces.  Also covers the streaming trace
-iterator (laziness + equality with the eager form) and the segment
-chunking path.
+baselines on real traces.  Traces here are ``(start, nbytes,
+is_write)`` rows, replayed as ``access_arrays``' three arrays, in chunks
+of any size.
 """
 
 import collections
@@ -31,14 +31,7 @@ from repro.buffers.srrip import SrripPolicy
 from repro.hw.config import MIB, AcceleratorConfig
 from repro.sim.address_map import AddressMap
 from repro.sim.engine import CacheEngine
-from repro.sim.trace import (
-    StreamSegment,
-    iter_program_trace,
-    program_trace,
-    program_trace_arrays,
-    program_trace_bytes,
-    trace_bytes,
-)
+from repro.sim.trace import program_trace_arrays, program_trace_bytes
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.matrices import FV1
 from repro.workloads.registry import resolve_workload
@@ -68,11 +61,21 @@ def assert_identical(ref, vec):
     np.testing.assert_array_equal(vec._dirty, ref._dirty)
 
 
+def arrays_of(segments):
+    """``(start, nbytes, is_write)`` rows as ``access_arrays``' three
+    arrays."""
+    starts, nbytes, writes = zip(*segments) if segments else ((), (), ())
+    return (np.array(starts, dtype=np.int64),
+            np.array(nbytes, dtype=np.int64),
+            np.array(writes, dtype=bool))
+
+
 def replay_segments(cache, segments, chunk_accesses=None):
     if chunk_accesses is None:
-        cache.access_segments(iter(segments))
+        cache.access_arrays(*arrays_of(segments))
     else:
-        cache.access_segments(iter(segments), chunk_accesses=chunk_accesses)
+        cache.access_arrays(*arrays_of(segments),
+                            chunk_accesses=chunk_accesses)
 
 
 class TestRandomizedParity:
@@ -85,9 +88,7 @@ class TestRandomizedParity:
         for _ in range(300):
             start = rng.randrange(0, 1 << 16)
             nbytes = rng.randrange(1, 600)
-            segments.append(StreamSegment(
-                "T", start, nbytes, is_write=rng.random() < 0.4
-            ))
+            segments.append((start, nbytes, rng.random() < 0.4))
         ref, vec = pair(policy)
         replay_segments(ref, segments)
         replay_segments(vec, segments)
@@ -113,8 +114,8 @@ class TestRandomizedParity:
         but state carries across them)."""
         rng = random.Random(11)
         segments = [
-            StreamSegment("T", rng.randrange(0, 1 << 14),
-                          rng.randrange(1, 400), rng.random() < 0.5)
+            (rng.randrange(0, 1 << 14), rng.randrange(1, 400),
+             rng.random() < 0.5)
             for _ in range(200)
         ]
         ref, _ = pair(policy)
@@ -144,9 +145,9 @@ class TestAdversarialParity:
         """Write misses allocate dirty; eviction + flush writebacks match."""
         ref, vec = pair(policy, capacity=512, line=16, assoc=2)  # 16 sets
         segments = (
-            [StreamSegment("W", i * 16, 16, True) for i in range(64)]
-            + [StreamSegment("R", i * 16, 16, False) for i in range(64)]
-            + [StreamSegment("W2", i * 16, 16, True) for i in range(32)]
+            [(i * 16, 16, True) for i in range(64)]
+            + [(i * 16, 16, False) for i in range(64)]
+            + [(i * 16, 16, True) for i in range(32)]
         )
         replay_segments(ref, segments)
         replay_segments(vec, segments)
@@ -183,8 +184,8 @@ class TestAdversarialParity:
                                   backend="vector")
         # Streaming misses across many sets, then re-touch: hit pattern is
         # sensitive to which fills were long vs distant.
-        segments = [StreamSegment("S", i * 16, 16, False) for i in range(400)]
-        segments += [StreamSegment("S", i * 16, 16, False) for i in range(400)]
+        segments = [(i * 16, 16, False) for i in range(400)]
+        segments += [(i * 16, 16, False) for i in range(400)]
         replay_segments(ref, segments)
         replay_segments(vec, segments)
         assert_identical(ref, vec)
@@ -193,9 +194,9 @@ class TestAdversarialParity:
     def test_empty_and_degenerate_segments(self):
         ref, vec = pair("lru")
         segments = [
-            StreamSegment("Z", 0, 0, False),      # empty: no accesses
-            StreamSegment("A", 5, 1, True),       # sub-line
-            StreamSegment("B", 15, 2, False),     # straddles a line boundary
+            (0, 0, False),      # empty: no accesses
+            (5, 1, True),       # sub-line
+            (15, 2, False),     # straddles a line boundary
         ]
         replay_segments(ref, segments)
         replay_segments(vec, segments)
@@ -204,14 +205,7 @@ class TestAdversarialParity:
 
 
 def block_segments(blocks, is_write, line=16):
-    return [StreamSegment("T", b * line, line, is_write) for b in blocks]
-
-
-def arrays_of(segments):
-    """A segment list as ``access_arrays``' three arrays."""
-    return (np.array([s.start for s in segments], dtype=np.int64),
-            np.array([s.nbytes for s in segments], dtype=np.int64),
-            np.array([s.is_write for s in segments], dtype=bool))
+    return [(b * line, line, is_write) for b in blocks]
 
 
 def replay_stats(policy, arrays, capacity, line, assoc, backend="vector"):
@@ -313,8 +307,7 @@ def random_segments(rng, n, span, line=16):
     for _ in range(n):
         size = rng.choice((0, rng.randrange(1, line),
                            rng.randrange(1, 12 * line)))
-        segments.append(StreamSegment("T", rng.randrange(0, span), size,
-                                      rng.random() < 0.3))
+        segments.append((rng.randrange(0, span), size, rng.random() < 0.3))
     return segments
 
 
@@ -322,13 +315,13 @@ def footprint_oracle(segments, line=16):
     """The blocks a trace touches and writes, and its access count, by
     enumeration."""
     touched, written, accesses = set(), set(), 0
-    for s in segments:
-        if s.nbytes == 0:
+    for start, nbytes, is_write in segments:
+        if nbytes == 0:
             continue
-        blocks = range(s.start // line, (s.start + s.nbytes - 1) // line + 1)
+        blocks = range(start // line, (start + nbytes - 1) // line + 1)
         touched.update(blocks)
         accesses += len(blocks)
-        if s.is_write:
+        if is_write:
             written.update(blocks)
     return touched, written, accesses
 
@@ -343,11 +336,11 @@ class TestTraceFootprint:
     are its oracles."""
 
     def test_footprint_of_a_small_trace(self):
-        segments = [StreamSegment("A", 5, 35, True),     # blocks 0-2
-                    StreamSegment("B", 30, 3, False),    # blocks 1-2
-                    StreamSegment("Z", 200, 0, True),    # touches nothing
-                    StreamSegment("C", 64, 16, False),   # block 4
-                    StreamSegment("D", 100, 1, True)]    # block 6
+        segments = [(5, 35, True),     # blocks 0-2
+                    (30, 3, False),    # blocks 1-2
+                    (200, 0, True),    # touches nothing
+                    (64, 16, False),   # block 4
+                    (100, 1, True)]    # block 6
         fp = TraceFootprint.of(*arrays_of(segments), 16)
         np.testing.assert_array_equal(fp.blocks, [[0, 3], [4, 5], [6, 7]])
         np.testing.assert_array_equal(fp.written, [[0, 3], [6, 7]])
@@ -365,9 +358,8 @@ class TestTraceFootprint:
         n_sets = rng.choice((1, 3, 8, 64))
         segments = random_segments(rng, rng.randrange(1, 40),
                                    span=16 * 4 * n_sets)
-        segments += [StreamSegment("W", 16 * rng.randrange(0, 200),
-                                   16 * rng.randrange(n_sets, 3 * n_sets),
-                                   False)]
+        segments += [(16 * rng.randrange(0, 200),
+                      16 * rng.randrange(n_sets, 3 * n_sets), False)]
         fp = TraceFootprint.of(*arrays_of(segments), 16)
         touched, written, accesses = footprint_oracle(segments)
         assert fp.accesses == accesses
@@ -412,8 +404,7 @@ class TestTraceFootprint:
         hot = [64 * (3 + k) for k in range(5)]            # all in set 0
         stream = [rng.randrange(0, 512) for _ in range(150)] + hot * 3
         rng.shuffle(stream)
-        segments = [StreamSegment("T", 16 * b, 16, rng.random() < 0.3)
-                    for b in stream]
+        segments = [(16 * b, 16, rng.random() < 0.3) for b in stream]
         geometry = dict(capacity=4096, line=16, assoc=4)  # 64 sets x 4 ways
         fp = TraceFootprint.of(*arrays_of(segments), 16)
         assert TraceFootprint._count(fp.blocks) <= 64 * 4
@@ -427,7 +418,7 @@ class TestTraceFootprint:
     def test_sparse_wide_footprint_fits(self, policy):
         """Four blocks spread over more blocks than twice the cache's
         lines still fit it: the fit is per set, not per address range."""
-        segments = [StreamSegment("T", 16 * b, 16, w) for b, w in zip(
+        segments = [(16 * b, 16, w) for b, w in zip(
             [0, 16, 1, 200, 0, 16], [True, False, False, True, False, True])]
         geometry = dict(capacity=1024, line=16, assoc=4)  # 16 sets x 4 ways
         fp = TraceFootprint.of(*arrays_of(segments), 16)
@@ -583,14 +574,13 @@ class TestBackendSelection:
             SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="nope")
 
     def test_reference_segments_path_matches_ranges(self):
-        """access_segments on the reference backend = the old loop."""
+        """access_arrays on the reference backend = the range loop."""
         a = SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="reference")
         b = SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="reference")
-        segments = [StreamSegment("T", i * 40, 60, i % 2 == 0)
-                    for i in range(50)]
-        a.access_segments(iter(segments))
-        for s in segments:
-            b.access_range(s.start, s.nbytes, s.is_write)
+        segments = [(i * 40, 60, i % 2 == 0) for i in range(50)]
+        a.access_arrays(*arrays_of(segments))
+        for start, nbytes, is_write in segments:
+            b.access_range(start, nbytes, is_write)
         assert a.stats.as_dict() == b.stats.as_dict()
 
 
@@ -680,9 +670,9 @@ class TestGoldenCacheTraffic:
                                                      monkeypatch):
         """The fig12 CG trace fits the default config's cache, so it
         resolves from its footprint and no cache is built.  Losing the
-        fit path keeps the traffic above, but costs the ``real_trace_*``
-        bench rungs ~10x against the committed baseline, at the edge of
-        the rate gate's factor; this test is what guards it."""
+        fit path keeps the traffic above and no bench rung times it (the
+        ``real_trace_*`` rungs replay gnn/cora, which overflows), so this
+        test is what guards it."""
         def refuse(*args, **kwargs):
             raise AssertionError("a fitting trace built a cache")
 
@@ -693,43 +683,9 @@ class TestGoldenCacheTraffic:
 
 
 class TestStreamingTrace:
-    @pytest.fixture(scope="class")
-    def cg(self):
+    def test_program_trace_bytes_matches_trace(self):
         dag = build_cg_dag(CgProblem(matrix=FV1, n=16, iterations=2))
-        return dag, AddressMap.for_dag(dag, line_bytes=16)
-
-    def test_iterator_matches_eager(self, cg):
-        dag, amap = cg
-        assert list(iter_program_trace(dag, amap)) == program_trace(dag, amap)
-
-    def test_program_trace_bytes_matches_trace(self, cg):
-        dag, amap = cg
-        assert program_trace_bytes(dag) == trace_bytes(program_trace(dag, amap))
-
-    def test_trace_is_lazy(self, cg):
-        """Bounded memory: pulling the first segment must not touch tensors
-        of later ops (one op's segments are materialized at a time)."""
-        dag, amap = cg
-
-        class SpyMap:
-            def __init__(self, inner):
-                self.inner = inner
-                self.queried = set()
-
-            def get(self, name):
-                self.queried.add(name)
-                return self.inner.get(name)
-
-        spy = SpyMap(amap)
-        it = iter_program_trace(dag, spy)
-        next(it)
-        first_op_tensors = {t.name for t in dag.ops[0].inputs}
-        first_op_tensors.add(dag.ops[0].output.name)
-        assert spy.queried <= first_op_tensors
-        all_tensors = {t.name for t in dag.tensors}
-        assert spy.queried < all_tensors  # strictly fewer than the program
-
-    def test_trace_bytes_consumes_iterator(self, cg):
-        dag, amap = cg
-        assert trace_bytes(iter_program_trace(dag, amap)) == \
-            program_trace_bytes(dag)
+        cfg = AcceleratorConfig()
+        _, nbytes, _ = program_trace_arrays(
+            dag, AddressMap.for_dag(dag, cfg.line_bytes), cfg.rf_bytes)
+        assert program_trace_bytes(dag) == nbytes.sum()

@@ -1,15 +1,20 @@
 """Tests for the simulation substrate: address map, trace, perf, energy,
 results and the DRAM ledger."""
 
+import bisect
+
+import numpy as np
 import pytest
 
+from repro.core.dag import TensorDag
 from repro.hw.config import AcceleratorConfig
 from repro.sim.address_map import AddressMap
 from repro.sim.dram import DramChannel
 from repro.sim.energy import energy_of, offchip_energy_j, onchip_energy_j
 from repro.sim.perf import compute_seconds, make_result, memory_seconds
 from repro.sim.results import SimResult, geomean, geomean_speedup, relative_energy
-from repro.sim.trace import auto_granularity, op_trace, program_trace, trace_bytes
+from repro.sim.trace import (INTERLEAVE_CHUNK, auto_granularity,
+                             program_trace_arrays)
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.matrices import FV1
 
@@ -46,47 +51,95 @@ class TestAddressMap:
             amap.get("B")
 
 
+def op_rows(dag, amap, rf_bytes):
+    """Each op's slice of the program trace, by op name: a list of
+    ``(tensor, start, nbytes, is_write)`` rows, tensors attributed by
+    their extents."""
+    starts, nbytes, writes = program_trace_arrays(dag, amap, rf_bytes)
+    names = [t.name for t in dag.tensors]
+    bases = [amap.get(n).base for n in names]
+    slices, lo = {}, 0
+    for op in dag.ops:
+        n = sum(1 if t.bytes <= rf_bytes else -(-t.bytes // INTERLEAVE_CHUNK)
+                for t in (*op.inputs, op.output))
+        slices[op.name] = [
+            (names[bisect.bisect_right(bases, start) - 1], start, size, w)
+            for start, size, w in zip(starts[lo:lo + n].tolist(),
+                                      nbytes[lo:lo + n].tolist(),
+                                      writes[lo:lo + n].tolist())]
+        lo += n
+    assert lo == starts.size
+    return slices
+
+
 class TestTrace:
     @pytest.fixture(scope="class")
     def cg(self):
         dag = build_cg_dag(CgProblem(matrix=FV1, n=16, iterations=1))
         return dag, AddressMap.for_dag(dag, line_bytes=CFG.line_bytes)
 
-    def test_op_trace_covers_all_operands(self, cg):
+    def test_op_slice_covers_all_operands(self, cg):
         dag, amap = cg
-        op = dag.op("1:spmm@0")
-        segs = op_trace(op, dag, amap, rf_bytes=CFG.rf_bytes)
+        rows = op_rows(dag, amap, CFG.rf_bytes)["1:spmm@0"]
         by_tensor = {}
-        for s in segs:
-            by_tensor[s.tensor] = by_tensor.get(s.tensor, 0) + s.nbytes
+        for tensor, _, size, _ in rows:
+            by_tensor[tensor] = by_tensor.get(tensor, 0) + size
         assert by_tensor["A"] == dag.tensor("A").bytes
         assert by_tensor["P@0"] == dag.tensor("P@0").bytes
         assert by_tensor["S@0"] == dag.tensor("S@0").bytes
 
-    def test_output_segments_are_writes(self, cg):
+    def test_output_rows_are_writes(self, cg):
         dag, amap = cg
-        op = dag.op("1:spmm@0")
-        for s in op_trace(op, dag, amap):
-            assert s.is_write == (s.tensor == "S@0")
+        for tensor, _, _, is_write in op_rows(dag, amap, CFG.rf_bytes)[
+                "1:spmm@0"]:
+            assert is_write == (tensor == "S@0")
+
+    @pytest.mark.parametrize("rf_bytes", [0, 1024, CFG.rf_bytes])
+    def test_small_operands_first_then_round_robin(self, cg, rf_bytes):
+        """Every op's slice: its small operands whole, inputs then the
+        output, then the r-th slice of every large stream still running,
+        round by round."""
+        dag, amap = cg
+        slices = op_rows(dag, amap, rf_bytes)
+        for op in dag.ops:
+            operands = [(t, False) for t in op.inputs] + [(op.output, True)]
+            expected = [(t.name, amap.get(t.name).base, t.bytes, w)
+                        for t, w in operands if t.bytes <= rf_bytes]
+            large = [(t, w) for t, w in operands if t.bytes > rf_bytes]
+            offset = 0
+            while any(offset < t.bytes for t, _ in large):
+                expected += [
+                    (t.name, amap.get(t.name).base + offset,
+                     min(INTERLEAVE_CHUNK, t.bytes - offset), w)
+                    for t, w in large if offset < t.bytes]
+                offset += INTERLEAVE_CHUNK
+            assert slices[op.name] == expected, op.name
 
     def test_large_streams_interleave(self, cg):
         dag, amap = cg
-        op = dag.op("1:spmm@0")
-        segs = [s for s in op_trace(op, dag, amap)
-                if s.tensor in ("A", "P@0")]
+        rows = [r for r in op_rows(dag, amap, CFG.rf_bytes)["1:spmm@0"]
+                if r[0] in ("A", "P@0")]
         # Chunks of A and P alternate rather than A finishing first.
-        first_ten = [s.tensor for s in segs[:10]]
+        first_ten = [tensor for tensor, *_ in rows[:10]]
         assert "A" in first_ten and "P@0" in first_ten
 
     def test_program_trace_bytes_equal_oracle(self, cg):
         dag, amap = cg
-        total = trace_bytes(program_trace(dag, amap))
+        _, nbytes, _ = program_trace_arrays(dag, amap, CFG.rf_bytes)
         oracle = sum(
             sum(dag.tensor(t.name).bytes for t in op.inputs)
             + dag.tensor(op.output.name).bytes
             for op in dag.ops
         )
-        assert total == oracle
+        assert nbytes.sum() == oracle
+
+    def test_arrays_have_fixed_dtypes(self, cg):
+        dag, amap = cg
+        arrays = program_trace_arrays(dag, amap, CFG.rf_bytes)
+        assert [a.dtype for a in arrays] == [np.int64, np.int64, bool]
+        empty = program_trace_arrays(TensorDag(), AddressMap(), CFG.rf_bytes)
+        assert [(a.size, a.dtype) for a in empty] == [
+            (0, np.int64), (0, np.int64), (0, bool)]
 
     def test_auto_granularity_bounds_accesses(self):
         g = auto_granularity(10**9, 16, target_accesses=1_000_000)

@@ -33,7 +33,6 @@ from repro.hw.config import MIB, AcceleratorConfig
 from repro.orchestrator.parallel import _simulate_payload
 from repro.score import scheduler
 from repro.sim import engine as sim_engine
-from repro.sim import trace as sim_trace
 from repro.workloads import registry
 from repro.workloads.registry import (
     Workload,
@@ -145,10 +144,10 @@ class TestSecondPointCount:
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        calls = {"dag": 0, "classify": 0, "op_trace": 0}
+        calls = {"dag": 0, "classify": 0, "trace": 0}
         init = TensorDag.__init__
         classify = core_classify.classify_dependencies
-        op_trace = sim_trace.op_trace
+        build_trace = sim_engine.program_trace_arrays
 
         def spy_init(self, *args, **kwargs):
             calls["dag"] += 1
@@ -158,13 +157,13 @@ class TestSecondPointCount:
             calls["classify"] += 1
             return classify(*args, **kwargs)
 
-        def spy_op_trace(*args, **kwargs):
-            calls["op_trace"] += 1
-            return op_trace(*args, **kwargs)
+        def spy_trace(*args, **kwargs):
+            calls["trace"] += 1
+            return build_trace(*args, **kwargs)
 
         monkeypatch.setattr(TensorDag, "__init__", spy_init)
         monkeypatch.setattr(scheduler, "classify_dependencies", spy_classify)
-        monkeypatch.setattr(sim_trace, "op_trace", spy_op_trace)
+        monkeypatch.setattr(sim_engine, "program_trace_arrays", spy_trace)
         return calls
 
     @pytest.mark.parametrize("name", ["cg/fv1/N=1", "mg/fv1/N=1"])
@@ -174,12 +173,12 @@ class TestSecondPointCount:
             runner.run_workload_config(workload, config,
                                        AcceleratorConfig(sram_bytes=4 * MIB))
         assert min(spies.values()) > 0      # the first point paid for all
-        spies.update(dag=0, classify=0, op_trace=0)
+        spies.update(dag=0, classify=0, trace=0)
         for config in config_names():
             runner.run_workload_config(
                 workload, config,
                 AcceleratorConfig(sram_bytes=4 * MIB + 512 * 7))
-        assert spies == {"dag": 0, "classify": 0, "op_trace": 0}
+        assert spies == {"dag": 0, "classify": 0, "trace": 0}
 
     def test_pool_worker_path(self, spies):
         """``_simulate_payload`` (a pool worker's entry point) shares the
@@ -187,11 +186,11 @@ class TestSecondPointCount:
         cfg = AcceleratorConfig(sram_bytes=3 * MIB)
         for config in ("CELLO", "Flex+LRU"):
             _simulate_payload(("cg/fv1/N=1", config, cfg))
-        spies.update(dag=0, classify=0, op_trace=0)
+        spies.update(dag=0, classify=0, trace=0)
         for config in ("CELLO", "Flex+LRU"):
             _simulate_payload(("cg/fv1/N=1", config,
                                cfg.with_sram(3 * MIB + 512)))
-        assert spies == {"dag": 0, "classify": 0, "op_trace": 0}
+        assert spies == {"dag": 0, "classify": 0, "trace": 0}
 
 
 class TestTraceFootprint:
