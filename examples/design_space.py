@@ -8,6 +8,8 @@ come from.
 Run:  python examples/design_space.py
 """
 
+from dataclasses import replace
+
 from repro.baselines import run_workload_config
 from repro.hw import MIB, AcceleratorConfig
 from repro.score import Score, compare_search_spaces
@@ -36,15 +38,18 @@ def main() -> None:
     # --- mechanism ablations ------------------------------------------------------
     print("\nMechanism ablations (same schedule, 4 MB):")
     schedule = Score(cfg).schedule(dag)
+    # Without retirement every tensor keeps its index entry, so those
+    # variants get a larger RIFF table.
+    big_table = replace(cfg, chord_entries=4096)
     variants = {
-        "full CELLO (RIFF + retire)": EngineOptions(),
-        "PRELUDE-only (no RIFF)": EngineOptions(use_riff=False),
-        "no retirement": EngineOptions(explicit_retire=False, chord_entries=4096),
-        "neither": EngineOptions(use_riff=False, explicit_retire=False,
-                                 chord_entries=4096),
+        "full CELLO (RIFF + retire)": (EngineOptions(), cfg),
+        "PRELUDE-only (no RIFF)": (EngineOptions(use_riff=False), cfg),
+        "no retirement": (EngineOptions(explicit_retire=False), big_table),
+        "neither": (EngineOptions(use_riff=False, explicit_retire=False),
+                    big_table),
     }
-    for label, options in variants.items():
-        r = ScheduleEngine(cfg, options).run(schedule, config_name=label)
+    for label, (options, variant_cfg) in variants.items():
+        r = ScheduleEngine(variant_cfg, options).run(schedule, config_name=label)
         print(f"  {label:28s} -> {r.dram_bytes / 1e6:8.1f} MB DRAM traffic")
 
     print(

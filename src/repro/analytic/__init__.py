@@ -38,7 +38,6 @@ from .batch import (
     REGIME_STREAMING,
     BatchEvaluation,
     BatchKnobs,
-    BatchUnsupported,
     batch_objective_arrays,
     evaluate_batch,
     onchip_accesses_of,
@@ -61,7 +60,6 @@ __all__ = [
     "AnalyticUnsupported",
     "BatchEvaluation",
     "BatchKnobs",
-    "BatchUnsupported",
     "CanonicalProgram",
     "ChordTally",
     "CLOSED_FORM",

@@ -33,6 +33,7 @@ import numpy as np
 from ..hw.config import AcceleratorConfig
 from ..hw.sram_model import cache_cost, chord_cost
 from ..sim.energy import DRAM_PJ_PER_BYTE, onchip_energy_j
+from .backend import AnalyticUnsupported
 from .canonical import EV_READ, EV_RETIRE, EV_WRITE
 from .compiler import CLOSED_FORM, RECURRENCE, STREAMING, AnalyticModel
 
@@ -42,11 +43,6 @@ REGIME_STREAMING = 0
 REGIME_CLOSED_FORM = 1
 REGIME_RECURRENCE = 2
 REGIME_NAMES: Tuple[str, str, str] = (STREAMING, CLOSED_FORM, RECURRENCE)
-
-
-class BatchUnsupported(Exception):
-    """The program's event stream does not fit the packed priority-key
-    encoding (absurdly deep consumer lists); evaluate point-wise."""
 
 
 def _as_bool(values: object, n: int) -> np.ndarray:
@@ -70,8 +66,7 @@ class BatchKnobs:
 
     * ``use_riff`` / ``explicit_retire`` / ``charge_swizzle`` — the
       SCORE ablation toggles;
-    * ``chord_entries`` — RIFF index-table size (the resolved value,
-      i.e. ``options.chord_entries or cfg.chord_entries``);
+    * ``chord_entries`` — RIFF index-table size (``cfg.chord_entries``);
     * ``capacity_bytes`` — CHORD data-array capacity
       (``cfg.chord_data_bytes``, *not* raw SRAM bytes).
     """
@@ -174,7 +169,7 @@ class _BatchProgram:
         max_freq = max((len(cs) for cs in consumers), default=0)
         max_op = max((ev[2] for ev in self.events), default=0)
         if max_freq >= (1 << _FREQ_BITS) or max_op >= _DIST_BIAS:
-            raise BatchUnsupported(
+            raise AnalyticUnsupported(
                 f"program too deep for packed RIFF keys "
                 f"(max consumer count {max_freq}, max op index {max_op})")
 
@@ -343,8 +338,10 @@ def evaluate_batch(model: AnalyticModel, knobs: BatchKnobs) -> BatchEvaluation:
     Bit-identical to calling ``model.evaluate`` per row: the streaming
     and closed-form regimes are broadcast sums, and only the rows whose
     working set overflows capacity (or the index table) pay the
-    vectorised recurrence.  Raises :class:`BatchUnsupported` for event
-    streams too deep for the packed priority keys (fall back point-wise).
+    vectorised recurrence.  Raises
+    :class:`~repro.analytic.backend.AnalyticUnsupported` for event
+    streams too deep for the packed priority keys (≥2^20 consumers of one
+    tensor or ≥2^31 ops); such points are simulated.
     """
     n = len(knobs)
     program = model.program

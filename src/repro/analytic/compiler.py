@@ -130,7 +130,7 @@ class AnalyticModel:
             if options.charge_swizzle:
                 read += self._swizzle_bytes
                 write += self._swizzle_bytes
-            entries = options.chord_entries or cfg.chord_entries
+            entries = cfg.chord_entries
             capacity = cfg.chord_data_bytes
             if self.fits(capacity, entries, options.explicit_retire):
                 read += self._np_chord_read

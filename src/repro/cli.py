@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .analysis.report import render_table
 from .baselines import runner
@@ -335,44 +335,34 @@ def _sweep_main(argv: List[str]) -> int:
     return 0
 
 
-def _tune_main(argv: List[str]) -> int:
-    from .analysis.tuner_report import render_tune_result, tune_results_json
-    from .tuner import STRATEGIES, TuneSpace, make_strategy, tune
+#: The tune space's SRAM axis when ``--sram-mb`` is empty, paper point
+#: first.
+_TUNE_SRAM_MB = (4.0, 1.0)
+
+
+def _add_tune_args(parser: argparse.ArgumentParser) -> None:
+    """The search flags ``repro tune`` and ``repro submit --tune`` share
+    (the SRAM axis is each command's ``--sram-mb``)."""
+    from .tuner import STRATEGIES
     from .tuner.pareto import OBJECTIVES, DEFAULT_OBJECTIVES
 
-    parser = argparse.ArgumentParser(
-        prog="repro tune",
-        description="Search the co-design space (schedule knobs x CHORD/"
-                    "hardware knobs) of one or more workloads and report "
-                    "the Pareto frontier next to the fixed CELLO point.",
-    )
-    parser.add_argument(
-        "workloads", nargs="+", metavar="WORKLOAD",
-        help="registry workload name(s), e.g. gmres/fv1/m=8/N=1 "
-             "(see 'repro list-workloads')",
-    )
     parser.add_argument(
         "--strategy", default="grid", choices=sorted(STRATEGIES),
-        help="search strategy (default grid — the spaces are small)",
+        help="tune search strategy (default grid — the spaces are small)",
     )
     parser.add_argument(
         "--budget", type=int, default=32, metavar="N",
-        help="evaluation budget for random/halving (default 32)",
+        help="tune evaluation budget for random/halving (default 32)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="S",
-        help="sampling seed for random/halving (default 0)",
+        help="tune sampling seed for random/halving (default 0)",
     )
     parser.add_argument(
         "--objectives", default=",".join(DEFAULT_OBJECTIVES) + ",area",
         metavar="NAMES",
         help=f"comma-separated minimisation objectives, primary first "
              f"(known: {', '.join(OBJECTIVES)}; default runtime,dram,area)",
-    )
-    parser.add_argument(
-        "--sram-mb", default="4,1", metavar="MBS",
-        help="comma-separated SRAM capacities in MiB, paper point first "
-             "(default 4,1)",
     )
     parser.add_argument(
         "--entries", default="64,16", metavar="NS",
@@ -390,6 +380,40 @@ def _tune_main(argv: List[str]) -> int:
              "simulates only the analytically non-dominated survivors "
              "(default exact; see docs/analytic.md)",
     )
+
+
+def _tune_axes(args: argparse.Namespace
+               ) -> Tuple[Tuple[float, ...], Tuple[int, ...], Tuple[str, ...]]:
+    """The SRAM sizes (MiB), RIFF table sizes and objectives the parsed
+    tune flags name."""
+    sram_mb = tuple(_parse_floats(args.sram_mb)) or _TUNE_SRAM_MB
+    entries = tuple(int(e) for e in _parse_floats(args.entries)) or (64,)
+    objectives = tuple(
+        n.strip() for n in args.objectives.split(",") if n.strip())
+    return sram_mb, entries, objectives
+
+
+def _tune_main(argv: List[str]) -> int:
+    from .analysis.tuner_report import render_tune_result, tune_results_json
+    from .tuner import TuneSpace, make_strategy, tune
+
+    parser = argparse.ArgumentParser(
+        prog="repro tune",
+        description="Search the co-design space (schedule knobs x CHORD/"
+                    "hardware knobs) of one or more workloads and report "
+                    "the Pareto frontier next to the fixed CELLO point.",
+    )
+    parser.add_argument(
+        "workloads", nargs="+", metavar="WORKLOAD",
+        help="registry workload name(s), e.g. gmres/fv1/m=8/N=1 "
+             "(see 'repro list-workloads')",
+    )
+    parser.add_argument(
+        "--sram-mb", default="", metavar="MBS",
+        help="comma-separated SRAM capacities in MiB, paper point first "
+             "(default 4,1)",
+    )
+    _add_tune_args(parser)
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the full results as JSON to PATH",
@@ -405,16 +429,12 @@ def _tune_main(argv: List[str]) -> int:
               "see 'repro list-workloads'", file=sys.stderr)
         return 2
     try:
-        srams = tuple(mib_to_bytes(m) for m in _parse_floats(args.sram_mb))
-        entries = tuple(int(e) for e in _parse_floats(args.entries))
+        sram_mb, entries, objectives = _tune_axes(args)
         space = TuneSpace(
-            chord_entries=entries or (64,),
-            sram_bytes=srams or (4 * MIB,),
+            chord_entries=entries,
+            sram_bytes=tuple(mib_to_bytes(m) for m in sram_mb),
             cache_policies=("LRU", "BRRIP", "SRRIP")
             if args.include_baselines else (),
-        )
-        objectives = tuple(
-            n.strip() for n in args.objectives.split(",") if n.strip()
         )
     except ValueError as exc:
         print(f"invalid tune space: {exc}", file=sys.stderr)
@@ -699,7 +719,8 @@ def _submit_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--sram-mb", default="", metavar="MBS",
-        help="comma-separated SRAM sizes in MiB (default: 4)",
+        help="comma-separated SRAM sizes in MiB (default: 4 for a sweep, "
+             "4,1 for a tune job)",
     )
     parser.add_argument(
         "--bandwidth-gb", default="", metavar="GBS",
@@ -707,37 +728,10 @@ def _submit_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--tune", metavar="WORKLOAD", default=None,
-        help="submit a tune job for this workload instead of a sweep",
+        help="submit a tune job for this workload instead of a sweep; "
+             "it searches what 'repro tune WORKLOAD' searches",
     )
-    parser.add_argument(
-        "--strategy", default="grid", metavar="NAME",
-        help="tune search strategy (default grid)",
-    )
-    parser.add_argument(
-        "--budget", type=int, default=32, metavar="N",
-        help="tune evaluation budget for random/halving (default 32)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="tune sampling seed (default 0)",
-    )
-    parser.add_argument(
-        "--entries", default="64", metavar="NS",
-        help="tune: comma-separated RIFF index-table sizes (default 64)",
-    )
-    parser.add_argument(
-        "--tune-sram-mb", default="4", metavar="MBS",
-        help="tune: comma-separated SRAM capacities in MiB (default 4)",
-    )
-    parser.add_argument(
-        "--include-baselines", action="store_true",
-        help="tune: add Flex+LRU/BRRIP/SRRIP cache policies to the space",
-    )
-    parser.add_argument(
-        "--fidelity", default="exact",
-        choices=("exact", "analytic", "hybrid"),
-        help="tune: evaluation fidelity (default exact)",
-    )
+    _add_tune_args(parser)
     parser.add_argument(
         "--client", default=os.environ.get("REPRO_CLIENT"), metavar="ID",
         help="tenant id for fair scheduling and request logs "
@@ -764,6 +758,12 @@ def _submit_main(argv: List[str]) -> int:
     configs = _split_configs(args.configs)
     if args.tune is None and not _check_configs(configs):
         return 2
+    if args.tune is not None:
+        try:
+            sram_mb, entries, objectives = _tune_axes(args)
+        except ValueError as exc:
+            print(f"invalid tune space: {exc}", file=sys.stderr)
+            return 2
 
     def _on_retry(attempt: int, delay: float, exc: Exception) -> None:
         print(f"server overloaded ({exc}); retry {attempt} in "
@@ -782,9 +782,9 @@ def _submit_main(argv: List[str]) -> int:
                     strategy=args.strategy,
                     budget=args.budget,
                     seed=args.seed,
-                    sram_mb=_parse_floats(args.tune_sram_mb) or [4.0],
-                    entries=[int(e) for e in _parse_floats(args.entries)]
-                    or [64],
+                    objectives=objectives,
+                    sram_mb=sram_mb,
+                    entries=entries,
                     include_baselines=args.include_baselines,
                     fidelity=args.fidelity,
                 )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: Virtual nodes per shard.  More replicas smooth the key distribution
 #: (stddev ~ 1/sqrt(replicas)); 64 keeps ring construction trivial while
@@ -52,26 +52,22 @@ class HashRing:
     """An immutable consistent-hash ring over named shards.
 
     ``shards`` are opaque identifier strings (the gateway uses
-    ``host:port`` addresses).  Each shard owns :attr:`replicas` virtual
-    nodes; a key is assigned to the shard owning the first virtual node
+    ``host:port`` addresses).  Each shard owns :data:`DEFAULT_REPLICAS`
+    virtual nodes; a key is assigned to the shard owning the first virtual node
     clockwise of the key's hash.  Duplicate shard ids are rejected —
     silently collapsing them would skew the distribution.
     """
 
-    def __init__(self, shards: Sequence[str],
-                 replicas: int = DEFAULT_REPLICAS) -> None:
+    def __init__(self, shards: Sequence[str]) -> None:
         shard_list = list(shards)
         if not shard_list:
             raise EmptyRing("a hash ring needs at least one shard")
         if len(set(shard_list)) != len(shard_list):
             raise ValueError(f"duplicate shard ids in {shard_list!r}")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.shards: Tuple[str, ...] = tuple(shard_list)
-        self.replicas = replicas
         nodes: List[Tuple[int, str]] = []
         for shard in self.shards:
-            for i in range(replicas):
+            for i in range(DEFAULT_REPLICAS):
                 # Ties (astronomically rare with 64-bit positions) break
                 # on the shard id, keeping assignment order-independent.
                 nodes.append((stable_hash(f"{shard}#{i}"), shard))
@@ -86,22 +82,6 @@ class HashRing:
             idx = 0  # wrap around the ring
         return self._owners[idx]
 
-    def assign_many(self, keys: Iterable[str]) -> Dict[str, List[str]]:
-        """Group ``keys`` by owning shard (insertion order preserved)."""
-        groups: Dict[str, List[str]] = {}
-        for key in keys:
-            groups.setdefault(self.assign(key), []).append(key)
-        return groups
-
-    def without(self, shard: str) -> "HashRing":
-        """The ring after ``shard`` leaves; only its keys are reassigned."""
-        survivors = [s for s in self.shards if s != shard]
-        return HashRing(survivors, replicas=self.replicas)
-
-    def with_shard(self, shard: str) -> "HashRing":
-        """The ring after ``shard`` joins; only keys it now owns move."""
-        return HashRing((*self.shards, shard), replicas=self.replicas)
-
     def __contains__(self, shard: object) -> bool:
         return shard in self.shards
 
@@ -109,5 +89,4 @@ class HashRing:
         return len(self.shards)
 
     def __repr__(self) -> str:
-        return (f"HashRing({list(self.shards)!r}, "
-                f"replicas={self.replicas})")
+        return f"HashRing({list(self.shards)!r})"

@@ -46,7 +46,6 @@ class EngineOptions:
     use_riff: bool = True           # RIFF replacement (off = PRELUDE-only)
     explicit_retire: bool = True    # free dead tensors at last use
     charge_swizzle: bool = True     # charge a DRAM round trip per swizzle
-    chord_entries: Optional[int] = None  # override index-table capacity
 
 
 class ScheduleEngine:
@@ -69,12 +68,11 @@ class ScheduleEngine:
         dag = schedule.dag
         hints = schedule.hints
         amap = address_map(dag, cfg.line_bytes)
-        entries = self.options.chord_entries or cfg.chord_entries
         chord = ChordBuffer(
             capacity_bytes=cfg.chord_data_bytes,
             hints=hints,
             use_riff=self.options.use_riff,
-            table=RiffIndexTable(entries, cfg.chord_entry_bits),
+            table=RiffIndexTable(cfg.chord_entries, cfg.chord_entry_bits),
             base_addrs=amap.base_addrs(),
             # The recorder is opt-in at the buffer level; the engine always
             # opts in because post-mortem observability is its job.

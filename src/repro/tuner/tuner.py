@@ -196,8 +196,7 @@ def _price_geometry(
     the objective arrays (one entry per row) and ``eval_at(i, point)``,
     which builds row ``i``'s analytic :class:`TuneEval`.  Raises
     :class:`~repro.analytic.AnalyticUnsupported` when the model does not
-    compile and :class:`~repro.analytic.batch.BatchUnsupported` when the
-    program does not fit the packed batch encoding.
+    compile or the program does not fit the packed batch encoding.
     """
     from ..analytic import model_for
     from ..analytic.batch import (
@@ -281,25 +280,6 @@ class _BatchEvaluator:
         self.n_analytic = 0
         self.analytic_max_rel_error: Optional[float] = None
 
-    def _predict(self, p: TunePoint) -> Optional[TuneEval]:
-        """Analytic evaluation of one point, or None when unsupported."""
-        from ..analytic import AnalyticUnsupported, predict_workload_config
-
-        cfg = p.accel_cfg(self.base_cfg)
-        try:
-            evaluation = predict_workload_config(
-                self.workload, p.config_name(), cfg)
-        except AnalyticUnsupported:
-            return None
-        return TuneEval(
-            point=p,
-            config=p.config_name(),
-            objectives=objective_values(
-                self.objectives, evaluation.result, cfg, p),
-            result=evaluation.result,
-            fidelity="analytic",
-        )
-
     def _batch_predict(
         self, points: Sequence[TunePoint]
     ) -> Dict[TunePoint, TuneEval]:
@@ -307,13 +287,12 @@ class _BatchEvaluator:
         columnar batch evaluator (:mod:`repro.analytic.batch`).
 
         Points are grouped by (SRAM, line) so each group shares one
-        compiled model and one :func:`evaluate_batch` call; groups whose
-        event stream does not fit the packed batch encoding fall back to
-        per-point :meth:`_predict`.  Cache-policy points (no analytic
-        model) are simply absent from the returned mapping.
+        compiled model and one :func:`evaluate_batch` call.  Points with
+        no analytic price are absent from the returned mapping, and the
+        simulator evaluates them: cache-policy points (no model) and
+        groups whose event stream does not fit the packed batch encoding.
         """
         from ..analytic import AnalyticUnsupported
-        from ..analytic.batch import BatchUnsupported
 
         groups: Dict[Tuple[int, int], List[TunePoint]] = {}
         for p in points:
@@ -330,13 +309,7 @@ class _BatchEvaluator:
                     chord_entries=np.asarray([p.chord_entries for p in ps],
                                              dtype=np.int64),
                 )
-            except AnalyticUnsupported:  # pragma: no cover - CELLO compiles
-                continue
-            except BatchUnsupported:
-                for p in ps:
-                    e = self._predict(p)
-                    if e is not None:
-                        out[p] = e
+            except AnalyticUnsupported:
                 continue
             for i, p in enumerate(ps):
                 out[p] = eval_at(i, p)
@@ -449,11 +422,10 @@ def _columnar_grid_tune(
     simulations, identical frontier.
 
     Returns None when the program does not fit the packed batch encoding
-    (:class:`BatchUnsupported`); the caller falls back to the point-wise
-    strategy path.
+    (:class:`~repro.analytic.AnalyticUnsupported`); the caller falls back
+    to the point-wise strategy path, which simulates its points.
     """
     from ..analytic import AnalyticUnsupported
-    from ..analytic.batch import BatchUnsupported
     from .pareto import nondominated_mask
 
     grid = space.columnar()
@@ -479,7 +451,7 @@ def _columnar_grid_tune(
                 charge_swizzle=grid.charge_swizzle[rows],
                 chord_entries=grid.chord_entries[rows],
             )
-        except (AnalyticUnsupported, BatchUnsupported):
+        except AnalyticUnsupported:
             return None
         for j, name in enumerate(names):
             obj_matrix[rows, j] = arrs[name]

@@ -424,8 +424,7 @@ class Fabric:
 
 
 def assignment_by_proxy(proxies: Sequence[ChaosProxy],
-                        points: Sequence[object],
-                        replicas: int = 64) -> Dict[int, List[object]]:
+                        points: Sequence[object]) -> Dict[int, List[object]]:
     """Group sweep points by the proxy (shard) the gateway will route
     them to — computed with the same ring the gateway builds, so a test
     can pick its chaos victim *after* learning the real assignment
@@ -433,7 +432,7 @@ def assignment_by_proxy(proxies: Sequence[ChaosProxy],
     from repro.orchestrator.store import ResultStore
     from repro.service.hashing import HashRing
 
-    ring = HashRing([p.id for p in proxies], replicas=replicas)
+    ring = HashRing([p.id for p in proxies])
     index = {p.id: i for i, p in enumerate(proxies)}
     groups: Dict[int, List[object]] = {}
     for point in points:
@@ -443,12 +442,11 @@ def assignment_by_proxy(proxies: Sequence[ChaosProxy],
 
 
 def busiest_proxy(proxies: Sequence[ChaosProxy],
-                  points: Sequence[object],
-                  replicas: int = 64) -> int:
+                  points: Sequence[object]) -> int:
     """Index of the proxy owning the most points — with >= len(proxies)
     + 1 distinct keys it owns >= 2 by pigeonhole, so killing it after
     result 1 always leaves something to requeue."""
-    groups = assignment_by_proxy(proxies, points, replicas=replicas)
+    groups = assignment_by_proxy(proxies, points)
     return max(groups, key=lambda i: len(groups[i]))
 
 

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 
 from repro.analytic import (
     REGIME_NAMES,
+    AnalyticUnsupported,
     BatchKnobs,
     batch_objective_arrays,
     evaluate_batch,
     model_for,
+    predict_workload_config,
 )
-from repro.analytic.batch import BatchUnsupported
 from repro.baselines import runner
 from repro.baselines.configs import cello_variant_name
 from repro.hw.config import KIB, MIB, AcceleratorConfig, default_config
@@ -35,9 +36,21 @@ from repro.sim.engine import EngineOptions
 from repro.tuner.pareto import ParetoFront, dominates, nondominated_mask, objective_values
 from repro.tuner.space import TunePoint, TuneSpace
 from repro.tuner.strategies import make_strategy
-from repro.tuner.tuner import _BatchEvaluator, _price_geometry, tune
+from repro.tuner.tuner import TuneEval, _BatchEvaluator, _price_geometry, tune
 from repro.tuner import tuner as tuner_mod
 from repro.workloads.registry import random_dag_workload, resolve_workload
+
+
+def _predicted(evaluator, p):
+    """Point ``p`` priced point-wise by ``predict_workload_config``, with
+    ``evaluator``'s objectives: the reference every batch price equals."""
+    cfg = p.accel_cfg(evaluator.base_cfg)
+    result = predict_workload_config(
+        evaluator.workload, p.config_name(), cfg).result
+    return TuneEval(point=p, config=p.config_name(),
+                    objectives=objective_values(evaluator.objectives,
+                                                result, cfg, p),
+                    result=result, fidelity="analytic")
 
 
 def _pointwise(model, knobs, cfg):
@@ -312,14 +325,14 @@ class TestColumnarTune:
                          cache_policies=("LRU",))
 
     def _pointwise_tune(self, monkeypatch, **kwargs):
-        """The legacy path: columnar fast path off, per-point _predict."""
+        """The legacy path: columnar fast path off, every CELLO point
+        priced by ``predict_workload_config``."""
         monkeypatch.setattr(tuner_mod, "_columnar_grid_tune",
                             lambda *a, **k: None)
         monkeypatch.setattr(
             _BatchEvaluator, "_batch_predict",
-            lambda self, pts: {
-                p: e for p in pts if p.is_cello
-                for e in [self._predict(p)] if e is not None})
+            lambda self, pts: {p: _predicted(self, p)
+                               for p in pts if p.is_cello})
         return tune(self.WORKLOAD, **kwargs)
 
     @pytest.mark.parametrize("fidelity", ["analytic", "hybrid"])
@@ -358,7 +371,7 @@ class TestColumnarTune:
         pts = [p for p in self._space().points() if p.is_cello][:12]
         batch = evaluator._batch_predict(pts)
         for p in pts:
-            ref = evaluator._predict(p)
+            ref = _predicted(evaluator, p)
             got = batch[p]
             assert got.objectives == ref.objectives, p
             assert got.result == ref.result, p
@@ -397,7 +410,7 @@ class TestColumnarTune:
 
 
 def _batch_unsupported(*args, **kwargs):
-    raise BatchUnsupported("program does not fit the packed encoding")
+    raise AnalyticUnsupported("program does not fit the packed encoding")
 
 
 class TestPriceGeometry:
@@ -433,7 +446,7 @@ class TestPriceGeometry:
         )
         assert all(len(arrs[n]) == len(pts) for n in self.NAMES)
         for i, p in enumerate(pts):
-            ref = evaluator._predict(p)
+            ref = _predicted(evaluator, p)
             got = eval_at(i, p)
             assert got.point == p and got.fidelity == "analytic"
             assert got.objectives == ref.objectives, p
@@ -441,16 +454,23 @@ class TestPriceGeometry:
             assert {n: float(arrs[n][i]) for n in self.NAMES} \
                 == ref.objectives
 
-    def test_batch_predict_falls_back_per_point(self, monkeypatch):
+    def test_too_deep_program_is_analytic_unsupported(self, monkeypatch):
+        """A tensor with more consumers than the packed keys' frequency
+        field holds makes the batch program refuse the model."""
+        from repro.analytic import batch as batch_mod
+
+        model = model_for(resolve_workload(self.WORKLOAD), "CELLO",
+                          default_config(None))
+        monkeypatch.setattr(batch_mod, "_FREQ_BITS", 1)
+        with pytest.raises(AnalyticUnsupported, match="too deep"):
+            batch_mod._BatchProgram(model)
+
+    def test_batch_predict_leaves_unpriced_points_to_the_simulator(
+            self, monkeypatch):
         evaluator = self._evaluator()
         pts = [p for p in self._space().points() if p.is_cello][:6]
-        expected = {p: evaluator._predict(p) for p in pts}
         monkeypatch.setattr(tuner_mod, "_price_geometry", _batch_unsupported)
-        got = evaluator._batch_predict(pts)
-        assert set(got) == set(pts)
-        for p in pts:
-            assert got[p].objectives == expected[p].objectives
-            assert got[p].result == expected[p].result
+        assert evaluator._batch_predict(pts) == {}
 
     def test_columnar_grid_tune_declines_when_batch_unsupported(
             self, monkeypatch):
@@ -460,9 +480,14 @@ class TestPriceGeometry:
             make_strategy("grid"), self.NAMES, default_config(None),
             jobs=1, fidelity="analytic") is None
 
-    def test_tune_falls_back_to_pointwise_when_batch_unsupported(
-            self, monkeypatch):
-        kwargs = dict(space=self._space(), strategy=make_strategy("grid"),
+    def test_tune_simulates_points_the_batch_cannot_price(self,
+                                                          monkeypatch):
+        """A program the batch cannot encode is tuned by simulating every
+        point, like cache-policy points, and reaches the analytic front
+        (the analytic prices are byte-exact)."""
+        space = TuneSpace(chord_entries=(64, 16), sram_bytes=(4 * MIB,),
+                          line_bytes=(16,))
+        kwargs = dict(space=space, strategy=make_strategy("grid"),
                       objectives=("runtime", "dram", "area"),
                       fidelity="analytic")
         runner.clear_cache()
@@ -471,6 +496,8 @@ class TestPriceGeometry:
         monkeypatch.setattr(tuner_mod, "_price_geometry", _batch_unsupported)
         slow = tune(self.WORKLOAD, **kwargs)
         runner.clear_cache()
+        assert fast.n_analytic > 0
+        assert slow.n_analytic == 0 and slow.n_simulations == len(space)
         assert [(e.point, e.vector) for e in fast.front] \
             == [(e.point, e.vector) for e in slow.front]
         assert fast.best.point == slow.best.point

@@ -217,3 +217,82 @@ class TestTuneCli:
     def test_unknown_strategy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["tune", "cg/fv1/N=1@it2", "--strategy", "annealing"])
+
+
+class _Captured(Exception):
+    """Stops a command once the search it would run is captured."""
+
+
+def strategy_of(strategy):
+    """A search strategy as comparable data: its class and settings."""
+    return type(strategy), vars(strategy)
+
+
+class TestSubmitTuneMirrorsTune:
+    """``repro submit --tune W`` asks the server for the search ``repro
+    tune W`` runs: same space, objectives, strategy and fidelity, with
+    the defaults and with every flag set."""
+
+    WORKLOAD = "cg/fv1/N=1@it2"
+
+    def tune_search(self, monkeypatch, flags):
+        """What ``repro tune`` hands the tuner."""
+        from repro import tuner
+
+        def capture(workload, space, strategy, objectives, jobs, fidelity):
+            raise _Captured(space, objectives, strategy_of(strategy),
+                            fidelity)
+
+        monkeypatch.setattr(tuner, "tune", capture)
+        with pytest.raises(_Captured) as caught:
+            main(["tune", self.WORKLOAD, "--no-cache", *flags])
+        return caught.value.args
+
+    def submit_search(self, monkeypatch, flags):
+        """What the server searches for the request ``repro submit
+        --tune`` sends, decoded as the server decodes it."""
+        from repro import service
+        from repro.hw.config import mib_to_bytes
+        from repro.service.protocol import parse_tune_fields, tune_request
+        from repro.tuner import TuneSpace, make_strategy
+        from repro.tuner.pareto import DEFAULT_OBJECTIVES
+
+        class FakeClient:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit_tune(self, workload, **kwargs):
+                raise _Captured(tune_request(workload, **kwargs))
+
+        monkeypatch.setattr(service, "ServiceClient", FakeClient)
+        with pytest.raises(_Captured) as caught:
+            main(["submit", "--tune", self.WORKLOAD, *flags])
+        fields = parse_tune_fields(caught.value.args[0])
+        space = TuneSpace(
+            chord_entries=tuple(fields["entries"]),
+            sram_bytes=tuple(mib_to_bytes(m) for m in fields["sram_mb"]),
+            cache_policies=("LRU", "BRRIP", "SRRIP")
+            if fields["include_baselines"] else (),
+        )
+        strategy = make_strategy(fields["strategy"], budget=fields["budget"],
+                                 seed=fields["seed"])
+        return (space, tuple(fields["objectives"] or DEFAULT_OBJECTIVES),
+                strategy_of(strategy), fields["fidelity"])
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--sram-mb", "2,8", "--entries", "32", "--objectives",
+         "dram,runtime", "--include-baselines", "--strategy", "random",
+         "--budget", "5", "--seed", "3", "--fidelity", "hybrid"],
+    ])
+    def test_same_search(self, monkeypatch, flags):
+        space, objectives, strategy, fidelity = self.tune_search(
+            monkeypatch, flags)
+        assert self.submit_search(monkeypatch, flags) == (
+            space, objectives, strategy, fidelity)

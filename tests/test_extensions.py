@@ -1,6 +1,8 @@
 """Tests for the extension modules: SRRIP, CHORD timeline/audit, cluster
 timing and the MLP chain negative control."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.buffers.cache import SetAssociativeCache
@@ -54,12 +56,13 @@ class TestChordObservability:
     def test_history_recorded_under_every_engine_option(self):
         sched = Score(CFG).schedule(
             build_cg_dag(CgProblem(matrix=FV1, n=16, iterations=2)))
-        for options in (
-            EngineOptions(use_riff=False),
-            EngineOptions(explicit_retire=False, chord_entries=4096),
-            EngineOptions(charge_swizzle=False),
+        for options, cfg in (
+            (EngineOptions(use_riff=False), CFG),
+            (EngineOptions(explicit_retire=False),
+             replace(CFG, chord_entries=4096)),
+            (EngineOptions(charge_swizzle=False), CFG),
         ):
-            engine = ScheduleEngine(CFG, options)
+            engine = ScheduleEngine(cfg, options)
             engine.run(sched)
             assert len(engine.last_chord.history) > 0
 

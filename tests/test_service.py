@@ -487,7 +487,7 @@ class TestTuneFidelity:
     def test_submit_tune_fidelity_verb(self, server, capsys):
         assert main(["submit", "--port", str(server.port),
                      "--tune", WORKLOAD, "--entries", "64",
-                     "--tune-sram-mb", "4", "--fidelity", "hybrid"]) == 0
+                     "--sram-mb", "4", "--fidelity", "hybrid"]) == 0
         out = capsys.readouterr().out
         assert "fidelity: hybrid" in out
 
@@ -848,7 +848,7 @@ class TestServiceCli:
     def test_submit_tune_verb(self, server, capsys):
         assert main(["submit", "--port", str(server.port),
                      "--tune", WORKLOAD, "--entries", "64",
-                     "--tune-sram-mb", "4"]) == 0
+                     "--sram-mb", "4"]) == 0
         out = capsys.readouterr().out
         assert "Tuned cg/fv1/N=1" in out and "Pareto" in out
 

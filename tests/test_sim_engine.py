@@ -63,7 +63,8 @@ class TestScheduleEngine:
         sched = Score(CFG).schedule(dag)
         retire = ScheduleEngine(CFG, EngineOptions(explicit_retire=True)).run(sched)
         hoard = ScheduleEngine(
-            CFG, EngineOptions(explicit_retire=False, chord_entries=1024)
+            replace(CFG, chord_entries=1024),
+            EngineOptions(explicit_retire=False),
         ).run(sched)
         assert retire.dram_bytes <= hoard.dram_bytes
 
@@ -71,11 +72,12 @@ class TestScheduleEngine:
         dag = cg_dag()
         sched = Score(CFG).schedule(dag)
         no_riff = ScheduleEngine(CFG, EngineOptions(use_riff=False)).run(sched)
+        big_table = replace(CFG, chord_entries=4096)
         no_retire = ScheduleEngine(
-            CFG, EngineOptions(explicit_retire=False, chord_entries=4096)
+            big_table, EngineOptions(explicit_retire=False)
         ).run(sched)
-        neither = ScheduleEngine(CFG, EngineOptions(
-            use_riff=False, explicit_retire=False, chord_entries=4096
+        neither = ScheduleEngine(big_table, EngineOptions(
+            use_riff=False, explicit_retire=False
         )).run(sched)
         assert neither.dram_bytes >= no_riff.dram_bytes
         assert neither.dram_bytes >= no_retire.dram_bytes
