@@ -348,15 +348,15 @@ def _add_tune_args(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--strategy", default="grid", choices=sorted(STRATEGIES),
-        help="tune search strategy (default grid — the spaces are small)",
+        help="search strategy (default grid — the spaces are small)",
     )
     parser.add_argument(
         "--budget", type=int, default=32, metavar="N",
-        help="tune evaluation budget for random/halving (default 32)",
+        help="evaluation budget for random/halving (default 32)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, metavar="S",
-        help="tune sampling seed for random/halving (default 0)",
+        help="sampling seed for random/halving (default 0)",
     )
     parser.add_argument(
         "--objectives", default=",".join(DEFAULT_OBJECTIVES) + ",area",

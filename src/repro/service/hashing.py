@@ -53,9 +53,9 @@ class HashRing:
 
     ``shards`` are opaque identifier strings (the gateway uses
     ``host:port`` addresses).  Each shard owns :data:`DEFAULT_REPLICAS`
-    virtual nodes; a key is assigned to the shard owning the first virtual node
-    clockwise of the key's hash.  Duplicate shard ids are rejected —
-    silently collapsing them would skew the distribution.
+    virtual nodes; a key is assigned to the shard owning the first
+    virtual node clockwise of the key's hash.  Duplicate shard ids are
+    rejected — silently collapsing them would skew the distribution.
     """
 
     def __init__(self, shards: Sequence[str]) -> None:
