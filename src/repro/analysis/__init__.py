@@ -7,7 +7,6 @@ from .tables import (
     BufferCapabilities,
     SchedulerCapabilities,
     buffer_capability_table,
-    config_capabilities,
     scheduler_capability_table,
 )
 from .roofline import (
@@ -33,7 +32,6 @@ __all__ = [
     "BufferCapabilities",
     "SchedulerCapabilities",
     "buffer_capability_table",
-    "config_capabilities",
     "scheduler_capability_table",
     "REGULAR_GEMM",
     "SKEWED_GEMM",

@@ -1,15 +1,13 @@
-"""Capability matrices — Tables II and III, generated from the code.
+"""Capability matrices — Tables II and III as the paper tabulates them.
 
-Rather than hard-coding the paper's tick marks, the scheduler matrix is
-derived from which mechanisms each configuration's scheduler actually
-enables in this library (so the table stays truthful as code evolves), and
-the buffer matrix from the properties of the buffer model classes.
+The rows are data; the ``table2``/``table3`` experiments check their
+claims against live DAGs and buffer models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 from .report import render_table
 
@@ -69,28 +67,6 @@ def scheduler_capability_table() -> str:
         for r in SCHEDULER_ROWS
     ]
     return render_table(headers, rows, title="Table II: scheduler capabilities")
-
-
-def config_capabilities(config: str) -> SchedulerCapabilities:
-    """Capabilities of one Table IV configuration as modelled here.
-
-    Derived from the ScoreOptions each baseline module actually passes —
-    these are the mechanisms the simulation credits, keeping the matrix
-    honest.
-    """
-    mapping: Dict[str, SchedulerCapabilities] = {
-        "Flexagon": SCHEDULER_ROWS[0],
-        "Flex+LRU": SCHEDULER_ROWS[0],
-        "Flex+BRRIP": SCHEDULER_ROWS[0],
-        "FLAT": SCHEDULER_ROWS[1],
-        "SET": SCHEDULER_ROWS[2],
-        "PRELUDE-only": SCHEDULER_ROWS[0],
-        "CELLO": SCHEDULER_ROWS[3],
-    }
-    try:
-        return mapping[config]
-    except KeyError:
-        raise KeyError(f"unknown configuration {config!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ model with pre-folded sums and no-pressure peaks
 bandwidth / index-table point without generating a trace — closed form
 when the working set fits, the piecewise capacity recurrence
 (:mod:`~repro.analytic.capacity`) when it does not.  The backend
-(:mod:`~repro.analytic.backend`) dispatches Table IV config names and
-caches compiled models; cache-policy baselines raise
+(:mod:`~repro.analytic.backend`) dispatches on the spec
+:func:`~repro.baselines.configs.resolve_config` decodes from a config
+name, as the simulator does, and caches compiled models; cache-policy baselines raise
 :class:`AnalyticUnsupported` and fall back to the exact simulator.
 
 Consumers: ``repro tune --fidelity analytic|hybrid``, the service's
@@ -23,8 +24,6 @@ error bound asserted elsewhere).  Derivation notes: ``docs/analytic.md``.
 from .backend import (
     AnalyticUnsupported,
     clear_model_cache,
-    engine_options_for,
-    family_of,
     model_cache_size,
     model_for,
     predict_workload_config,
@@ -77,9 +76,7 @@ __all__ = [
     "canonicalize_oracle",
     "clear_model_cache",
     "describe_formulas",
-    "engine_options_for",
     "evaluate_batch",
-    "family_of",
     "model_cache_size",
     "model_for",
     "no_pressure_peaks",

@@ -1,16 +1,17 @@
 """Analytic prediction backend: config-name dispatch + compile cache.
 
-Mirrors :func:`repro.baselines.configs.run_config`'s name grammar so a
-prediction is requested exactly like a simulation — by (workload,
-config name, accelerator config).  Five of the seven Table IV families
-are analytically modelled:
+A prediction is requested exactly like a simulation — by (workload,
+config name, accelerator config) — and dispatches on the same
+:class:`~repro.baselines.configs.ConfigSpec` that
+:func:`~repro.baselines.configs.resolve_config` gives
+:func:`~repro.baselines.configs.run_config`.  Every row whose buffer is
+explicit oracle staging or CHORD is analytically modelled:
 
-* ``Flexagon`` — the op-by-op oracle (pure covered-set sums);
-* ``FLAT`` / ``SET`` — oracle sums minus SCORE-realized pipeline/hold
-  coverage;
-* ``PRELUDE-only`` — best-intra-op schedule against PRELUDE (RIFF off);
-* ``CELLO`` and every ``CELLO[...]`` knob variant — the full SCORE
-  schedule, with engine knobs applied at evaluation time.
+* oracle staging (``Flexagon``, ``FLAT``, ``SET``) — oracle sums minus
+  the tensors the row's SCORE schedule covers (none for Flexagon);
+* CHORD (``PRELUDE-only``, ``CELLO`` and every ``CELLO[...]`` knob
+  variant) — the row's SCORE schedule, with the engine knobs applied at
+  evaluation time.
 
 ``Flex+<policy>`` cache baselines replay an address trace through a
 set-associative cache whose conflict behaviour is not a function of
@@ -20,7 +21,7 @@ report, service ``predict`` op) falls back to the exact simulator.
 That oracle fallback is the audited boundary of the model
 (``docs/analytic.md``).
 
-Compiled models are cached per (workload name, schedule family,
+Compiled models are cached per (workload name, SCORE options, buffer,
 schedule-shaping config): DAG construction and SCORE scheduling are
 paid once, and every knob/bandwidth/entries point evaluates against
 the same model — the source of the ≥100× speedup the bench gate holds.
@@ -31,16 +32,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Tuple
 
-from ..baselines.configs import (
-    CACHE_POLICIES,
-    is_known_config,
-    parse_cello_variant,
-)
-from ..baselines.flat import covered_tensors, flat_schedule
-from ..baselines.set_sched import set_schedule
+from ..baselines.configs import ConfigSpec, resolve_config
 from ..hw.config import AcceleratorConfig
-from ..score.scheduler import Score, ScoreOptions
-from ..sim.engine import EngineOptions
+from ..score.scheduler import Score
 from ..workloads.registry import Workload, workload_dag
 from .canonical import canonicalize, canonicalize_oracle
 from .compiler import AnalyticEvaluation, AnalyticModel
@@ -50,11 +44,6 @@ class AnalyticUnsupported(Exception):
     """The named config has no analytic model; simulate it instead."""
 
 
-#: Schedule families (what a compiled model is keyed on — all
-#: ``CELLO[...]`` variants share one model because the SCORE schedule
-#: does not depend on the engine knobs).
-_FAMILIES = ("flexagon", "flat", "set", "prelude", "cello")
-
 #: Soft cap on cached models (a tuning sweep touches a handful of SRAM
 #: points; this only guards against unbounded growth in long services).
 _CACHE_CAP = 256
@@ -62,38 +51,26 @@ _CACHE_CAP = 256
 _MODEL_CACHE: Dict[Tuple, AnalyticModel] = {}
 
 
-def family_of(config: str) -> str:
-    """Resolve a config name to its schedule family.
+def _modelled(config: str) -> ConfigSpec:
+    """The spec ``config`` resolves to, when it has an analytic model.
 
     Raises :class:`AnalyticUnsupported` for the trace-replayed cache
-    baselines and :class:`KeyError` for unknown names (mirroring
-    ``run_config``'s error surface).
+    baselines and the resolver's :class:`KeyError` for unknown names.
     """
-    if config == "Flexagon":
-        return "flexagon"
-    if config == "FLAT":
-        return "flat"
-    if config == "SET":
-        return "set"
-    if config == "PRELUDE-only":
-        return "prelude"
-    if parse_cello_variant(config) is not None:
-        return "cello"
-    if config.startswith("Flex+") and config[len("Flex+"):] in CACHE_POLICIES:
+    spec = resolve_config(config)
+    if spec.cache_policy is not None:
         raise AnalyticUnsupported(
             f"config {config!r} replays a cache trace; no analytic model "
             "(use the simulator)"
         )
-    raise KeyError(f"unknown configuration {config!r}")
+    return spec
 
 
 def supports_config(config: str) -> bool:
     """True when :func:`predict_workload_config` can price ``config``."""
-    if not is_known_config(config):
-        return False
     try:
-        family_of(config)
-    except AnalyticUnsupported:
+        _modelled(config)
+    except (KeyError, AnalyticUnsupported):
         return False
     return True
 
@@ -113,42 +90,33 @@ def schedule_cfg_key(cfg: AcceleratorConfig) -> AcceleratorConfig:
     )
 
 
-def engine_options_for(config: str) -> EngineOptions:
-    """Engine knobs a config name implies (identity for oracle names)."""
-    if config == "PRELUDE-only":
-        return EngineOptions(use_riff=False)
-    options = parse_cello_variant(config)
-    return options if options is not None else EngineOptions()
-
-
-def _compile(workload: Workload, family: str,
+def _compile(workload: Workload, spec: ConfigSpec,
              cfg: AcceleratorConfig) -> AnalyticModel:
     dag = workload_dag(workload)
-    if family == "flexagon":
-        program = canonicalize_oracle(dag, set())
-    elif family == "flat":
-        program = canonicalize_oracle(dag, covered_tensors(flat_schedule(dag, cfg)))
-    elif family == "set":
-        program = canonicalize_oracle(dag, covered_tensors(set_schedule(dag, cfg)))
-    elif family == "prelude":
-        schedule = Score(cfg, ScoreOptions(
-            enable_pipelining=False, enable_holds=False)).schedule(dag)
-        program = canonicalize(schedule)
-    else:   # cello
-        schedule = Score(cfg, ScoreOptions()).schedule(dag)
-        program = canonicalize(schedule)
+    if spec.chord is None:
+        program = canonicalize_oracle(dag, spec.covered(dag, cfg))
+    else:
+        program = canonicalize(Score(cfg, spec.score).schedule(dag))
     return AnalyticModel(program, cfg, workload.name)
 
 
 def model_for(workload: Workload, config: str,
               cfg: AcceleratorConfig) -> AnalyticModel:
-    """Compiled model for (workload, config family, schedule config) —
-    cached, so repeated evaluations skip DAG build + SCORE entirely."""
-    family = family_of(config)
-    key = (workload.name, family, schedule_cfg_key(cfg))
+    """Compiled model for (workload, config's schedule and buffer,
+    schedule config) — cached, so repeated evaluations skip DAG build +
+    SCORE entirely."""
+    return _cached_model(workload, _modelled(config), cfg)
+
+
+def _cached_model(workload: Workload, spec: ConfigSpec,
+                  cfg: AcceleratorConfig) -> AnalyticModel:
+    # The CHORD engine knobs are not part of the key: every CELLO[...]
+    # variant shares one model.
+    key = (workload.name, spec.score, spec.chord is None,
+           schedule_cfg_key(cfg))
     model = _MODEL_CACHE.get(key)
     if model is None:
-        model = _compile(workload, family, cfg)
+        model = _compile(workload, spec, cfg)
         if len(_MODEL_CACHE) >= _CACHE_CAP:
             _MODEL_CACHE.pop(next(iter(_MODEL_CACHE)))
         _MODEL_CACHE[key] = model
@@ -166,13 +134,9 @@ def predict_workload_config(
     Raises :class:`AnalyticUnsupported` for cache-policy configs and
     :class:`KeyError` for unknown names.
     """
-    model = model_for(workload, config, cfg)
-    return model.evaluate(
-        config_name=config,
-        options=engine_options_for(config),
-        cfg=cfg,
-        detail=detail,
-    )
+    spec = _modelled(config)
+    return _cached_model(workload, spec, cfg).evaluate(
+        config_name=config, options=spec.chord, cfg=cfg, detail=detail)
 
 
 def clear_model_cache() -> None:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hw.config import AcceleratorConfig
-from ..hw.sram_model import cache_cost, chord_cost
+from ..hw.sram_model import chord_cost
 from ..sim.energy import DRAM_PJ_PER_BYTE, onchip_energy_j
 from .backend import AnalyticUnsupported
 from .canonical import EV_READ, EV_RETIRE, EV_WRITE
@@ -407,7 +407,6 @@ def batch_objective_arrays(
     evaluation: BatchEvaluation,
     cfg: AcceleratorConfig,
     chord_entries: Optional[np.ndarray] = None,
-    is_cache_family: bool = False,
 ) -> Dict[str, np.ndarray]:
     """Vectorised :func:`repro.tuner.pareto.objective_values`.
 
@@ -418,7 +417,6 @@ def batch_objective_arrays(
     order on the same float64 values.
     """
     dram = evaluation.dram_bytes
-    n = len(evaluation)
     out: Dict[str, np.ndarray] = {}
     for name in names:
         if name == "runtime":
@@ -432,18 +430,15 @@ def batch_objective_arrays(
                 onchip_accesses_of(model, cfg), cfg).values())
             out[name] = dram * DRAM_PJ_PER_BYTE * 1e-12 + onchip_j
         elif name == "area":
-            if is_cache_family:
-                out[name] = np.full(n, cache_cost(cfg).total_mm2)
-            else:
-                if chord_entries is None:
-                    raise ValueError("area objective needs chord_entries")
-                from dataclasses import replace
-                uniq, inverse = np.unique(chord_entries, return_inverse=True)
-                per_entry = np.asarray([
-                    chord_cost(replace(cfg, chord_entries=int(e))).total_mm2
-                    for e in uniq
-                ])
-                out[name] = per_entry[inverse]
+            if chord_entries is None:
+                raise ValueError("area objective needs chord_entries")
+            from dataclasses import replace
+            uniq, inverse = np.unique(chord_entries, return_inverse=True)
+            per_entry = np.asarray([
+                chord_cost(replace(cfg, chord_entries=int(e))).total_mm2
+                for e in uniq
+            ])
+            out[name] = per_entry[inverse]
         else:
             raise KeyError(f"unknown objective {name!r}")
     return out

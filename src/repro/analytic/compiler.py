@@ -52,8 +52,8 @@ class AnalyticEvaluation:
 
 
 class AnalyticModel:
-    """Closed-form traffic/runtime/energy model of one (workload,
-    schedule family, schedule-shaping config) triple."""
+    """Closed-form traffic/runtime/energy model of one workload's
+    schedule and buffer at one schedule-shaping config."""
 
     def __init__(self, program: CanonicalProgram, cfg: AcceleratorConfig,
                  workload_name: str) -> None:

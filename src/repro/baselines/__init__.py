@@ -10,12 +10,11 @@ from .configs import (
     config_names,
     is_known_config,
     parse_cello_variant,
+    resolve_config,
     run_config,
 )
-from .flexagon import oracle_traffic, run_flexagon
-from .flat import covered_tensors, flat_schedule, run_flat
-from .set_sched import run_set, set_schedule
-from .cello import cello_schedule, run_cello, run_prelude_only
+from .flexagon import covered_tensors, oracle_traffic, run_oracle
+from .cello import run_cello
 from .runner import (
     clear_cache,
     get_store,
@@ -34,17 +33,12 @@ __all__ = [
     "config_names",
     "is_known_config",
     "parse_cello_variant",
+    "resolve_config",
     "run_config",
     "oracle_traffic",
-    "run_flexagon",
+    "run_oracle",
     "covered_tensors",
-    "flat_schedule",
-    "run_flat",
-    "run_set",
-    "set_schedule",
-    "cello_schedule",
     "run_cello",
-    "run_prelude_only",
     "clear_cache",
     "get_store",
     "run_workload_config",

@@ -1,10 +1,12 @@
-"""CELLO (this work) and the PRELUDE-only additional study.
+"""The CHORD runner: CELLO (this work) and the PRELUDE-only study.
 
 CELLO = SCORE schedule (pipelining + holds + swizzle minimization) executed
 against CHORD (PRELUDE + RIFF) with explicit retirement — the full
 co-design.  PRELUDE-only (Fig. 16c) keeps the best-intra-op schedule (no
 pipelining) and an SRAM with PRELUDE as the only policy: no RIFF
 replacement, so a squatting tensor can lock out sooner-reused ones.
+Which schedule and which engine knobs a name runs is
+:func:`repro.baselines.configs.resolve_config`'s to say.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from typing import Optional
 from ..core.dag import TensorDag
 from ..hw.config import AcceleratorConfig
 from ..score.scheduler import Score, ScoreOptions
-from ..score.schedule_ir import Schedule
 from ..sim.engine import EngineOptions, ScheduleEngine
 from ..sim.results import SimResult
-
-
-def cello_schedule(dag: TensorDag, cfg: AcceleratorConfig) -> Schedule:
-    """The full SCORE schedule."""
-    return Score(cfg, ScoreOptions()).schedule(dag)
 
 
 def run_cello(
@@ -30,32 +26,14 @@ def run_cello(
     workload_name: str = "workload",
     options: Optional[EngineOptions] = None,
     config_name: str = "CELLO",
+    score: Optional[ScoreOptions] = None,
 ) -> SimResult:
-    """Simulate CELLO (SCORE + CHORD).
+    """Simulate a SCORE schedule (made with ``score``) against CHORD
+    (run with ``options``); both default to the full CELLO co-design.
 
-    ``config_name`` labels the result — ablated schedule-knob variants
-    pass their canonical ``CELLO[...]`` name (see
-    :func:`repro.baselines.configs.cello_variant_name`).
+    ``config_name`` labels the result — ablated variants pass their
+    canonical name (see :func:`repro.baselines.configs.cello_variant_name`).
     """
-    schedule = cello_schedule(dag, cfg)
+    schedule = Score(cfg, score).schedule(dag)
     engine = ScheduleEngine(cfg, options)
     return engine.run(schedule, config_name=config_name, workload_name=workload_name)
-
-
-def run_prelude_only(
-    dag: TensorDag,
-    cfg: AcceleratorConfig,
-    workload_name: str = "workload",
-) -> SimResult:
-    """Simulate the PRELUDE-only configuration (Sec. VII-C3).
-
-    Best-intra-op schedule (pipelining and holds off — "we turn off all
-    other optimizations") with a PRELUDE-managed SRAM (RIFF off).
-    """
-    schedule = Score(
-        cfg, ScoreOptions(enable_pipelining=False, enable_holds=False)
-    ).schedule(dag)
-    engine = ScheduleEngine(cfg, EngineOptions(use_riff=False))
-    result = engine.run(schedule, config_name="PRELUDE-only",
-                        workload_name=workload_name)
-    return result

@@ -1,6 +1,11 @@
 """Table IV: the evaluated schedule × buffer configurations.
 
-Beyond the paper's seven fixed rows this module understands two
+:func:`resolve_config` is the one place a config name is decoded.  It
+turns a name into a :class:`ConfigSpec`, a schedule paired with a
+buffer, and both the simulator (:func:`run_config`) and the analytic
+backend (:mod:`repro.analytic.backend`) dispatch on that spec.
+
+Beyond the paper's seven fixed rows the resolver understands two
 *parameterised* config families used by the co-design autotuner
 (``repro tune``, :mod:`repro.tuner`):
 
@@ -19,61 +24,68 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..buffers.brrip import BrripPolicy
+from ..buffers.cache import ReplacementPolicy
 from ..buffers.lru import LruPolicy
 from ..buffers.srrip import SrripPolicy
 from ..core.dag import TensorDag
 from ..hw.config import AcceleratorConfig
+from ..score.scheduler import Score, ScoreOptions
 from ..sim.engine import CacheEngine, EngineOptions
 from ..sim.results import SimResult
-from .cello import run_cello, run_prelude_only
-from .flat import run_flat
-from .flexagon import run_flexagon
-from .set_sched import run_set
+from .cello import run_cello
+from .flexagon import covered_tensors, run_oracle
 
 
 @dataclass(frozen=True)
 class ConfigSpec:
-    """One Table IV row: a named schedule + buffer-hierarchy combination."""
+    """One config as it runs: a schedule paired with a buffer.
 
-    name: str
-    schedule: str
-    buffer: str
-    description: str
+    ``score`` holds the SCORE options the schedule is built with, or
+    ``None`` for the best intra-op dataflow, which runs no SCORE
+    schedule.  The buffer is CHORD with the engine knobs ``chord``, a
+    set-associative cache replaced by ``cache_policy``, or, when both
+    are ``None``, explicit oracle staging.
+    """
+
+    score: Optional[ScoreOptions] = None
+    chord: Optional[EngineOptions] = None
+    cache_policy: Optional[Callable[[], ReplacementPolicy]] = None
+
+    def covered(self, dag: TensorDag, cfg: AcceleratorConfig) -> Set[str]:
+        """The tensors oracle staging keeps on chip: those whose every
+        consumer the SCORE schedule feeds on chip (none without one)."""
+        if self.score is None:
+            return set()
+        return covered_tensors(Score(cfg, self.score).schedule(dag))
 
 
-TABLE_IV: Tuple[ConfigSpec, ...] = (
-    ConfigSpec(
-        "Flexagon", "best intra-layer", "explicit",
-        "Oracle op-by-op dataflow; all ops begin and end in DRAM.",
-    ),
-    ConfigSpec(
-        "Flex+LRU", "best intra-layer", "LRU cache",
-        "All accesses through an implicitly-managed LRU cache.",
-    ),
-    ConfigSpec(
-        "Flex+BRRIP", "best intra-layer", "BRRIP cache",
-        "All accesses through an implicitly-managed BRRIP cache.",
-    ),
-    ConfigSpec(
-        "FLAT", "pipelining", "explicit",
-        "Oracle pipelined dataflow between adjacent ops (no delayed reuse).",
-    ),
-    ConfigSpec(
-        "SET", "pipelining + delayed hold", "explicit",
-        "Adds delayed-hold support (ResNet skip connections).",
-    ),
-    ConfigSpec(
-        "PRELUDE-only", "best intra-layer", "PRELUDE SRAM",
-        "PRELUDE fill/spill with no RIFF replacement (Sec. VII-C3).",
-    ),
-    ConfigSpec(
-        "CELLO", "SCORE", "CHORD",
-        "This work: SCORE schedule over PRELUDE + RIFF hybrid buffer.",
-    ),
-)
+#: Table IV, name -> spec.
+TABLE_IV: Dict[str, ConfigSpec] = {
+    # The oracle op-by-op dataflow: all ops begin and end in DRAM.
+    "Flexagon": ConfigSpec(),
+    # Every access of the best intra-op schedule goes through an
+    # implicitly managed cache.
+    "Flex+LRU": ConfigSpec(cache_policy=LruPolicy),
+    "Flex+BRRIP": ConfigSpec(cache_policy=BrripPolicy),
+    # Oracle pipelining between adjacent ops, no delayed reuse.  A tensor
+    # is on chip only when every consumer is a realised adjacent
+    # pipeline (the GNN's AX); on CG none qualifies, so FLAT collapses
+    # to Flexagon, as in Fig. 12.
+    "FLAT": ConfigSpec(score=ScoreOptions(enable_holds=False)),
+    # Adds delayed holds: enough for ResNet's skip connections (SET
+    # matches CELLO, Fig. 16a), not for CG's delayed writebacks.
+    "SET": ConfigSpec(score=ScoreOptions()),
+    # PRELUDE fill/spill with no RIFF replacement under the best
+    # intra-op schedule, all other optimisations off (Sec. VII-C3).
+    "PRELUDE-only": ConfigSpec(
+        score=ScoreOptions(enable_pipelining=False, enable_holds=False),
+        chord=EngineOptions(use_riff=False)),
+    # This work: the SCORE schedule over the PRELUDE + RIFF hybrid buffer.
+    "CELLO": ConfigSpec(score=ScoreOptions(), chord=EngineOptions()),
+}
 
 #: The configurations in the main comparison (Figs. 12-14).
 MAIN_CONFIGS: Tuple[str, ...] = ("Flexagon", "Flex+LRU", "Flex+BRRIP", "FLAT", "CELLO")
@@ -137,17 +149,32 @@ def parse_cello_variant(name: str) -> Optional[EngineOptions]:
 
 
 def config_names() -> Tuple[str, ...]:
-    return tuple(c.name for c in TABLE_IV)
+    return tuple(TABLE_IV)
+
+
+def resolve_config(name: str) -> ConfigSpec:
+    """The spec ``name`` runs: a Table IV row, a ``Flex+<policy>`` cache
+    baseline, or a ``CELLO[...]`` schedule variant.  This is the one
+    place a config name is decoded; :class:`KeyError` for any other."""
+    spec = TABLE_IV.get(name)
+    if spec is not None:
+        return spec
+    prefix, _, policy = name.partition("+")
+    if prefix == "Flex" and policy in CACHE_POLICIES:
+        return ConfigSpec(cache_policy=CACHE_POLICIES[policy])
+    options = parse_cello_variant(name)
+    if options is not None:
+        return ConfigSpec(score=ScoreOptions(), chord=options)
+    raise KeyError(f"unknown configuration {name!r}; known: {config_names()}")
 
 
 def is_known_config(name: str) -> bool:
-    """True for every name :func:`run_config` can execute: the Table IV
-    rows, the extra cache policies, and parseable ``CELLO[...]`` variants."""
-    if name in config_names():
-        return True
-    if name.startswith("Flex+") and name[len("Flex+"):] in CACHE_POLICIES:
-        return True
-    return parse_cello_variant(name) is not None
+    """True for every name :func:`run_config` can execute."""
+    try:
+        resolve_config(name)
+    except KeyError:
+        return False
+    return True
 
 
 def unknown_config_error(configs) -> "str | None":
@@ -168,22 +195,12 @@ def run_config(
     cfg: AcceleratorConfig,
     workload_name: str = "workload",
 ) -> SimResult:
-    """Run one named configuration on ``dag`` (Table IV row, ``Flex+<policy>``
-    cache baseline, or parameterised ``CELLO[...]`` schedule variant)."""
-    if name == "Flexagon":
-        return run_flexagon(dag, cfg, workload_name)
-    if name.startswith("Flex+") and name[len("Flex+"):] in CACHE_POLICIES:
-        policy = CACHE_POLICIES[name[len("Flex+"):]]()
-        return CacheEngine(cfg, policy).run(dag, config_name=name,
-                                            workload_name=workload_name)
-    if name == "FLAT":
-        return run_flat(dag, cfg, workload_name)
-    if name == "SET":
-        return run_set(dag, cfg, workload_name)
-    if name == "PRELUDE-only":
-        return run_prelude_only(dag, cfg, workload_name)
-    options = parse_cello_variant(name)
-    if options is not None:
-        return run_cello(dag, cfg, workload_name, options=options,
-                         config_name=name)
-    raise KeyError(f"unknown configuration {name!r}; known: {config_names()}")
+    """Simulate the config ``name`` resolves to on ``dag``."""
+    spec = resolve_config(name)
+    if spec.cache_policy is not None:
+        return CacheEngine(cfg, spec.cache_policy()).run(
+            dag, config_name=name, workload_name=workload_name)
+    if spec.chord is not None:
+        return run_cello(dag, cfg, workload_name, options=spec.chord,
+                         config_name=name, score=spec.score)
+    return run_oracle(dag, cfg, spec.covered(dag, cfg), name, workload_name)

@@ -9,7 +9,6 @@ from .cache import (
     ReplacementPolicy,
     SetAssociativeCache,
     VectorReplacementPolicy,
-    supports_vector,
 )
 from .lru import LruPolicy
 from .brrip import BrripPolicy
@@ -21,7 +20,6 @@ __all__ = [
     "ReplacementPolicy",
     "SetAssociativeCache",
     "VectorReplacementPolicy",
-    "supports_vector",
     "LruPolicy",
     "BrripPolicy",
     "SrripPolicy",

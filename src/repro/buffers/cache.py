@@ -9,7 +9,7 @@ preserves streaming/capacity behaviour (validated in tests).
 
 Two backends produce byte-identical :class:`BufferStats`:
 
-``vector`` (default when the policy supports it)
+``vector`` (default)
     Array-state simulation in *conflict-free batches* — maximal
     contiguous runs of the trace in which every set index appears at
     most once — so hit detection, victim choice, fills and writeback
@@ -20,12 +20,11 @@ Two backends produce byte-identical :class:`BufferStats`:
 
 ``reference``
     The original scalar per-access loop over per-set policy objects, kept
-    as the golden model for the parity suite and as the fallback for
-    custom policies that only implement the scalar protocol.
+    as the golden model for the parity suite.
 
-Replacement policies implement per-set state: :class:`LruPolicy` and
-:class:`BrripPolicy` live in sibling modules and provide both the scalar
-and the array-state (``vec_*``) protocol.
+Replacement policies implement per-set state: :class:`LruPolicy`,
+:class:`SrripPolicy` and :class:`BrripPolicy` live in sibling modules and
+provide both the scalar and the array-state (``vec_*``) protocol.
 
 A trace whose :class:`TraceFootprint` fits the cache needs neither
 backend: no set ever overflows, so no policy is ever asked for a victim
@@ -47,9 +46,6 @@ from .base import BufferStats
 #: traces in bounded memory (a chunk of 2^20 int64 blocks is ~8 MB).
 DEFAULT_CHUNK_ACCESSES = 1 << 20
 
-_VECTOR_METHODS = ("make_vector_state", "vec_on_hit",
-                   "vec_choose_victims", "vec_on_fill")
-
 
 class ReplacementPolicy(Protocol):
     """Per-set replacement state machine (scalar reference protocol).
@@ -57,8 +53,8 @@ class ReplacementPolicy(Protocol):
     The cache owns the tag/dirty arrays; a policy only maintains per-set
     recency state over way indices: ``on_hit`` records a re-reference,
     ``choose_victim`` picks the way to replace, ``on_fill`` records an
-    insertion.  Policies that additionally implement the ``vec_*`` family
-    (see :class:`VectorReplacementPolicy`) unlock the vectorized backend.
+    insertion.  The vectorized backend needs the ``vec_*`` family as
+    well (see :class:`VectorReplacementPolicy`).
     """
 
     def make_set_state(self, assoc: int) -> object: ...
@@ -91,11 +87,6 @@ class VectorReplacementPolicy(Protocol):
                     ways: np.ndarray, times: np.ndarray) -> None: ...
 
 
-def supports_vector(policy: object) -> bool:
-    """Whether ``policy`` implements the array-state protocol."""
-    return all(callable(getattr(policy, m, None)) for m in _VECTOR_METHODS)
-
-
 def cache_sets(capacity_bytes: int, line_bytes: int,
                associativity: int) -> int:
     """The set count of a cache geometry; ``ValueError`` when the
@@ -109,21 +100,6 @@ def cache_sets(capacity_bytes: int, line_bytes: int,
             f"multiple of associativity {associativity}"
         )
     return n_lines // associativity
-
-
-def resolve_backend(policy: object, backend: str = "auto") -> str:
-    """The backend ``"vector"`` or ``"reference"`` a cache of ``policy``
-    runs (``"auto"``: vector when the policy supports it)."""
-    if backend == "auto":
-        backend = "vector" if supports_vector(policy) else "reference"
-    if backend not in ("vector", "reference"):
-        raise ValueError(f"unknown cache backend {backend!r}")
-    if backend == "vector" and not supports_vector(policy):
-        raise ValueError(
-            f"policy {type(policy).__name__} lacks the vec_* protocol "
-            "required by the vector backend"
-        )
-    return backend
 
 
 def _merged(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -222,9 +198,9 @@ class SetAssociativeCache:
     policy:
         A :class:`ReplacementPolicy` instance (LRU, BRRIP, ...).
     backend:
-        ``"vector"``, ``"reference"``, or ``"auto"`` (vector when the
-        policy supports it).  Both backends produce identical stats; the
-        vector backend is an order of magnitude faster on streams.
+        ``"vector"`` or ``"reference"``.  Both backends produce identical
+        stats; the vector backend is an order of magnitude faster on
+        streams.
     """
 
     def __init__(
@@ -233,10 +209,11 @@ class SetAssociativeCache:
         line_bytes: int,
         associativity: int,
         policy: ReplacementPolicy,
-        backend: str = "auto",
+        backend: str = "vector",
     ) -> None:
         n_sets = cache_sets(capacity_bytes, line_bytes, associativity)
-        backend = resolve_backend(policy, backend)
+        if backend not in ("vector", "reference"):
+            raise ValueError(f"unknown cache backend {backend!r}")
         self.capacity_bytes = capacity_bytes
         self.line_bytes = line_bytes
         self.assoc = associativity

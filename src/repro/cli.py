@@ -387,7 +387,10 @@ def _tune_axes(args: argparse.Namespace
     """The SRAM sizes (MiB), RIFF table sizes and objectives the parsed
     tune flags name."""
     sram_mb = tuple(_parse_floats(args.sram_mb)) or _TUNE_SRAM_MB
-    entries = tuple(int(e) for e in _parse_floats(args.entries)) or (64,)
+    raw_entries = _parse_floats(args.entries) or [64.0]
+    if any(e < 1 or not e.is_integer() for e in raw_entries):
+        raise ValueError("--entries must be positive integers")
+    entries = tuple(int(e) for e in raw_entries)
     objectives = tuple(
         n.strip() for n in args.objectives.split(",") if n.strip())
     return sram_mb, entries, objectives

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..buffers.cache import (ReplacementPolicy, SetAssociativeCache,
-                             TraceFootprint, cache_sets, resolve_backend)
+                             TraceFootprint, cache_sets)
 from ..chord.buffer import ChordBuffer
 from ..chord.metadata import RiffIndexTable
 from ..core.dag import TensorDag
@@ -205,7 +205,7 @@ class CacheEngine:
         cfg: AcceleratorConfig,
         policy: ReplacementPolicy,
         granularity: Optional[int] = None,
-        backend: str = "auto",
+        backend: str = "vector",
     ) -> None:
         self.cfg = cfg
         self.policy = policy
@@ -225,7 +225,7 @@ class CacheEngine:
         assoc = cfg.cache_associativity
         n_sets = cache_sets(cfg.sram_bytes, block_bytes, assoc)
         footprint = None
-        if resolve_backend(self.policy, self.backend) == "vector":
+        if self.backend == "vector":
             footprint = dag.derived(key + (block_bytes,), lambda: (
                 TraceFootprint.of(starts, nbytes, writes, block_bytes)))
         t1 = time.perf_counter() if hook is not None else 0.0

@@ -58,7 +58,7 @@ WORKLOADS = (
     "mg/fv1/N=1",
 )
 
-#: Every analytically supported config family, including the CELLO
+#: Every analytically supported Table IV row, including the CELLO
 #: engine-knob ablations (the hybrid tuner's search axes).
 CONFIGS = (
     "Flexagon",

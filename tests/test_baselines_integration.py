@@ -5,12 +5,29 @@ These are the reproduction's acceptance tests — each assertion corresponds
 to a sentence in the paper's evaluation section.
 """
 
+import itertools
+
 import pytest
 
-from repro.baselines.configs import CACHE_POLICIES, config_names, run_config
+from repro.analytic import (
+    clear_model_cache,
+    model_cache_size,
+    model_for,
+    predict_workload_config,
+    supports_config,
+)
+from repro.baselines.configs import (
+    CACHE_POLICIES,
+    CELLO_KNOBS,
+    cello_variant_name,
+    config_names,
+    is_known_config,
+    resolve_config,
+    run_config,
+)
 from repro.baselines.runner import clear_cache, run_workload_config
 from repro.hw.config import AcceleratorConfig, MIB
-from repro.sim.engine import CacheEngine
+from repro.sim.engine import CacheEngine, EngineOptions
 from repro.sim.results import geomean
 from repro.workloads.matrices import FV1, SHALLOW_WATER1
 from repro.workloads.registry import (
@@ -18,6 +35,7 @@ from repro.workloads.registry import (
     bicgstab_workload,
     cg_workload,
     resnet_workload,
+    resolve_workload,
 )
 
 CFG = AcceleratorConfig()
@@ -219,3 +237,60 @@ class TestRunnerInfra:
                 r = run_config(name, dag, CFG)
             assert r.dram_bytes > 0
             assert r.total_macs > 0
+
+
+class TestConfigResolver:
+    """``resolve_config`` is the one decoder of a config name: the
+    simulator, the analytic backend and name validation agree on it."""
+
+    WORKLOAD = "cg/fv1/N=1@it2"
+    NAMES = config_names() + (
+        "Flex+SRRIP",
+        "CELLO[riff=0]",
+        "CELLO[retire=0,swz=0]",
+        "CELLO[swz=0,riff=0]",
+        "CELLO[riff=1,retire=0]",
+        "CELLO[riff=2]",
+        "Flex+FIFO",
+        "cello",
+    )
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_engines_and_validation_agree(self, name):
+        workload = resolve_workload(self.WORKLOAD)
+        dag = workload.build()
+        try:
+            resolve_config(name)
+            resolved = True
+        except KeyError:
+            resolved = False
+        assert is_known_config(name) == resolved
+        if not resolved:
+            with pytest.raises(KeyError) as simulated:
+                run_config(name, dag, CFG)
+            with pytest.raises(KeyError) as modelled:
+                model_for(workload, name, CFG)
+            assert str(simulated.value) == str(modelled.value)
+            return
+        if not supports_config(name):
+            assert resolve_config(name).cache_policy is not None
+            return
+        for mb in (4, 1):
+            cfg = AcceleratorConfig(sram_bytes=mb * MIB)
+            predicted = predict_workload_config(workload, name, cfg).result
+            assert predicted.dram_bytes == run_config(name, dag, cfg).dram_bytes
+
+    def test_cello_variants_share_one_model(self):
+        workload = resolve_workload(self.WORKLOAD)
+        clear_model_cache()
+        try:
+            for values in itertools.product((True, False),
+                                            repeat=len(CELLO_KNOBS)):
+                options = EngineOptions(**{
+                    field: v for (_, field), v in zip(CELLO_KNOBS, values)})
+                model_for(workload, cello_variant_name(options), CFG)
+            assert model_cache_size() == 1
+            model_for(workload, "SET", CFG)
+            assert model_cache_size() == 2
+        finally:
+            clear_model_cache()

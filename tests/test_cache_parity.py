@@ -24,8 +24,7 @@ import pytest
 
 from repro.baselines.configs import run_config
 from repro.buffers.brrip import BrripPolicy
-from repro.buffers.cache import (SetAssociativeCache, TraceFootprint,
-                                 supports_vector)
+from repro.buffers.cache import SetAssociativeCache, TraceFootprint
 from repro.buffers.lru import LruPolicy
 from repro.buffers.srrip import SrripPolicy
 from repro.hw.config import MIB, AcceleratorConfig
@@ -547,12 +546,13 @@ class TestVectorPolicyContract:
 
 
 class TestBackendSelection:
-    def test_auto_picks_vector_for_builtin_policies(self):
+    def test_default_is_vector(self):
         for policy in (LruPolicy(), BrripPolicy(), SrripPolicy()):
-            assert supports_vector(policy)
             assert SetAssociativeCache(1024, 16, 4, policy).backend == "vector"
 
-    def test_scalar_only_policy_falls_back(self):
+    def test_scalar_only_policy_runs_on_reference(self):
+        """A policy with only the scalar protocol runs on the reference
+        backend, by name; an unknown backend name is refused."""
         class ScalarOnly:
             def make_set_state(self, assoc):
                 return list(range(assoc))
@@ -566,10 +566,12 @@ class TestBackendSelection:
             def on_fill(self, state, way):
                 pass
 
-        cache = SetAssociativeCache(1024, 16, 4, ScalarOnly())
-        assert cache.backend == "reference"
+        cache = SetAssociativeCache(1024, 16, 4, ScalarOnly(),
+                                    backend="reference")
+        assert cache.access_line(3, False) is False
+        assert cache.access_line(3, False) is True
         with pytest.raises(ValueError):
-            SetAssociativeCache(1024, 16, 4, ScalarOnly(), backend="vector")
+            SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="auto")
         with pytest.raises(ValueError):
             SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="nope")
 

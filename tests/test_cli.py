@@ -214,6 +214,15 @@ class TestTuneCli:
         ]) == 2
         assert "invalid tune space" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries", ["16.7,64.2", "0", "-64"])
+    def test_non_integer_entries_rejected(self, capsys, entries):
+        assert main([
+            "tune", "cg/fv1/N=1@it2", "--entries", entries, "--no-cache",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "invalid tune space" in err
+        assert "must be positive integers" in err
+
     def test_unknown_strategy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["tune", "cg/fv1/N=1@it2", "--strategy", "annealing"])
@@ -296,3 +305,16 @@ class TestSubmitTuneMirrorsTune:
             monkeypatch, flags)
         assert self.submit_search(monkeypatch, flags) == (
             space, objectives, strategy, fidelity)
+
+    @pytest.mark.parametrize("entries", ["16.7,64.2", "0"])
+    def test_non_integer_entries_rejected(self, monkeypatch, capsys,
+                                          entries):
+        """Refused before any request is sent, as the server would."""
+        from repro import service
+
+        monkeypatch.setattr(service, "ServiceClient", None)
+        assert main(["submit", "--tune", self.WORKLOAD,
+                     "--entries", entries]) == 2
+        err = capsys.readouterr().err
+        assert "invalid tune space" in err
+        assert "must be positive integers" in err

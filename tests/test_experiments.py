@@ -67,15 +67,6 @@ class TestTables0203:
     def test_buffer_checks_all_pass(self):
         assert all(table03_buffers.verify().values())
 
-    def test_config_capabilities_lookup(self):
-        from repro.analysis.tables import config_capabilities
-
-        assert config_capabilities("CELLO").delayed_writeback
-        assert not config_capabilities("SET").delayed_writeback
-        assert not config_capabilities("FLAT").delayed_hold
-        with pytest.raises(KeyError):
-            config_capabilities("nope")
-
 
 class TestFig12:
     def test_small_panel_ordering(self):
