@@ -41,7 +41,10 @@ def _objective_cells(e: TuneEval, objectives: Sequence[str]) -> List[object]:
 
 
 def render_tune_result(tr: TuneResult) -> str:
-    """Human-readable summary of one tuning run."""
+    """Human-readable summary of one tuning run.
+
+    It leaves out ``n_simulations``, which depends on what the result
+    store already held, so a warm rerun renders the same bytes."""
     front = tr.front
     front_points = {e.point for e in front}
     headers = ["config", "SRAM MB", "line B", "entries"] + [
@@ -74,7 +77,7 @@ def render_tune_result(tr: TuneResult) -> str:
         title=(
             f"Tuned {tr.workload} [{tr.strategy}]: "
             f"{len(front)} Pareto point(s) from {len(tr.evaluations)} "
-            f"evaluation(s), {tr.n_simulations} new simulation(s)"
+            "evaluation(s)"
         ),
     )
     speedup = tr.speedup_over_incumbent()
@@ -109,7 +112,7 @@ def render_fidelity_line(tr: TuneResult) -> str:
                    f"(EXCEEDS {ANALYTIC_ERROR_BOUND:.0%} bound)")
     return (
         f"fidelity: {tr.fidelity} — {tr.n_analytic} analytic-priced "
-        f"evaluation(s), {tr.n_simulations} new simulation(s); {err_txt}"
+        f"evaluation(s); {err_txt}"
     )
 
 

@@ -35,7 +35,8 @@ from ..hw.sram_model import chord_cost
 from ..sim.energy import DRAM_PJ_PER_BYTE, onchip_energy_j
 from .backend import AnalyticUnsupported
 from .canonical import EV_READ, EV_RETIRE, EV_WRITE
-from .compiler import CLOSED_FORM, RECURRENCE, STREAMING, AnalyticModel
+from .compiler import (CLOSED_FORM, RECURRENCE, STREAMING, AnalyticModel,
+                       onchip_accesses_of)
 
 #: Integer regime codes (compact per-point tags; names match the
 #: compiler's string regimes one-to-one).
@@ -385,20 +386,6 @@ def evaluate_batch(model: AnalyticModel, knobs: BatchKnobs) -> BatchEvaluation:
 
 
 # -- objective arrays -----------------------------------------------------------
-
-
-def onchip_accesses_of(model: AnalyticModel,
-                       cfg: AcceleratorConfig) -> Dict[str, int]:
-    """The on-chip access counts every evaluation of ``model`` carries
-    (identical dict, and dict order, to the point-wise path)."""
-    program = model.program
-    if program.kind == "oracle":
-        return {"buffet": program.operand_bytes // cfg.line_bytes}
-    return {
-        "chord": program.chord_access_bytes // cfg.line_bytes,
-        "rf": program.rf_bytes // cfg.line_bytes,
-        "pipeline": program.pipe_bytes // cfg.line_bytes,
-    }
 
 
 def batch_objective_arrays(

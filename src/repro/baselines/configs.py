@@ -152,10 +152,18 @@ def config_names() -> Tuple[str, ...]:
     return tuple(TABLE_IV)
 
 
+def _unknown_config_text(unknown) -> str:
+    """The user-facing message naming unrecognised config names."""
+    return (f"unknown config(s): {', '.join(unknown)}; "
+            f"known: {', '.join(config_names())} plus Flex+SRRIP and "
+            "CELLO[...] schedule variants")
+
+
 def resolve_config(name: str) -> ConfigSpec:
     """The spec ``name`` runs: a Table IV row, a ``Flex+<policy>`` cache
     baseline, or a ``CELLO[...]`` schedule variant.  This is the one
-    place a config name is decoded; :class:`KeyError` for any other."""
+    place a config name is decoded; :class:`KeyError` for any other,
+    carrying the text of :func:`unknown_config_error`."""
     spec = TABLE_IV.get(name)
     if spec is not None:
         return spec
@@ -165,7 +173,7 @@ def resolve_config(name: str) -> ConfigSpec:
     options = parse_cello_variant(name)
     if options is not None:
         return ConfigSpec(score=ScoreOptions(), chord=options)
-    raise KeyError(f"unknown configuration {name!r}; known: {config_names()}")
+    raise KeyError(_unknown_config_text([name]))
 
 
 def is_known_config(name: str) -> bool:
@@ -182,11 +190,7 @@ def unknown_config_error(configs) -> "str | None":
     ``None`` when every name is runnable (used verbatim by the sweep CLI,
     the submit CLI and the service protocol, so the three never drift)."""
     unknown = [c for c in configs if not is_known_config(c)]
-    if not unknown:
-        return None
-    return (f"unknown config(s): {', '.join(unknown)}; "
-            f"known: {', '.join(config_names())} plus Flex+SRRIP and "
-            "CELLO[...] schedule variants")
+    return _unknown_config_text(unknown) if unknown else None
 
 
 def run_config(

@@ -47,6 +47,12 @@ from .base import BufferStats
 DEFAULT_CHUNK_ACCESSES = 1 << 20
 
 
+def check_backend(backend: str) -> None:
+    """Refuse a name other than the batched kernel and the scalar oracle."""
+    if backend not in ("vector", "reference"):
+        raise ValueError(f"unknown cache backend {backend!r}")
+
+
 class ReplacementPolicy(Protocol):
     """Per-set replacement state machine (scalar reference protocol).
 
@@ -212,8 +218,7 @@ class SetAssociativeCache:
         backend: str = "vector",
     ) -> None:
         n_sets = cache_sets(capacity_bytes, line_bytes, associativity)
-        if backend not in ("vector", "reference"):
-            raise ValueError(f"unknown cache backend {backend!r}")
+        check_backend(backend)
         self.capacity_bytes = capacity_bytes
         self.line_bytes = line_bytes
         self.assoc = associativity
@@ -378,20 +383,18 @@ class SetAssociativeCache:
         starts: np.ndarray,
         nbytes: np.ndarray,
         is_write: np.ndarray,
-        chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
     ) -> None:
         """Replay a trace given as parallel arrays, one row per byte range
         ``[starts[i], starts[i] + nbytes[i])`` accessed with ``is_write[i]``.
 
         The vector backend expands the ranges to block addresses and
-        simulates them through the batched kernel in chunks of
-        ``chunk_accesses`` blocks: chunk k is blocks [k·C, (k+1)·C) of the
-        whole expanded stream, splitting a range where a boundary falls,
-        so memory is bounded by the chunk, not the trace.  The reference
+        simulates them through the batched kernel in chunks of C =
+        :data:`DEFAULT_CHUNK_ACCESSES` blocks: chunk k is blocks
+        [k·C, (k+1)·C) of the whole expanded stream, splitting a range
+        where a boundary falls, so memory is bounded by the chunk, not
+        the trace.  The reference
         backend replays range by range (:meth:`access_range`).
         """
-        if chunk_accesses <= 0:
-            raise ValueError("chunk_accesses must be positive")
         starts = np.asarray(starts, dtype=np.int64)
         nbytes = np.asarray(nbytes, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
@@ -421,8 +424,9 @@ class SetAssociativeCache:
             blocks += np.arange(lo, hi, dtype=np.int64)
             return blocks, np.repeat(is_write[i:j], c)
 
-        for lo in range(0, total, chunk_accesses):
-            self._simulate_blocks(*expand(lo, min(lo + chunk_accesses, total)))
+        chunk = DEFAULT_CHUNK_ACCESSES
+        for lo in range(0, total, chunk):
+            self._simulate_blocks(*expand(lo, min(lo + chunk, total)))
 
     def flush(self) -> None:
         """Write back all dirty lines (end-of-program drain)."""

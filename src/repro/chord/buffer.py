@@ -28,6 +28,9 @@ from .metadata import RiffIndexTable, TensorEntry
 from .prelude import prelude_fill
 from .riff import RiffPolicy
 
+#: Occupancy samples the recorder keeps before it decimates 2:1.
+HISTORY_LIMIT = 8192
+
 
 @dataclass
 class _Resident:
@@ -53,14 +56,6 @@ class ChordBuffer:
     base_addrs:
         Optional global base address per tensor (cosmetic — drives the
         index-table address fields; a bump allocator is used otherwise).
-    record_history:
-        Opt-in occupancy recorder: append ``(op_index, used_bytes)``
-        samples after events, decimating 2:1 whenever ``history_limit``
-        samples accumulate so memory stays bounded on million-event runs.
-        Off by default — only the timeline renderer consumes it, and the
-        engine opts in on the renderer's behalf.
-    history_limit:
-        Maximum retained samples when recording.
 
     Stats convention: ``hits``/``misses``/``accesses`` count **bytes** (the
     natural unit of slice-granularity events); ``dram_*_bytes`` are bytes as
@@ -79,13 +74,9 @@ class ChordBuffer:
         use_riff: bool = True,
         table: Optional[RiffIndexTable] = None,
         base_addrs: Optional[Mapping[str, int]] = None,
-        record_history: bool = False,
-        history_limit: int = 8192,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
-        if history_limit <= 1:
-            raise ValueError("history_limit must be > 1")
         self.capacity_bytes = capacity_bytes
         self.hints = hints
         self.riff: Optional[RiffPolicy] = RiffPolicy(hints) if use_riff else None
@@ -98,11 +89,10 @@ class ChordBuffer:
         #: Per-tensor traffic attribution (bytes): hit / miss / spill /
         #: writeback — feeds the engine's audit report.
         self.per_tensor: Dict[str, Dict[str, int]] = {}
-        #: Occupancy history: (op_index, used_bytes) samples — feeds the
-        #: timeline renderer.  Empty unless ``record_history`` is set.
+        #: Occupancy history: (op_index, used_bytes) samples after events,
+        #: decimated 2:1 whenever :data:`HISTORY_LIMIT` accumulate so memory
+        #: stays bounded on million-event runs — feeds the timeline renderer.
         self.history: list = []
-        self._record_history = record_history
-        self._history_limit = history_limit
         self._history_stride = 1
         self._event_count = 0
 
@@ -116,13 +106,11 @@ class ChordBuffer:
 
     def _record(self, op_index: int) -> None:
         """Append an occupancy sample (decimating 2:1 at the size limit)."""
-        if not self._record_history:
-            return
         self._event_count += 1
         if self._event_count % self._history_stride:
             return
         self.history.append((op_index, self._used_bytes))
-        if len(self.history) >= self._history_limit:
+        if len(self.history) >= HISTORY_LIMIT:
             # Keep every other sample; future events sample half as often.
             del self.history[::2]
             self._history_stride *= 2
@@ -264,13 +252,13 @@ class ChordBuffer:
         self._record(op_index)
         return inserted
 
-    def read(self, tensor: str, op_index: int, nbytes: Optional[int] = None,
-             reinsert: bool = True) -> int:
+    def read(self, tensor: str, op_index: int,
+             nbytes: Optional[int] = None) -> int:
         """Consumption of ``tensor`` by the op at ``op_index``.
 
         The resident prefix hits; the tail is fetched from DRAM.  Missed
         bytes are offered back to PRELUDE (clean) when the tensor still has
-        uses after this op and ``reinsert`` is enabled.  Returns hit bytes.
+        uses after this op.  Returns hit bytes.
         """
         h = self.hints.get(tensor)
         n = h.total_bytes if nbytes is None else nbytes
@@ -286,7 +274,7 @@ class ChordBuffer:
         if miss:
             self.stats.dram_read_bytes += miss
             self._account(tensor, "miss", miss)
-            if reinsert and h.next_use_after(op_index) is not None:
+            if h.next_use_after(op_index) is not None:
                 self._insert(tensor, miss, op_index, dirty=False)
         if self.is_tracked(tensor):
             self._resident[tensor].entry.record_access(hit=miss == 0)

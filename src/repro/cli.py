@@ -460,7 +460,7 @@ def _tune_main(argv: List[str]) -> int:
                 print(f"tune failed for {w!r}: {exc}", file=sys.stderr)
                 return 2
             print(render_tune_result(results[-1]))
-            print()
+            print(f"{results[-1].n_simulations} new simulation(s)\n")
     finally:
         runner.set_store(None)
     if args.json:
@@ -604,12 +604,6 @@ def _serve_main(argv: List[str]) -> int:
         help="serve Prometheus text-format metrics on this port "
              "(GET /metrics; 0 picks a free port)",
     )
-    parser.add_argument(
-        "--phase-profile", action="store_true",
-        help="time dag-build / schedule / trace-gen / cache-kernel / "
-             "CHORD-accounting phases per simulation and fold them into "
-             "the metrics histograms",
-    )
     args = parser.parse_args(argv)
 
     service = _build_endpoint(
@@ -623,7 +617,6 @@ def _serve_main(argv: List[str]) -> int:
         max_pending=args.max_pending,
         request_log=_open_request_log(args.log_json),
         prom_port=args.prom_port,
-        phase_profile=args.phase_profile,
     )
     if service is None:
         return 2
@@ -791,7 +784,9 @@ def _submit_main(argv: List[str]) -> int:
                     include_baselines=args.include_baselines,
                     fidelity=args.fidelity,
                 )
-                print(render_tune_result(TuneResult.from_dict(data)))
+                tuned = TuneResult.from_dict(data)
+                print(render_tune_result(tuned))
+                print(f"{tuned.n_simulations} new simulation(s)")
                 if client.last_trace_id is not None:
                     print(f"trace id: {client.last_trace_id}")
                 return 0

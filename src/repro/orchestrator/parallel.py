@@ -29,7 +29,7 @@ import os
 import pickle
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..baselines import runner
 from ..baselines.configs import run_config
@@ -44,16 +44,14 @@ from ..workloads.registry import (
 )
 from .spec import SweepPoint, SweepSpec
 
-#: When set (the daemon's ``--phase-profile`` exports it before forking
-#: the pool), workers time the engine phases per payload and ship the
-#: timings back alongside the encoded result; :func:`prewarm` replays
-#: them into the parent's installed phase hook.  Phase data crosses the
-#: process boundary this way because a worker's in-process hook dies
-#: with the worker.
-PHASE_PROFILE_ENV = "REPRO_PHASE_PROFILE"
-
 #: Payload shipped to a worker: everything needed to rebuild + simulate.
 _Payload = Tuple[str, str, AcceleratorConfig]
+
+#: A worker's reply: the payload's engine phase timings (seconds per
+#: phase) and its encoded result.  Phase data crosses the process
+#: boundary this way because a worker's in-process hook dies with the
+#: worker; :func:`prewarm` replays it into the parent's installed hook.
+_Reply = Tuple[Dict[str, float], Dict[str, object]]
 
 #: Pool-infrastructure failures that trigger the serial fallback.
 #: Simulation errors are deliberately NOT in this set — they propagate
@@ -171,10 +169,10 @@ class OrchestratorPool:
         return True
 
     def run_payloads(self, payloads: Sequence[_Payload]
-                     ) -> Optional[List[Dict[str, object]]]:
+                     ) -> Optional[List[_Reply]]:
         """Simulate ``payloads`` across the workers, preserving order.
 
-        Returns the encoded results, or ``None`` when the caller should
+        Returns the workers' replies, or ``None`` when the caller should
         use the serial path (1-wide pool, broken infrastructure, or an
         empty batch).  Simulation errors propagate; infrastructure
         errors (worker death, no fork support, shutdown race) count a
@@ -184,7 +182,7 @@ class OrchestratorPool:
         if self.jobs <= 1 or self.broken or not payloads:
             return None
         try:
-            encoded = list(self._ensure().map(_simulate_payload, payloads))
+            replies = list(self._ensure().map(_simulate_payload, payloads))
         except _POOL_ERRORS:
             self._infra_failure()
             return None
@@ -197,8 +195,8 @@ class OrchestratorPool:
             raise
         with self._lock:
             self.batches += 1
-            self.payloads += len(encoded)
-        return encoded
+            self.payloads += len(replies)
+        return replies
 
     def snapshot(self) -> Dict[str, object]:
         """Counters for the service's ``metrics`` op."""
@@ -244,43 +242,26 @@ def get_shared_pool() -> Optional[OrchestratorPool]:
     return _SHARED_POOL
 
 
-def _simulate_payload(payload: _Payload) -> Dict[str, object]:
+def _simulate_payload(payload: _Payload) -> _Reply:
     """Worker entry point: resolve, build (once per workload per process,
     :func:`~repro.workloads.registry.workload_dag`), simulate, encode.
 
     Module-level (picklable) by construction; runs in the worker process.
-    With :data:`PHASE_PROFILE_ENV` set the per-payload phase timings ride
-    back wrapped as ``{"__phases__": ..., "result": ...}`` — the shape
-    (not the parent's env) decides unwrapping, so a flag flipped after
-    the fork can never desynchronise the two processes.
+    The payload's phase timings ride back with the encoded result.
     """
     name, config, cfg = payload
-    workload = resolve_workload(name)
-    phases: Optional[Dict[str, float]] = None
-    if os.environ.get(PHASE_PROFILE_ENV):
-        sink: Dict[str, float] = {}
-        phases = sink
-        sim_engine.set_phase_hook(
-            lambda phase, dt: sink.__setitem__(
-                phase, sink.get(phase, 0.0) + dt))
+    phases: Dict[str, float] = {}
+    previous = sim_engine.get_phase_hook()
+    sim_engine.set_phase_hook(
+        lambda phase, dt: phases.__setitem__(
+            phase, phases.get(phase, 0.0) + dt))
     try:
+        workload = resolve_workload(name)
         result = run_config(config, workload_dag(workload), cfg,
                             workload_name=workload.name)
     finally:
-        if phases is not None:
-            sim_engine.set_phase_hook(None)
-    if phases is not None:
-        return {"__phases__": phases, "result": result.to_dict()}
-    return result.to_dict()
-
-
-def _replay_phases(phases: Mapping[str, float]) -> None:
-    """Feed a worker's shipped phase timings to the parent's hook."""
-    hook = sim_engine.get_phase_hook()
-    if hook is None:
-        return
-    for phase, seconds in phases.items():
-        hook(phase, float(seconds))
+        sim_engine.set_phase_hook(previous)
+    return phases, result.to_dict()
 
 
 def _resolvable(points: Iterable[SweepPoint]) -> List[SweepPoint]:
@@ -315,18 +296,19 @@ def prewarm(points: Sequence[SweepPoint], jobs: Optional[int] = None,
         return 0
 
     payloads: List[_Payload] = [(p.workload, p.config, p.cfg) for p in todo]
-    encoded: Optional[List[Dict[str, object]]] = None
+    replies: Optional[List[_Reply]] = None
     if pool is not None:
-        encoded = pool.run_payloads(payloads)
+        replies = pool.run_payloads(payloads)
     elif jobs > 1 and len(todo) > 1:
         with OrchestratorPool(min(jobs, len(todo))) as transient:
-            encoded = transient.run_payloads(payloads)
-    if encoded is not None:
+            replies = transient.run_payloads(payloads)
+    if replies is not None:
         runner.count_simulations(len(todo))
-        for point, data in zip(todo, encoded):
-            if "__phases__" in data:
-                _replay_phases(data["__phases__"])  # type: ignore[arg-type]
-                data = data["result"]  # type: ignore[assignment]
+        hook = sim_engine.get_phase_hook()
+        for point, (phases, data) in zip(todo, replies):
+            if hook is not None:  # the worker's timings, into this process's hook
+                for phase, seconds in phases.items():
+                    hook(phase, seconds)
             runner.seed_cache(point.key(), SimResult.from_dict(data))
         return len(todo)
 

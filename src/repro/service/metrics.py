@@ -19,7 +19,7 @@ bounded by the bucket width (≤ the ~2.5x log spacing, relatively).
 
 Meters are mutated only on the server's event loop (or under the
 caller's own synchronisation), so they carry no locks.
-:class:`HistogramFamily` *does* lock, because phase-profiling hooks
+:class:`HistogramFamily` *does* lock, because engine phase hooks
 report from executor threads.  Clocks are injectable for deterministic
 tests.
 """
@@ -168,7 +168,7 @@ class HistogramFamily:
     ``(op, workload family, priority)``.
 
     Series materialise on first observation.  A lock guards the map and
-    the observations because phase-profiling hooks report from executor
+    the observations because engine phase hooks report from executor
     threads, not just the event loop; the wire form joins label values
     with ``|`` so the ``metrics`` op stays flat JSON.
     """

@@ -225,7 +225,7 @@ def render_prometheus(msg: Mapping[str, object]) -> str:
     phases: Mapping[str, object] = \
         msg.get("phases", {})  # type: ignore[assignment]
     b.histogram("repro_phase_duration_seconds",
-                "Per-point engine phase timings (--phase-profile).",
+                "Per-point engine phase timings.",
                 _histogram_series(phases))
     return b.render()
 

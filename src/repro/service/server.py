@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines import runner
 from ..hw.config import mib_to_bytes
-from ..orchestrator.parallel import (PHASE_PROFILE_ENV, OrchestratorPool,
-                                     SettingError, prewarm, set_shared_pool)
+from ..orchestrator.parallel import (OrchestratorPool, SettingError, prewarm,
+                                     set_shared_pool)
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
 from ..sim import engine as sim_engine
@@ -70,6 +69,9 @@ from .scheduling import TUNE_SHED_FRACTION, FairQueue
 #: a long search does not starve its client's per-read socket timeout.
 TUNE_HEARTBEAT_S = 10.0
 
+#: Most queued points the dispatcher ships to the pool as one batch.
+MAX_BATCH = 64
+
 
 class SimulationService(Endpoint):
     """The daemon behind ``repro serve``: an :class:`Endpoint` that owns
@@ -82,17 +84,13 @@ class SimulationService(Endpoint):
                  use_store: bool = True,
                  jobs: int = 0,
                  max_pending: int = 1024,
-                 max_batch: int = 64,
                  request_log: Optional[RequestLog] = None,
-                 prom_port: Optional[int] = None,
-                 phase_profile: bool = False) -> None:
+                 prom_port: Optional[int] = None) -> None:
         if jobs < 0:
             raise SettingError("jobs", jobs,
                                "at least 0 (0 = one worker per core)")
-        for setting, value in (("max_pending", max_pending),
-                               ("max_batch", max_batch)):
-            if value < 1:
-                raise SettingError(setting, value, "at least 1")
+        if max_pending < 1:
+            raise SettingError("max_pending", max_pending, "at least 1")
         super().__init__(host=host,
                          port=default_port() if port is None else port,
                          request_log=request_log,
@@ -100,13 +98,11 @@ class SimulationService(Endpoint):
         self.cache_dir = cache_dir
         self.use_store = use_store
         self.max_pending = max_pending
-        self.max_batch = max_batch
         self.pool = OrchestratorPool(jobs or None)
         self.store: Optional[ResultStore] = None
         self.hits_total = 0
         self.coalesced_total = 0
         self.shed_total = 0
-        self.phase_profile = phase_profile
         self._sims_meter = RateMeter()
         self._analytic_meter = RateMeter()
         self._phases = HistogramFamily(("phase",))
@@ -125,12 +121,10 @@ class SimulationService(Endpoint):
         self.store = ResultStore(self.cache_dir) if self.use_store else None
         runner.set_store(self.store)
         set_shared_pool(self.pool)
-        if self.phase_profile:
-            # Env before fork: workers inherit the flag and ship their
-            # phase timings back; the hook folds them (and every
-            # in-process engine run) into the phase histograms.
-            os.environ[PHASE_PROFILE_ENV] = "1"
-            sim_engine.set_phase_hook(self._observe_phase)
+        # Pool workers ship their phase timings back with each result;
+        # the hook folds them (and every in-process engine run) into the
+        # phase histograms.
+        sim_engine.set_phase_hook(self._observe_phase)
         if self.pool.jobs > 1:
             # Fork the workers before accepting work; a sandbox without
             # pool support degrades here, once, to all-serial batches.
@@ -139,9 +133,10 @@ class SimulationService(Endpoint):
 
     async def _stop_role(self) -> None:
         self._fail_pending("service shut down")
-        if self.phase_profile:
+        # Two services may share a process (loopback tests): leave a hook
+        # another one installed since.
+        if sim_engine.get_phase_hook() == self._observe_phase:
             sim_engine.set_phase_hook(None)
-            os.environ.pop(PHASE_PROFILE_ENV, None)
         runner.set_store(None)
         set_shared_pool(None)
         self.pool.close()
@@ -295,8 +290,8 @@ class SimulationService(Endpoint):
         }
 
     def _observe_phase(self, phase: str, seconds: float) -> None:
-        """Engine phase hook (``--phase-profile``): called in-process by
-        the engines and replayed from pool-worker payloads."""
+        """Engine phase hook: called in-process by the engines and
+        replayed from pool-worker payloads."""
         self._phases.observe((phase,), seconds)
 
     # -- sweep jobs ------------------------------------------------------------
@@ -349,8 +344,7 @@ class SimulationService(Endpoint):
         simulations.  The reload decodes only the lines appended since
         the previous one, so its cost follows what other writers added,
         not the store's size.  Jobs whose every key is already warm skip
-        it.  With ``--phase-profile`` the sync is observed as phase
-        ``store``.
+        it.  The sync is observed as phase ``store``.
         """
         if self.store is None:
             return
@@ -359,8 +353,7 @@ class SimulationService(Endpoint):
         assert self._loop is not None
         t0 = time.perf_counter()
         await self._loop.run_in_executor(None, self.store.reload)
-        if self.phase_profile:
-            self._observe_phase("store", time.perf_counter() - t0)
+        self._observe_phase("store", time.perf_counter() - t0)
 
     async def _claim_points(self, job: Job, points: Sequence[SweepPoint],
                             futures: Dict[str, "asyncio.Future[None]"],
@@ -446,7 +439,7 @@ class SimulationService(Endpoint):
         assert self._loop is not None and self._queue is not None
         while True:
             batch: List[Tuple[str, SweepPoint]] = [await self._queue.get()]
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:

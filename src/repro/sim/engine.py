@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..buffers.cache import (ReplacementPolicy, SetAssociativeCache,
-                             TraceFootprint, cache_sets)
+                             TraceFootprint, cache_sets, check_backend)
 from ..chord.buffer import ChordBuffer
 from ..chord.metadata import RiffIndexTable
 from ..core.dag import TensorDag
@@ -74,9 +74,6 @@ class ScheduleEngine:
             use_riff=self.options.use_riff,
             table=RiffIndexTable(cfg.chord_entries, cfg.chord_entry_bits),
             base_addrs=amap.base_addrs(),
-            # The recorder is opt-in at the buffer level; the engine always
-            # opts in because post-mortem observability is its job.
-            record_history=True,
         )
         dram = DramChannel()
         rf_bytes_touched = 0
@@ -207,6 +204,7 @@ class CacheEngine:
         granularity: Optional[int] = None,
         backend: str = "vector",
     ) -> None:
+        check_backend(backend)
         self.cfg = cfg
         self.policy = policy
         self.granularity = granularity

@@ -13,11 +13,11 @@ point, with phases
   set-associative replay when it does not fit, and
 * ``"chord-accounting"`` — the schedule-driven op walk.
 
-``None`` (the default) keeps the hot paths timer-free; the service
-daemon installs a histogram-feeding hook under ``--phase-profile`` so
-"simulation is slow" decomposes into which phase regressed.  Pool
-workers install a local collector and ship the timings back with the
-result (:mod:`repro.orchestrator.parallel`).  This module imports
+``None`` (the default, and what one-shot CLI runs keep) leaves the hot
+paths timer-free; the service daemon always installs a histogram-feeding
+hook so "simulation is slow" decomposes into which phase regressed.
+Pool workers install a local collector and ship the timings back with
+the result (:mod:`repro.orchestrator.parallel`).  This module imports
 nothing from the package, so any layer may report a phase.
 """
 

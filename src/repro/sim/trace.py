@@ -89,12 +89,9 @@ def program_trace_bytes(dag: TensorDag) -> int:
 DEFAULT_TARGET_ACCESSES = 20_000_000
 
 
-def auto_granularity(
-    total_bytes: int,
-    line_bytes: int,
-    target_accesses: int = DEFAULT_TARGET_ACCESSES,
-) -> int:
-    """Coarsening factor g so a trace simulates in ~``target_accesses``.
+def auto_granularity(total_bytes: int, line_bytes: int) -> int:
+    """Coarsening factor g so a trace simulates in
+    ~:data:`DEFAULT_TARGET_ACCESSES` accesses.
 
     g consecutive lines form one block; the cache scales its set count by
     1/g at equal capacity, preserving streaming/capacity behaviour (tests
@@ -103,6 +100,6 @@ def auto_granularity(
     if total_bytes <= 0:
         return 1
     g = 1
-    while total_bytes // (line_bytes * g) > target_accesses:
+    while total_bytes // (line_bytes * g) > DEFAULT_TARGET_ACCESSES:
         g *= 2
     return g

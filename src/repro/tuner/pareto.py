@@ -61,6 +61,9 @@ OBJECTIVES: Dict[str, Callable[[SimResult, AcceleratorConfig, TunePoint], float]
 #: The default trade-off: performance vs off-chip traffic.
 DEFAULT_OBJECTIVES: Tuple[str, ...] = ("runtime", "dram")
 
+#: Sorted rows :func:`nondominated_mask` tests per broadcast step.
+DOMINANCE_BLOCK = 512
+
 
 def validate_objectives(names: Sequence[str]) -> Tuple[str, ...]:
     """Normalise an objective list: known names, non-empty, no repeats."""
@@ -94,7 +97,7 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
-def nondominated_mask(vectors: "np.ndarray", block: int = 512) -> "np.ndarray":
+def nondominated_mask(vectors: "np.ndarray") -> "np.ndarray":
     """Vectorised dominance pass over an ``(n, k)`` objective matrix.
 
     ``mask[i]`` is True exactly when offering row ``i`` to a fresh
@@ -105,7 +108,7 @@ def nondominated_mask(vectors: "np.ndarray", block: int = 512) -> "np.ndarray":
 
     The pass sorts lexicographically (any dominator or earlier-tied
     duplicate of a row sorts strictly before it), then walks the sorted
-    rows in blocks: each block is tested against the accumulated front
+    rows in blocks of :data:`DOMINANCE_BLOCK`: each block is tested against the accumulated front
     with one broadcast ``<=`` and against its own earlier rows with a
     lower-triangular mask — no Python-level per-pair loop.  This is what
     lets the columnar tuner prune 10^5+ analytic points in milliseconds
@@ -125,8 +128,8 @@ def nondominated_mask(vectors: "np.ndarray", block: int = 512) -> "np.ndarray":
     sorted_v = vecs[order]
     keep_sorted = np.zeros(n, dtype=bool)
     front = np.empty((0, k), dtype=np.float64)
-    for start in range(0, n, block):
-        blk = sorted_v[start:start + block]
+    for start in range(0, n, DOMINANCE_BLOCK):
+        blk = sorted_v[start:start + DOMINANCE_BLOCK]
         m = blk.shape[0]
         if front.shape[0]:
             beaten = (front[None, :, :] <= blk[:, None, :]

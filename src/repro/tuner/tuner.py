@@ -198,14 +198,10 @@ def _price_geometry(
     :class:`~repro.analytic.AnalyticUnsupported` when the model does not
     compile or the program does not fit the packed batch encoding.
     """
-    from ..analytic import model_for
-    from ..analytic.batch import (
-        BatchKnobs,
-        batch_objective_arrays,
-        evaluate_batch,
-        onchip_accesses_of,
-    )
-    from ..sim.perf import compute_seconds, memory_seconds
+    from ..analytic import model_for, onchip_accesses_of
+    from ..analytic.batch import (BatchKnobs, batch_objective_arrays,
+                                  evaluate_batch)
+    from ..sim.perf import make_result
 
     cfg = first.accel_cfg(base_cfg)
     model = model_for(workload, first.config_name(), cfg)
@@ -220,22 +216,17 @@ def _price_geometry(
     ev = evaluate_batch(model, knobs)
     arrs = batch_objective_arrays(names, model, ev, cfg,
                                   chord_entries=chord_entries)
-    macs = model.program.total_macs
-    compute_s = compute_seconds(macs, cfg)
     onchip = onchip_accesses_of(model, cfg)
 
     def eval_at(i: int, p: TunePoint) -> TuneEval:
-        read = int(ev.dram_read_bytes[i])
-        write = int(ev.dram_write_bytes[i])
-        result = SimResult(
+        result = make_result(
             config=p.config_name(),
             workload=workload.name,
-            total_macs=macs,
-            dram_read_bytes=read,
-            dram_write_bytes=write,
-            compute_s=compute_s,
-            memory_s=memory_seconds(read + write, cfg),
-            onchip_accesses=dict(onchip),
+            total_macs=model.program.total_macs,
+            dram_read_bytes=int(ev.dram_read_bytes[i]),
+            dram_write_bytes=int(ev.dram_write_bytes[i]),
+            cfg=cfg,
+            onchip_accesses=onchip,
         )
         return TuneEval(
             point=p,

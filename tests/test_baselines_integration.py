@@ -24,6 +24,7 @@ from repro.baselines.configs import (
     is_known_config,
     resolve_config,
     run_config,
+    unknown_config_error,
 )
 from repro.baselines.runner import clear_cache, run_workload_config
 from repro.hw.config import AcceleratorConfig, MIB
@@ -279,6 +280,21 @@ class TestConfigResolver:
             cfg = AcceleratorConfig(sram_bytes=mb * MIB)
             predicted = predict_workload_config(workload, name, cfg).result
             assert predicted.dram_bytes == run_config(name, dag, cfg).dram_bytes
+
+    def test_one_unknown_config_message(self):
+        """The simulator, the analytic backend and name validation (the
+        CLI and the wire protocol) word an unknown name identically."""
+        text = ("unknown config(s): cello; known: Flexagon, Flex+LRU, "
+                "Flex+BRRIP, FLAT, SET, PRELUDE-only, CELLO plus "
+                "Flex+SRRIP and CELLO[...] schedule variants")
+        assert unknown_config_error(["CELLO", "cello"]) == text
+        workload = resolve_workload(self.WORKLOAD)
+        for run in (lambda: resolve_config("cello"),
+                    lambda: run_config("cello", workload.build(), CFG),
+                    lambda: model_for(workload, "cello", CFG)):
+            with pytest.raises(KeyError) as info:
+                run()
+            assert info.value.args == (text,)
 
     def test_cello_variants_share_one_model(self):
         workload = resolve_workload(self.WORKLOAD)

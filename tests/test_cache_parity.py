@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.configs import run_config
+from repro.buffers import cache as cache_module
 from repro.buffers.brrip import BrripPolicy
 from repro.buffers.cache import SetAssociativeCache, TraceFootprint
 from repro.buffers.lru import LruPolicy
@@ -70,11 +71,12 @@ def arrays_of(segments):
 
 
 def replay_segments(cache, segments, chunk_accesses=None):
-    if chunk_accesses is None:
+    """Replay through ``access_arrays``, optionally at a patched chunk
+    size (``DEFAULT_CHUNK_ACCESSES``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_accesses is not None:
+            mp.setattr(cache_module, "DEFAULT_CHUNK_ACCESSES", chunk_accesses)
         cache.access_arrays(*arrays_of(segments))
-    else:
-        cache.access_arrays(*arrays_of(segments),
-                            chunk_accesses=chunk_accesses)
 
 
 class TestRandomizedParity:
@@ -574,6 +576,12 @@ class TestBackendSelection:
             SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="auto")
         with pytest.raises(ValueError):
             SetAssociativeCache(1024, 16, 4, LruPolicy(), backend="nope")
+
+    def test_engine_refuses_an_unknown_backend_at_construction(self):
+        """The engine checks its backend when built, not on the first
+        ``run``."""
+        with pytest.raises(ValueError, match="unknown cache backend 'nope'"):
+            CacheEngine(AcceleratorConfig(), LruPolicy(), backend="nope")
 
     def test_reference_segments_path_matches_ranges(self):
         """access_arrays on the reference backend = the range loop."""

@@ -3,6 +3,7 @@ accounting, retirement and the Fig. 11 head-keeping behaviour."""
 
 import pytest
 
+from repro.chord import buffer as chord_buffer
 from repro.chord.buffer import ChordBuffer
 from repro.chord.hints import ReuseHints, TensorHints
 from repro.chord.metadata import RiffIndexTable
@@ -242,31 +243,20 @@ class TestUsedBytesCounter:
 
 
 class TestHistoryRecorder:
-    def test_history_off_by_default(self):
-        h = hints(T=(500, 0, [1], False))
-        c = ChordBuffer(1000, h)
-        c.write("T", 0)
-        c.read("T", 1)
-        assert c.history == []
-
-    def test_opt_in_records_samples(self):
+    def test_records_samples(self):
         h = hints(T=(500, 0, [1, 2], False))
-        c = ChordBuffer(1000, h, record_history=True)
+        c = ChordBuffer(1000, h)
         c.write("T", 0)
         c.read("T", 1)
         assert c.history == [(0, 500), (1, 500)]
 
-    def test_history_stays_bounded(self):
+    def test_history_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(chord_buffer, "HISTORY_LIMIT", 64)
         h = hints(T=(10, 0, list(range(1, 5000)), False))
-        c = ChordBuffer(1000, h, record_history=True, history_limit=64)
+        c = ChordBuffer(1000, h)
         c.write("T", 0)
         for i in range(1, 4000):
             c.read("T", i)
         assert len(c.history) < 64
         # Decimation keeps coverage of the whole run, not just a prefix.
         assert c.history[-1][0] > 3000
-
-    def test_invalid_history_limit(self):
-        h = hints(T=(10, 0, [1], False))
-        with pytest.raises(ValueError):
-            ChordBuffer(100, h, record_history=True, history_limit=1)

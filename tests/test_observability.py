@@ -15,8 +15,9 @@ Three layers, mirroring how the observability tentpole is built:
 * **Loopback e2e** — a traced submission against a real daemon: every
   request-log record of the sweep shares one ``trace_id``, the client
   learns it from ``accepted``/``done``, the latency histograms pick up
-  the request, ``--phase-profile`` fills the phase histograms, and an
-  untraced client's messages carry no trace fields.
+  the request, the engine phases fill the phase histograms (pool
+  workers included), and an untraced client's messages carry no trace
+  fields.
 """
 
 import importlib.util
@@ -493,7 +494,7 @@ class TestTracedLoopback:
         stream = io.StringIO()
         server = ServerThread(cache_dir=str(tmp_path / "cache"),
                               request_log=RequestLog(stream),
-                              prom_port=0, phase_profile=True)
+                              prom_port=0)
         with server as srv:
             yield srv, stream
         _reset_runner()
@@ -534,7 +535,7 @@ class TestTracedLoopback:
         assert by_opname["sweep"].count == 1
         series = metrics["latency"]["series"]
         assert any(key.startswith("sweep|cg|") for key in series)
-        # ... and --phase-profile decomposed the simulations
+        # ... and the phase hook decomposed the simulations
         phase_names = set(
             HistogramFamily.merged_by(metrics["phases"], "phase"))
         assert "chord-accounting" in phase_names
@@ -581,6 +582,30 @@ class TestTracedLoopback:
         assert phases["dag-build"].count == len(workloads)
         # Flexagon never schedules; CELLO does, once a point
         assert phases["schedule"].count == len(workloads) * 3
+
+    def test_pool_workers_ship_every_phase(self, tmp_path):
+        """A default two-worker daemon fills every phase histogram for a
+        cold sweep: the workers time the engine phases and ship them back
+        with each result, and the daemon times its own store sync."""
+        _reset_runner()
+        registry.clear_dag_cache()  # forked workers build their own DAGs
+        try:
+            with ServerThread(cache_dir=str(tmp_path / "cache"),
+                              jobs=2) as srv:
+                if srv.service.pool.broken:
+                    pytest.skip("no process-pool support on this platform")
+                with srv.client() as client:
+                    outcome = client.submit_sweep(
+                        [WORKLOAD], configs=["Flexagon", "CELLO",
+                                             "Flex+LRU"])
+                    metrics = client.metrics()
+        finally:
+            _reset_runner()
+        assert outcome.simulations == 3
+        assert metrics["pool"]["payloads"] == 3
+        phases = HistogramFamily.merged_by(metrics["phases"], "phase")
+        assert set(phases) == {"dag-build", "schedule", "trace-gen",
+                               "cache-kernel", "chord-accounting", "store"}
 
     def test_untraced_client_leaves_no_trace_fields(self, traced_server):
         srv, stream = traced_server

@@ -27,6 +27,7 @@ from repro.service import (
     ServiceError,
     SimulationService,
 )
+from repro.service import server as service_server
 from repro.service.protocol import (
     KNOWN_OPS,
     MAX_LINE_BYTES,
@@ -595,9 +596,9 @@ class TestDisconnect:
             return original(self, batch)
 
         monkeypatch.setattr(SimulationService, "_execute_batch", slow_batch)
+        monkeypatch.setattr(service_server, "MAX_BATCH", 1)
         try:
-            srv = ServerThread(cache_dir=str(tmp_path / "cache"),
-                               max_batch=1)
+            srv = ServerThread(cache_dir=str(tmp_path / "cache"))
             with srv:
                 with srv.client() as client:
                     client._send({"op": "sweep", "workloads": [WORKLOAD],
@@ -629,9 +630,9 @@ class TestCancellation:
             return original(self, batch)
 
         monkeypatch.setattr(SimulationService, "_execute_batch", slow_batch)
+        monkeypatch.setattr(service_server, "MAX_BATCH", 1)
         try:
-            with ServerThread(cache_dir=str(tmp_path / "cache"),
-                              max_batch=1) as srv:
+            with ServerThread(cache_dir=str(tmp_path / "cache")) as srv:
                 with srv.client() as submitter, srv.client() as canceller:
                     submitter._send({
                         "op": "sweep", "workloads": [WORKLOAD],
@@ -793,7 +794,7 @@ class TestOutOfRangeSettings:
         assert "Traceback" not in err and "listening" not in out
 
     @pytest.mark.parametrize("setting,value", [
-        ("max_pending", 0), ("max_batch", 0), ("jobs", -2)])
+        ("max_pending", 0), ("jobs", -2)])
     def test_shard_constructor_raises(self, setting, value):
         with pytest.raises(ValueError, match=f"^{setting} must be"):
             SimulationService(port=0, **{setting: value})
@@ -811,10 +812,8 @@ class TestOutOfRangeSettings:
     def test_smallest_settings_are_kept_as_given(self):
         from repro.service import GatewayService
 
-        shard = SimulationService(port=0, jobs=1, max_pending=1,
-                                  max_batch=1)
-        assert (shard.pool.jobs, shard.max_pending, shard.max_batch) \
-            == (1, 1, 1)
+        shard = SimulationService(port=0, jobs=1, max_pending=1)
+        assert (shard.pool.jobs, shard.max_pending) == (1, 1)
         gateway = GatewayService([("127.0.0.1", 9)],
                                  health_interval_s=0.01,
                                  ping_timeout_s=0.01,

@@ -8,10 +8,10 @@ clocks and in-memory streams; the loopback tests drive a real daemon
 over TCP the same way ``tests/test_service.py`` does (its harness is
 imported here).  Shedding is made deterministic by holding the
 dispatcher with a gate (``held_dispatcher``): with ``max_pending=1``
-and ``max_batch=1`` the dispatcher waits on the gate with its first
-point while the second keeps the queue full, so an admission check
-before the test opens the gate always sees zero free slots — no sleeps,
-no racing the simulator.
+and ``MAX_BATCH`` patched to 1 the dispatcher waits on the gate with
+its first point while the second keeps the queue full, so an admission
+check before the test opens the gate always sees zero free slots — no
+sleeps, no racing the simulator.
 """
 
 import asyncio
@@ -31,6 +31,7 @@ from repro.service import (
     RequestLog,
     classify_priority,
 )
+from repro.service import server as service_server
 from repro.service.protocol import KNOWN_OPS, encode_message
 from test_service import (
     BANDWIDTH_GB,
@@ -359,8 +360,9 @@ class TestLoadShedding:
         # point keeps the queue full until the test opens the gate —
         # admission checks before that deterministically see no slot.
         _reset_runner()
+        monkeypatch.setattr(service_server, "MAX_BATCH", 1)
         with ServerThread(cache_dir=str(tmp_path / "cache"),
-                          max_pending=1, max_batch=1) as srv, \
+                          max_pending=1) as srv, \
                 held_dispatcher(monkeypatch) as gate:
             yield srv, gate
         _reset_runner()
@@ -475,15 +477,15 @@ class TestLoadShedding:
 
 class TestFairnessUnderLoad:
     def test_interactive_tenant_is_not_starved_by_a_bulk_sweep(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """Two tenants: one submits a wide bulk sweep, the other a
         1-point probe after the bulk backlog is queued.  Round-robin
         lanes must finish the probe long before the sweep — under
         the old single FIFO the probe waited out the whole backlog."""
         _reset_runner()
         finished = {}
-        with ServerThread(cache_dir=str(tmp_path / "cache"),
-                          max_batch=1) as srv:
+        monkeypatch.setattr(service_server, "MAX_BATCH", 1)
+        with ServerThread(cache_dir=str(tmp_path / "cache")) as srv:
             bulk_started = threading.Event()
 
             def bulk_tenant():

@@ -13,6 +13,7 @@ from repro.sim.dram import DramChannel
 from repro.sim.energy import energy_of, offchip_energy_j, onchip_energy_j
 from repro.sim.perf import compute_seconds, make_result, memory_seconds
 from repro.sim.results import SimResult, geomean, geomean_speedup, relative_energy
+from repro.sim import trace as sim_trace
 from repro.sim.trace import (INTERLEAVE_CHUNK, auto_granularity,
                              program_trace_arrays)
 from repro.workloads.cg import CgProblem, build_cg_dag
@@ -141,8 +142,9 @@ class TestTrace:
         assert [(a.size, a.dtype) for a in empty] == [
             (0, np.int64), (0, np.int64), (0, bool)]
 
-    def test_auto_granularity_bounds_accesses(self):
-        g = auto_granularity(10**9, 16, target_accesses=1_000_000)
+    def test_auto_granularity_bounds_accesses(self, monkeypatch):
+        monkeypatch.setattr(sim_trace, "DEFAULT_TARGET_ACCESSES", 1_000_000)
+        g = auto_granularity(10**9, 16)
         assert (10**9) // (16 * g) <= 1_000_000
         assert g & (g - 1) == 0  # power of two
         assert auto_granularity(0, 16) == 1

@@ -281,11 +281,15 @@ class TestCiWiring:
         assert "--fidelity hybrid" in ci
         assert "within 2% bound" in ci
         assert "fidelity: hybrid" in ci
-        assert "repro all --no-cache" in ci
+        # cold into a fresh store, then warm over it: both must match
+        assert 'repro all --cache-dir "$STORE"' in ci
         assert "tools/check_report_digest.py report.txt" in ci
+        assert "tools/check_report_digest.py warm_report.txt" in ci
 
     def test_ci_runs_the_observability_smoke(self):
         ci = (REPO_ROOT / ".github/workflows/ci.yml").read_text()
         assert "metrics-smoke:" in ci
         assert "repro metrics" in ci or "-m repro metrics" in ci
         assert 'grep -q "store entries:" shard_metrics.txt' in ci
+        # pool workers' phase timings reach a `serve --jobs 2` daemon
+        assert 'grep -Eq "^ +schedule +p50 " status.txt' in ci
