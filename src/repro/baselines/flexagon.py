@@ -12,7 +12,7 @@ same oracle minus the tensors their SCORE schedule keeps fully on chip
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..core.dag import TensorDag
 from ..hw.config import AcceleratorConfig
@@ -35,6 +35,21 @@ def covered_tensors(schedule: Schedule) -> Set[str]:
     }
 
 
+def _oracle_bytes(dag: TensorDag) -> Tuple[Dict[str, int], Dict[str, int], int, int]:
+    """Per-tensor oracle read and write bytes of ``dag`` and their totals,
+    kept on the DAG (``derived``): none of it reads the SRAM size."""
+    def compute():
+        reads: Dict[str, int] = {}
+        writes: Dict[str, int] = {}
+        for op in dag.ops:
+            for t in op.inputs:
+                reads[t.name] = reads.get(t.name, 0) + dag.tensor(t.name).bytes
+            out = op.output.name
+            writes[out] = writes.get(out, 0) + dag.tensor(out).bytes
+        return reads, writes, sum(reads.values()), sum(writes.values())
+    return dag.derived("oracle-bytes", compute)
+
+
 def oracle_traffic(dag: TensorDag,
                    covered: Optional[Set[str]] = None) -> Tuple[int, int]:
     """Op-by-op cold DRAM traffic, minus fully on-chip (*covered*) tensors.
@@ -45,26 +60,18 @@ def oracle_traffic(dag: TensorDag,
     pipeline/hold satisfies *all* its consumers) skips both its write and
     all its reads.
     """
-    covered = covered or set()
-    reads = 0
-    writes = 0
-    for op in dag.ops:
-        for t in op.inputs:
-            if t.name not in covered:
-                reads += dag.tensor(t.name).bytes
-        if op.output.name not in covered:
-            writes += dag.tensor(op.output.name).bytes
-    return reads, writes
+    reads, writes, total_reads, total_writes = _oracle_bytes(dag)
+    for name in covered or ():
+        total_reads -= reads.get(name, 0)
+        total_writes -= writes.get(name, 0)
+    return total_reads, total_writes
 
 
 def onchip_accesses(dag: TensorDag, cfg: AcceleratorConfig) -> int:
     """Buffet/scratchpad line accesses: every operand byte is staged and
     touched once per op."""
-    total = 0
-    for op in dag.ops:
-        total += sum(dag.tensor(t.name).bytes for t in op.inputs)
-        total += dag.tensor(op.output.name).bytes
-    return total // cfg.line_bytes
+    _, _, total_reads, total_writes = _oracle_bytes(dag)
+    return (total_reads + total_writes) // cfg.line_bytes
 
 
 def run_oracle(dag: TensorDag, cfg: AcceleratorConfig, covered: Set[str],

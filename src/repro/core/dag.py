@@ -211,20 +211,16 @@ class TensorDag:
     # -- edges -----------------------------------------------------------------
 
     def edges(self, include_inputs: bool = False) -> Tuple[Edge, ...]:
-        """All producer→consumer edges, in consumer program order.
+        """All producer→consumer edges, in consumer program order, built
+        once per DAG (``derived``).
 
         ``include_inputs`` adds edges whose source is a program input
         (``src=None``).
         """
-        out: List[Edge] = []
-        for dst_name in self._order:
-            op = self._ops[dst_name]
-            for t in op.inputs:
-                src = self._producer.get(t.name)
-                if src is None and not include_inputs:
-                    continue
-                out.append(Edge(src=src, dst=dst_name, tensor=t.name))
-        return tuple(out)
+        return self.derived(("edges", include_inputs), lambda: tuple(
+            Edge(src=self._producer.get(t.name), dst=dst_name, tensor=t.name)
+            for dst_name in self._order for t in self._ops[dst_name].inputs
+            if include_inputs or t.name in self._producer))
 
     def out_edges(self, op_name: str) -> Tuple[Edge, ...]:
         """Edges carrying ``op_name``'s output tensor to its consumers."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .ranks import Rank
@@ -128,9 +129,10 @@ class TensorSpec:
             return self.sparsity.nnz
         return self.n_elements
 
-    @property
+    @cached_property
     def bytes(self) -> int:
-        """Total footprint in bytes, including sparse metadata.
+        """Total footprint in bytes, including sparse metadata, computed
+        once per spec (the spec is frozen).
 
         CSR/CSC storage = nnz values + nnz column/row indices + (major+1)
         offsets.  This is the quantity every DRAM-traffic model streams.

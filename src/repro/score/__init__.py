@@ -1,4 +1,9 @@
-"""SCORE: scheduler for complex inter-operation reuse (Sec. V)."""
+"""SCORE: scheduler for complex inter-operation reuse (Sec. V).
+
+The package exports the scheduler, its plan and its output; the passes
+behind them (loop order, tiling, swizzle, binding) are imported from
+their modules.
+"""
 
 from .schedule_ir import (
     LoopOrder,
@@ -9,24 +14,9 @@ from .schedule_ir import (
     Schedule,
     TensorPlacement,
 )
-from .loop_order import (
-    consumer_shares_outermost,
-    natural_loop_order,
-    pipeline_conditions_met,
-    producer_streams_outermost,
-    schedule_adjacent,
-)
-from .tiling import choose_tiling, tile_bytes_of
-from .swizzle import (
-    LayoutChoice,
-    choose_all_layouts,
-    choose_layout,
-    desired_major_dim,
-    producer_major_dim,
-    total_swizzles,
-)
-from .binding import BindingOptions, place_tensors, realize_holds, realize_pipelines
-from .scheduler import Score, ScoreOptions, schedule_program
+from .tiling import OpTiling
+from .swizzle import LayoutChoice
+from .scheduler import Score, ScoreOptions, ScorePlan
 from .searchspace import (
     SearchSpaceReport,
     chord_design_points,
@@ -47,26 +37,11 @@ __all__ = [
     "Route",
     "Schedule",
     "TensorPlacement",
-    "consumer_shares_outermost",
-    "natural_loop_order",
-    "pipeline_conditions_met",
-    "producer_streams_outermost",
-    "schedule_adjacent",
-    "choose_tiling",
-    "tile_bytes_of",
+    "OpTiling",
     "LayoutChoice",
-    "choose_all_layouts",
-    "choose_layout",
-    "desired_major_dim",
-    "producer_major_dim",
-    "total_swizzles",
-    "BindingOptions",
-    "place_tensors",
-    "realize_holds",
-    "realize_pipelines",
     "Score",
     "ScoreOptions",
-    "schedule_program",
+    "ScorePlan",
     "SearchSpaceReport",
     "chord_design_points",
     "compare_search_spaces",

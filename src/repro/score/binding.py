@@ -14,49 +14,62 @@ schedule- and capacity-dependent conditions and produces per-tensor routes:
 
 A tensor whose consumers are all satisfied on-chip and which is not a
 program output is never written back at all.
+
+Each pass is split in two.  The *candidates* (:func:`pipeline_candidates`,
+:func:`hold_candidates`, :func:`tensor_facts`) read the DAG alone and are
+part of SCORE's per-DAG plan; the *realize/place* half reads only the
+tile sizes, ``pipeline_buffer_bytes`` and ``rf_bytes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.classify import ClassifiedDag, DependencyType
-from ..core.dag import Edge, TensorDag
+from ..core.dag import TensorDag
 from ..hw.config import AcceleratorConfig
 from .loop_order import pipeline_conditions_met, schedule_adjacent
 from .schedule_ir import (
     LoopOrder,
-    OpSchedule,
     RealizedHold,
     RealizedPipeline,
     Route,
     TensorPlacement,
 )
 from .swizzle import LayoutChoice
-from .tiling import tile_bytes_of
+
+EdgeKey = Tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class BindingOptions:
-    """Feature switches (ablations disable individual mechanisms)."""
+class HoldCandidate(NamedTuple):
+    """A delayed-hold edge, the hops of its longest path, and its depth."""
 
-    enable_pipelining: bool = True
-    enable_holds: bool = True
+    key: EdgeKey
+    hops: Tuple[Tuple[str, str, Optional[str]], ...]
+    depth: int          # intervening pipeline stages
 
 
-def realize_pipelines(
+class TensorFacts(NamedTuple):
+    """What placing one tensor reads from the DAG and its layout."""
+
+    name: str
+    bytes: int
+    producer: Optional[str]
+    consumers: Tuple[str, ...]
+    is_output: bool
+    major_rank: Optional[str]
+    swizzled_consumers: Tuple[str, ...]
+
+
+def pipeline_candidates(
     classified: ClassifiedDag,
-    op_schedules: Dict[str, OpSchedule],
+    orders: Dict[str, LoopOrder],
     layouts: Dict[str, LayoutChoice],
-    cfg: AcceleratorConfig,
-    options: BindingOptions,
-) -> Dict[Tuple[str, str, str], RealizedPipeline]:
-    """Pass 1: adjacent pipelineable edges whose conditions all hold."""
-    if not options.enable_pipelining:
-        return {}
+) -> Tuple[EdgeKey, ...]:
+    """Pass 1's candidates: adjacent pipelineable edges that meet the
+    co-dependence conditions (2–4) under ``orders`` and ``layouts``."""
     dag = classified.dag
-    realized: Dict[Tuple[str, str, str], RealizedPipeline] = {}
+    out: List[EdgeKey] = []
     for edge in dag.edges():
         if classified.dep_of(edge) is not DependencyType.PIPELINEABLE:
             continue
@@ -64,81 +77,110 @@ def realize_pipelines(
         if not schedule_adjacent(dag.op_index(edge.src), dag.op_index(edge.dst)):
             continue
         swizzled = edge.dst in layouts[edge.tensor].swizzled_consumers
-        src_order = op_schedules[edge.src].loop_order
-        dst_order = op_schedules[edge.dst].loop_order
-        if not pipeline_conditions_met(edge, classified, src_order, dst_order, swizzled):
-            continue
-        tile = tile_bytes_of(dag.op(edge.src), op_schedules[edge.src])
+        if pipeline_conditions_met(edge, classified, orders[edge.src],
+                                   orders[edge.dst], swizzled):
+            out.append((edge.src, edge.dst, edge.tensor))
+    return tuple(out)
+
+
+def realize_pipelines(
+    candidates: Tuple[EdgeKey, ...],
+    tiles: Dict[str, int],
+    cfg: AcceleratorConfig,
+) -> Dict[EdgeKey, RealizedPipeline]:
+    """Pass 1: the candidates whose producer's tile (``tiles``, bytes per
+    op) double-buffers in the pipeline buffer."""
+    realized: Dict[EdgeKey, RealizedPipeline] = {}
+    for key in candidates:
+        src, dst, tensor = key
+        tile = tiles[src]
         if 2 * tile > cfg.pipeline_buffer_bytes:
             continue  # cannot double-buffer a stage of this size
-        realized[edge.key()] = RealizedPipeline(
-            src=edge.src, dst=edge.dst, tensor=edge.tensor, tile_bytes=tile
-        )
+        realized[key] = RealizedPipeline(
+            src=src, dst=dst, tensor=tensor, tile_bytes=tile)
     return realized
 
 
-def realize_holds(
-    classified: ClassifiedDag,
-    op_schedules: Dict[str, OpSchedule],
-    pipelines: Dict[Tuple[str, str, str], RealizedPipeline],
-    cfg: AcceleratorConfig,
-    options: BindingOptions,
-) -> Dict[Tuple[str, str, str], RealizedHold]:
-    """Pass 2: delayed-hold edges whose carrier chain actually pipelines.
-
-    The tile can only ride the pipeline buffer to its delayed consumer if
-    every hop of the longest src→dst path is a realized pipeline; the hold
-    window (depth+2 tiles) must fit alongside the stages.
-    """
-    if not options.enable_holds:
-        return {}
+def hold_candidates(classified: ClassifiedDag) -> Tuple[HoldCandidate, ...]:
+    """Pass 2's candidates: every delayed-hold edge with the hops of its
+    longest src→dst path (a hop with no direct edge has tensor None)."""
     dag = classified.dag
-    realized: Dict[Tuple[str, str, str], RealizedHold] = {}
+    out: List[HoldCandidate] = []
     for edge in dag.edges():
         if classified.dep_of(edge) is not DependencyType.DELAYED_HOLD:
             continue
         assert edge.src is not None
         path = dag.longest_path(edge.src, edge.dst)
         assert path is not None and len(path) > 2
-        chain_ok = True
-        for a, b in zip(path, path[1:]):
-            hop_tensor = dag.path_edge_tensor(a, b)
-            if hop_tensor is None or (a, b, hop_tensor) not in pipelines:
-                chain_ok = False
-                break
-        if not chain_ok:
+        hops = tuple((a, b, dag.path_edge_tensor(a, b))
+                     for a, b in zip(path, path[1:]))
+        out.append(HoldCandidate((edge.src, edge.dst, edge.tensor), hops,
+                                 len(path) - 2))
+    return tuple(out)
+
+
+def realize_holds(
+    candidates: Tuple[HoldCandidate, ...],
+    tiles: Dict[str, int],
+    pipelines: Dict[EdgeKey, RealizedPipeline],
+    cfg: AcceleratorConfig,
+) -> Dict[EdgeKey, RealizedHold]:
+    """Pass 2: delayed-hold edges whose carrier chain actually pipelines.
+
+    The tile can only ride the pipeline buffer to its delayed consumer if
+    every hop of the longest src→dst path is a realized pipeline; the hold
+    window (depth+2 tiles) must fit alongside the stages.
+    """
+    realized: Dict[EdgeKey, RealizedHold] = {}
+    for cand in candidates:
+        if not all(hop in pipelines for hop in cand.hops):
             continue
-        tile = tile_bytes_of(dag.op(edge.src), op_schedules[edge.src])
-        depth = len(path) - 2
-        window = (depth + 2) * tile
+        src, dst, tensor = cand.key
+        window = (cand.depth + 2) * tiles[src]
         if window > cfg.pipeline_buffer_bytes:
             continue
-        realized[edge.key()] = RealizedHold(
-            src=edge.src, dst=edge.dst, tensor=edge.tensor,
-            depth=depth, window_bytes=window,
+        realized[cand.key] = RealizedHold(
+            src=src, dst=dst, tensor=tensor,
+            depth=cand.depth, window_bytes=window,
         )
     return realized
 
 
+def tensor_facts(dag: TensorDag,
+                 layouts: Dict[str, LayoutChoice]) -> Tuple[TensorFacts, ...]:
+    """Pass 3's per-tensor facts, in the DAG's tensor order."""
+    outputs = set(dag.program_outputs())
+    out: List[TensorFacts] = []
+    for spec in dag.tensors:
+        layout = layouts[spec.name]
+        major = layout.major_dim
+        out.append(TensorFacts(
+            name=spec.name,
+            bytes=spec.bytes,
+            producer=dag.producer_of(spec.name),
+            consumers=dag.consumers_of(spec.name),
+            is_output=spec.name in outputs,
+            major_rank=(spec.ranks[major].name
+                        if major is not None and major < len(spec.ranks)
+                        else None),
+            swizzled_consumers=layout.swizzled_consumers,
+        ))
+    return tuple(out)
+
+
 def place_tensors(
-    classified: ClassifiedDag,
-    pipelines: Dict[Tuple[str, str, str], RealizedPipeline],
-    holds: Dict[Tuple[str, str, str], RealizedHold],
-    layouts: Dict[str, LayoutChoice],
+    facts: Tuple[TensorFacts, ...],
+    pipelines: Dict[EdgeKey, RealizedPipeline],
+    holds: Dict[EdgeKey, RealizedHold],
     cfg: AcceleratorConfig,
 ) -> Dict[str, TensorPlacement]:
     """Pass 3: per-tensor write route and per-consumer read routes."""
-    dag = classified.dag
-    outputs = set(dag.program_outputs())
     placements: Dict[str, TensorPlacement] = {}
-    for spec in dag.tensors:
-        name = spec.name
-        producer = dag.producer_of(name)
-        consumers = dag.consumers_of(name)
-        layout = layouts[name]
-        small = spec.bytes <= cfg.rf_bytes
+    for f in facts:
+        name, producer = f.name, f.producer
+        small = f.bytes <= cfg.rf_bytes
         routes: Dict[str, Route] = {}
-        for c in consumers:
+        for c in f.consumers:
             if small:
                 routes[c] = Route.REGISTER_FILE
             elif producer is not None and (producer, c, name) in pipelines:
@@ -153,7 +195,7 @@ def place_tensors(
             write_route = Route.REGISTER_FILE
         elif routes and all(
             r in (Route.PIPELINE, Route.HOLD) for r in routes.values()
-        ) and name not in outputs:
+        ) and not f.is_output:
             write_route = Route.PIPELINE  # fully consumed on-chip: no writeback
         else:
             write_route = Route.CHORD
@@ -161,11 +203,7 @@ def place_tensors(
             tensor=name,
             write_route=write_route,
             consumer_routes=routes,
-            major_rank=(
-                spec.ranks[layout.major_dim].name
-                if layout.major_dim is not None and layout.major_dim < len(spec.ranks)
-                else None
-            ),
-            swizzled_consumers=layout.swizzled_consumers,
+            major_rank=f.major_rank,
+            swizzled_consumers=f.swizzled_consumers,
         )
     return placements

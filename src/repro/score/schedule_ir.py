@@ -133,9 +133,6 @@ class Schedule:
         except KeyError:
             raise KeyError(f"op {op_name!r} has no schedule") from None
 
-    def is_pipelined(self, src: str, dst: str, tensor: str) -> bool:
-        return (src, dst, tensor) in self.pipelines
-
     @property
     def n_pipelined_edges(self) -> int:
         return len(self.pipelines)

@@ -15,19 +15,21 @@ and CHORD's implicit policies make the cycle-level decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..chord.hints import ReuseHints
 from ..core.classify import ClassifiedDag, classify_dependencies
 from ..core.dag import TensorDag
 from ..hw.config import DEFAULT_CONFIG, AcceleratorConfig
 from ..sim.phases import timed
-from .binding import BindingOptions, place_tensors, realize_holds, realize_pipelines
+from .binding import (EdgeKey, HoldCandidate, TensorFacts, hold_candidates,
+                      pipeline_candidates, place_tensors, realize_holds,
+                      realize_pipelines, tensor_facts)
 from .loop_order import natural_loop_order
-from .schedule_ir import LoopOrder, Schedule
+from .schedule_ir import OpSchedule, Schedule
 from .swizzle import choose_all_layouts
-from .tiling import choose_tiling
+from .tiling import OpTiling
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,60 @@ class ScoreOptions:
     enable_holds: bool = True
     minimize_swizzle: bool = True
 
-    def binding(self) -> BindingOptions:
-        return BindingOptions(
-            enable_pipelining=self.enable_pipelining,
-            enable_holds=self.enable_holds,
+
+@dataclass(frozen=True)
+class ScorePlan:
+    """Everything SCORE derives from one DAG alone, for one
+    :class:`ScoreOptions`: Algorithm 2, the reuse hints, each op's
+    :class:`OpTiling`, the pipeline and hold candidates and the
+    per-tensor placement facts.  Nothing in it reads the SRAM size;
+    :meth:`bind` adds that."""
+
+    dag: TensorDag
+    classified: ClassifiedDag
+    hints: ReuseHints
+    ops: Tuple[OpTiling, ...]
+    pipelines: Tuple[EdgeKey, ...]
+    holds: Tuple[HoldCandidate, ...]
+    tensors: Tuple[TensorFacts, ...]
+
+    @classmethod
+    def build(cls, dag: TensorDag, classified: ClassifiedDag,
+              options: ScoreOptions) -> "ScorePlan":
+        orders = {op.name: natural_loop_order(op, classified) for op in dag.ops}
+        layouts = choose_all_layouts(dag, orders,
+                                     minimize=options.minimize_swizzle)
+        return cls(
+            dag=dag,
+            classified=classified,
+            hints=ReuseHints.from_dag(dag),
+            ops=tuple(OpTiling.of(op, orders[op.name]) for op in dag.ops),
+            pipelines=(pipeline_candidates(classified, orders, layouts)
+                       if options.enable_pipelining else ()),
+            holds=(hold_candidates(classified)
+                   if options.enable_holds else ()),
+            tensors=tensor_facts(dag, layouts),
+        )
+
+    def tile_bytes(self, op_schedules: Dict[str, OpSchedule]) -> Dict[str, int]:
+        """Bytes of one output tile of every op under ``op_schedules``."""
+        return {t.op_name: t.tile_bytes(op_schedules[t.op_name].tile_size)
+                for t in self.ops}
+
+    def bind(self, cfg: AcceleratorConfig) -> Schedule:
+        """The :class:`Schedule` of this plan on ``cfg``'s SRAM geometry."""
+        op_schedules = {t.op_name: t.schedule(cfg) for t in self.ops}
+        tiles = self.tile_bytes(op_schedules)
+        pipelines = realize_pipelines(self.pipelines, tiles, cfg)
+        holds = realize_holds(self.holds, tiles, pipelines, cfg)
+        return Schedule(
+            dag=self.dag,
+            classified=self.classified,
+            op_schedules=op_schedules,
+            placements=place_tensors(self.tensors, pipelines, holds, cfg),
+            pipelines=pipelines,
+            holds=holds,
+            hints=self.hints,
         )
 
 
@@ -56,71 +108,38 @@ class Score:
         self.cfg = DEFAULT_CONFIG if cfg is None else cfg
         self.options = ScoreOptions() if options is None else options
 
+    def plan(self, dag: TensorDag,
+             classified: Optional[ClassifiedDag] = None) -> ScorePlan:
+        """The :class:`ScorePlan` of ``dag`` under this scheduler's options.
+
+        Without ``classified`` it is kept on the DAG
+        (:meth:`TensorDag.derived`, key ``("score-plan", options)``) next
+        to Algorithm 2 (``"classified"``), so every later schedule of
+        the DAG, at any SRAM size, reuses it.  With ``classified`` it is
+        built afresh from it and not kept.
+        """
+        options = self.options
+        if classified is not None:
+            return ScorePlan.build(dag, classified, options)
+        return dag.derived(("score-plan", options), lambda: ScorePlan.build(
+            dag, dag.derived("classified", lambda: classify_dependencies(dag)),
+            options))
+
     def schedule(self, dag: TensorDag,
                  classified: Optional[ClassifiedDag] = None) -> Schedule:
-        """Produce a full :class:`Schedule` for ``dag``.
+        """Produce a full :class:`Schedule` for ``dag``: its plan
+        (:meth:`plan`) bound to this scheduler's config.
 
-        Steps 1, 3 and 5 and the loop orders read the DAG alone, never
-        the SRAM size.  Without ``classified`` they come from the DAG's
-        derived cache (:meth:`TensorDag.derived`): Algorithm 2, the
-        natural loop orders, the layouts (keyed by ``minimize_swizzle``)
-        and the reuse hints, computed by the first schedule of the DAG
-        and shared by every later one.  Tiling, pipeline and hold
-        realisation and placement read ``pipeline_buffer_bytes`` and
-        ``rf_bytes``, so they run on every call.  A caller that passes
-        ``classified`` gets every stage computed afresh from it.  The
-        call is reported to the phase hook as ``"schedule"``.
+        The plan holds what reads the DAG alone: steps 1, 3 and 5, the
+        loop orders, each op's tiling facts, the pipeline candidates
+        (adjacent, pipelineable, conditions 2–4, not swizzled), the
+        hold candidates with their hops and depth, and the per-tensor
+        placement facts.  Binding reads only ``pipeline_buffer_bytes``,
+        ``rf_bytes`` and ``line_bytes``: it sizes the tiles, keeps the
+        stages whose ``2·tile`` fits the pipeline buffer and the holds
+        whose chain pipelines and whose window fits, and routes each
+        tensor to the RF, a pipeline, a hold or CHORD.  The call is
+        reported to the phase hook as ``"schedule"``.
         """
-        return timed("schedule", lambda: self._schedule(dag, classified))
-
-    def _schedule(self, dag: TensorDag,
-                  classified: Optional[ClassifiedDag]) -> Schedule:
-        minimize = self.options.minimize_swizzle
-        if classified is None:
-            cdag = dag.derived("classified",
-                               lambda: classify_dependencies(dag))
-            orders = dag.derived("loop-orders",
-                                 lambda: _loop_orders(dag, cdag))
-            layouts = dag.derived(
-                ("layouts", minimize),
-                lambda: choose_all_layouts(dag, orders, minimize=minimize))
-            hints = dag.derived("reuse-hints",
-                                lambda: ReuseHints.from_dag(dag))
-        else:
-            cdag = classified
-            orders = _loop_orders(dag, cdag)
-            layouts = choose_all_layouts(dag, orders, minimize=minimize)
-            hints = ReuseHints.from_dag(dag)
-        op_schedules = {
-            op.name: choose_tiling(op, cdag, self.cfg, order=orders[op.name])
-            for op in dag.ops
-        }
-        pipelines = realize_pipelines(
-            cdag, op_schedules, layouts, self.cfg, self.options.binding()
-        )
-        holds = realize_holds(
-            cdag, op_schedules, pipelines, self.cfg, self.options.binding()
-        )
-        placements = place_tensors(cdag, pipelines, holds, layouts, self.cfg)
-        return Schedule(
-            dag=dag,
-            classified=cdag,
-            op_schedules=op_schedules,
-            placements=placements,
-            pipelines=pipelines,
-            holds=holds,
-            hints=hints,
-        )
-
-
-def _loop_orders(dag: TensorDag, cdag: ClassifiedDag) -> Dict[str, LoopOrder]:
-    return {op.name: natural_loop_order(op, cdag) for op in dag.ops}
-
-
-def schedule_program(
-    dag: TensorDag,
-    cfg: Optional[AcceleratorConfig] = None,
-    options: Optional[ScoreOptions] = None,
-) -> Schedule:
-    """Convenience one-shot: classify + schedule ``dag``."""
-    return Score(cfg, options).schedule(dag)
+        return timed("schedule",
+                     lambda: self.plan(dag, classified).bind(self.cfg))

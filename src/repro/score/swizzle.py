@@ -115,6 +115,3 @@ def choose_all_layouts(
         for t in dag.tensors
     }
 
-
-def total_swizzles(choices: Dict[str, LayoutChoice]) -> int:
-    return sum(c.n_swizzles for c in choices.values())

@@ -8,69 +8,75 @@ streamed).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-from ..core.classify import ClassifiedDag
 from ..core.einsum import EinsumOp
 from ..hw.config import AcceleratorConfig
-from .loop_order import natural_loop_order
 from .schedule_ir import LoopOrder, OpSchedule
 
 
-def _largest_input(op: EinsumOp) -> Optional[str]:
-    """Input tensor with the biggest footprint (the stationary one)."""
-    if not op.inputs:
-        return None
-    return max(op.inputs, key=lambda t: t.bytes).name
+@dataclass(frozen=True)
+class OpTiling:
+    """What one op's tiling reads from the DAG: its loop order, the
+    extent of the tiled (outermost) rank, and the byte sizes the stage
+    budget is divided by.  :meth:`schedule` adds the SRAM geometry."""
 
+    op_name: str
+    order: LoopOrder
+    rank_size: int                  # extent of the tiled rank
+    carrier_per_unit: int           # carrier bytes per unit of that rank
+    out_per_unit: Optional[int]     # output bytes per unit; None: not tiled
+    out_bytes: int
+    stationary: Optional[str]       # the largest input
+    inputs: Tuple[Tuple[str, int], ...]  # (name, bytes) of every input
 
-def choose_tiling(
-    op: EinsumOp,
-    classified: ClassifiedDag,
-    cfg: AcceleratorConfig,
-    order: Optional[LoopOrder] = None,
-) -> OpSchedule:
-    """Tile ``op`` along its outermost rank so one tile of the *output*
-    fits a pipeline stage budget.
+    @classmethod
+    def of(cls, op: EinsumOp, order: LoopOrder) -> "OpTiling":
+        rank = op.rank(order.outermost)
+        out = op.output
+        stationary = (max(op.inputs, key=lambda t: t.bytes).name
+                      if op.inputs else None)
+        tiled = out.has_rank(order.outermost)
+        # The output carries the tiled rank, or else the largest operand.
+        carrier = out if tiled else op.input_named(stationary or out.name)
+        return cls(
+            op_name=op.name,
+            order=order,
+            rank_size=rank.size,
+            carrier_per_unit=max(1, carrier.bytes // rank.size),
+            out_per_unit=max(1, out.bytes // rank.size) if tiled else None,
+            out_bytes=out.bytes,
+            stationary=stationary,
+            inputs=tuple((t.name, t.bytes) for t in op.inputs),
+        )
 
-    The stage budget is an eighth of the pipeline buffer: a realized
-    pipeline needs two tiles resident (double buffering) plus headroom for
-    hold windows, and tests pin that ``2 * tile_bytes`` always fits.
-    """
-    if order is None:
-        order = natural_loop_order(op, classified)
-    tile_rank = order.outermost
-    rank = op.rank(tile_rank)
-    out = op.output
-    # Bytes of output (or largest operand carrying the rank) per unit of the
-    # tiled rank.
-    carrier = out if out.has_rank(tile_rank) else op.input_named(_largest_input(op) or out.name)
-    if carrier.has_rank(tile_rank):
-        bytes_per_unit = max(1, carrier.bytes // rank.size)
-    else:
-        bytes_per_unit = max(1, carrier.bytes // rank.size)
-    stage_budget = max(cfg.line_bytes, cfg.pipeline_buffer_bytes // 8)
-    tile_size = max(1, min(rank.size, stage_budget // bytes_per_unit))
-    n_tiles = math.ceil(rank.size / tile_size)
-    small = tuple(
-        t.name for t in op.inputs if t.bytes <= cfg.rf_bytes and t.name != _largest_input(op)
-    )
-    return OpSchedule(
-        op_name=op.name,
-        loop_order=order,
-        tile_rank=tile_rank,
-        tile_size=tile_size,
-        n_tiles=n_tiles,
-        stationary_tensor=_largest_input(op),
-        rf_tensors=small,
-    )
+    def schedule(self, cfg: AcceleratorConfig) -> OpSchedule:
+        """Tile along the outermost rank so one tile of the *output* fits
+        a pipeline stage budget.
 
+        The stage budget is an eighth of the pipeline buffer: a realized
+        pipeline needs two tiles resident (double buffering) plus headroom
+        for hold windows, and tests pin that ``2 * tile_bytes`` always
+        fits.
+        """
+        stage_budget = max(cfg.line_bytes, cfg.pipeline_buffer_bytes // 8)
+        tile_size = max(1, min(self.rank_size,
+                               stage_budget // self.carrier_per_unit))
+        return OpSchedule(
+            op_name=self.op_name,
+            loop_order=self.order,
+            tile_rank=self.order.outermost,
+            tile_size=tile_size,
+            n_tiles=math.ceil(self.rank_size / tile_size),
+            stationary_tensor=self.stationary,
+            rf_tensors=tuple(name for name, nbytes in self.inputs
+                             if nbytes <= cfg.rf_bytes
+                             and name != self.stationary),
+        )
 
-def tile_bytes_of(op: EinsumOp, sched: OpSchedule) -> int:
-    """Bytes of one output tile under ``sched`` (pipeline stage size)."""
-    out = op.output
-    if sched.tile_rank and out.has_rank(sched.tile_rank):
-        per_unit = max(1, out.bytes // op.rank(sched.tile_rank).size)
-        return per_unit * sched.tile_size
-    return out.bytes
-
+    def tile_bytes(self, tile_size: int) -> int:
+        """Bytes of one output tile of ``tile_size`` (pipeline stage size)."""
+        if self.out_per_unit is None:
+            return self.out_bytes
+        return self.out_per_unit * tile_size

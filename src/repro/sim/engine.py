@@ -79,20 +79,8 @@ class ScheduleEngine:
         rf_bytes_touched = 0
         pipe_bytes_touched = 0
         touched: Set[str] = set()
-
-        # Per-tensor lookups are loop-invariant: placement, size, cold-input
-        # status and last use never change mid-program, so resolve them once
-        # instead of per (op, operand) event in the inner loops.
-        placement_of: Dict[str, object] = {}
-        nbytes_of: Dict[str, int] = {}
-        is_cold_input: Dict[str, bool] = {}
-        last_use_of: Dict[str, Optional[int]] = {}
-        for t in dag.tensors:
-            name = t.name
-            placement_of[name] = schedule.placement(name)
-            nbytes_of[name] = t.bytes
-            is_cold_input[name] = dag.producer_of(name) is None
-            last_use_of[name] = hints.get(name).last_use()
+        placement_of = schedule.placements
+        nbytes_of, is_cold_input, last_use_of = _engine_facts(dag)
 
         hook = get_phase_hook()
         t_account = time.perf_counter() if hook is not None else 0.0
@@ -252,6 +240,17 @@ class CacheEngine:
             cfg=cfg,
             onchip_accesses={"cache": stats.accesses * g},
         )
+
+
+def _engine_facts(dag: TensorDag) -> Tuple[Dict[str, int], Dict[str, bool],
+                                           Dict[str, Optional[int]]]:
+    """Per-tensor size, cold-input flag and last use: the CHORD walk's
+    loop-invariant lookups, read from the DAG once and kept on it."""
+    return dag.derived("engine-facts", lambda: (
+        {t.name: t.bytes for t in dag.tensors},
+        {t.name: dag.producer_of(t.name) is None for t in dag.tensors},
+        {t.name: dag.last_use_index(t.name) for t in dag.tensors},
+    ))
 
 
 def _trace(dag: TensorDag, cfg: AcceleratorConfig) -> Tuple:

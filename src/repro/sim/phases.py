@@ -1,7 +1,7 @@
 """The process-wide engine phase hook.
 
-``hook(phase, seconds)`` is called once per phase of each simulated
-point, with phases
+``hook(phase, seconds)`` is called once per phase of engine work, with
+phases
 
 * ``"dag-build"`` — a workload DAG built on a memo miss
   (:func:`repro.workloads.registry.workload_dag`; a hit reports nothing),
@@ -12,6 +12,10 @@ point, with phases
 * ``"cache-kernel"`` — the footprint's fit check, and the
   set-associative replay when it does not fit, and
 * ``"chord-accounting"`` — the schedule-driven op walk.
+
+Engine work is not only simulation: an analytic ``predict`` and a hybrid
+tune's model compile also build DAGs and call ``Score.schedule``, so
+``dag-build`` and ``schedule`` gain observations with no simulated point.
 
 ``None`` (the default, and what one-shot CLI runs keep) leaves the hot
 paths timer-free; the service daemon always installs a histogram-feeding

@@ -24,7 +24,7 @@ from repro.baselines import runner
 from repro.buffers.brrip import BrripPolicy
 from repro.buffers.lru import LruPolicy
 from repro.hw.config import KIB, AcceleratorConfig
-from repro.score.scheduler import Score, schedule_program
+from repro.score.scheduler import Score
 from repro.sim.engine import CacheEngine, EngineOptions, ScheduleEngine
 from repro.tuner import GridStrategy, RandomStrategy, TuneSpace, tune
 from repro.workloads.random_dag import RandomDagProblem, build_random_dag
@@ -55,7 +55,7 @@ class TestScheduleEngineProperties:
     @settings(max_examples=40, deadline=None)
     def test_occupancy_audit_matches_incremental_counter(self, problem):
         dag = build_random_dag(problem)
-        schedule = schedule_program(dag, CFG)
+        schedule = Score(CFG).schedule(dag)
         for options in OPTION_COMBOS:
             engine = ScheduleEngine(CFG, options)
             engine.run(schedule)
@@ -68,7 +68,7 @@ class TestScheduleEngineProperties:
     @settings(max_examples=40, deadline=None)
     def test_dram_traffic_non_negative_and_conserved(self, problem):
         dag = build_random_dag(problem)
-        schedule = schedule_program(dag, CFG)
+        schedule = Score(CFG).schedule(dag)
         for options in OPTION_COMBOS:
             engine = ScheduleEngine(CFG, options)
             result = engine.run(schedule)
@@ -101,7 +101,7 @@ class TestScheduleEngineProperties:
     @settings(max_examples=15, deadline=None)
     def test_runs_are_reproducible(self, problem):
         dag = build_random_dag(problem)
-        schedule = schedule_program(dag, CFG)
+        schedule = Score(CFG).schedule(dag)
         a = ScheduleEngine(CFG).run(schedule)
         b = ScheduleEngine(CFG).run(schedule)
         assert a == b

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytic.backend import clear_model_cache
 from repro.baselines.configs import run_config
 from repro.hw.config import AcceleratorConfig
 from repro.service import (
@@ -582,6 +583,22 @@ class TestTracedLoopback:
         assert phases["dag-build"].count == len(workloads)
         # Flexagon never schedules; CELLO does, once a point
         assert phases["schedule"].count == len(workloads) * 3
+
+    def test_predict_times_phases_without_simulating(self, traced_server):
+        """The phase histograms time engine work of any request, not
+        only of simulated points: an analytic ``predict`` compiles its
+        model through SCORE in the daemon, so on a fresh daemon it
+        leaves a ``schedule`` series while ``simulations`` stays 0."""
+        srv, _ = traced_server
+        registry.clear_dag_cache()
+        clear_model_cache()
+        with srv.client() as client:
+            client.predict(WORKLOAD, "CELLO", sram_mb=4.0)
+            metrics = client.metrics()
+        assert metrics["simulations"] == 0
+        phases = HistogramFamily.merged_by(metrics["phases"], "phase")
+        assert phases["schedule"].count == 1
+        assert phases["dag-build"].count == 1
 
     def test_pool_workers_ship_every_phase(self, tmp_path):
         """A default two-worker daemon fills every phase histogram for a

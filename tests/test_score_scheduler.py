@@ -2,22 +2,20 @@
 
 import pytest
 
+from repro.baselines.configs import resolve_config
+from repro.baselines.flexagon import (covered_tensors, onchip_accesses,
+                                      oracle_traffic)
 from repro.core.classify import classify_dependencies
-from repro.hw.config import AcceleratorConfig
-from repro.score.binding import (
-    BindingOptions,
-    place_tensors,
-    realize_holds,
-    realize_pipelines,
-)
+from repro.hw.config import MIB, AcceleratorConfig
+from repro.score.binding import place_tensors, realize_holds, realize_pipelines
 from repro.score.loop_order import natural_loop_order, schedule_adjacent
 from repro.score.schedule_ir import LoopOrder, Route
 from repro.score.scheduler import Score, ScoreOptions
-from repro.score.swizzle import choose_all_layouts
-from repro.score.tiling import choose_tiling, tile_bytes_of
+from repro.workloads import registry
 from repro.workloads.cg import CgProblem, build_cg_dag
 from repro.workloads.gnn import build_gnn_dag, cora_problem, protein_problem
 from repro.workloads.matrices import FV1, SHALLOW_WATER1
+from repro.workloads.registry import resolve_workload, workload_dag
 from repro.workloads.resnet import build_resnet_block_dag
 
 CFG = AcceleratorConfig()
@@ -85,18 +83,17 @@ class TestLoopOrder:
 class TestTiling:
     def test_tile_covers_rank(self, cg_sched):
         dag = cg_sched.dag
-        cdag = cg_sched.classified
-        for op in dag.ops:
-            s = choose_tiling(op, cdag, CFG)
-            rank = op.rank(s.tile_rank)
+        for tiling in Score(CFG).plan(dag).ops:
+            s = tiling.schedule(CFG)
+            rank = dag.op(s.op_name).rank(s.tile_rank)
             assert s.n_tiles * s.tile_size >= rank.size
             assert s.tile_size <= rank.size
 
     def test_tile_fits_double_buffered_stage(self, cg_sched):
-        dag = cg_sched.dag
-        for op in dag.ops:
-            s = cg_sched.op_schedule(op.name)
-            tb = tile_bytes_of(op, s)
+        tiles = Score(CFG).plan(cg_sched.dag).tile_bytes(
+            cg_sched.op_schedules)
+        assert set(tiles) == set(cg_sched.dag.op_names)
+        for tb in tiles.values():
             assert 2 * tb <= CFG.pipeline_buffer_bytes
 
     def test_small_tensors_assigned_to_rf(self, cg_sched):
@@ -176,11 +173,13 @@ class TestCapacityBoundary:
     ``(d+2)·tile``.  Each must fit at exactly that size and not one byte
     below it."""
 
+    def _plan(self, sched, options=ScoreOptions()):
+        return Score(CFG, options).plan(sched.dag)
+
     def _pipelines(self, sched, cfg):
-        orders = {name: s.loop_order for name, s in sched.op_schedules.items()}
-        layouts = choose_all_layouts(sched.dag, orders)
-        return realize_pipelines(sched.classified, sched.op_schedules,
-                                 layouts, cfg, BindingOptions())
+        plan = self._plan(sched)
+        return realize_pipelines(
+            plan.pipelines, plan.tile_bytes(sched.op_schedules), cfg)
 
     def _assert_stage_boundary(self, sched):
         assert sched.pipelines
@@ -191,9 +190,10 @@ class TestCapacityBoundary:
             assert key not in self._pipelines(
                 sched, _cfg_with_pipeline_buffer(need - 1))
 
-    def _holds(self, sched, pipelines, cfg=CFG, options=BindingOptions()):
-        return realize_holds(sched.classified, sched.op_schedules,
-                             pipelines, cfg, options)
+    def _holds(self, sched, pipelines, cfg=CFG, options=ScoreOptions()):
+        plan = self._plan(sched, options)
+        return realize_holds(plan.holds, plan.tile_bytes(sched.op_schedules),
+                             pipelines, cfg)
 
     def test_stage_fits_at_exactly_two_tiles(self, resnet_sched):
         self._assert_stage_boundary(resnet_sched)
@@ -206,15 +206,13 @@ class TestCapacityBoundary:
 
     def test_hold_fits_at_exactly_depth_plus_two_tiles(self, resnet_sched):
         (key, hold), = resnet_sched.holds.items()
-        tile = tile_bytes_of(resnet_sched.dag.op(hold.src),
-                             resnet_sched.op_schedule(hold.src))
+        tile = self._plan(resnet_sched).tile_bytes(
+            resnet_sched.op_schedules)[hold.src]
         need = (hold.depth + 2) * tile
         assert hold.window_bytes == need
 
         def holds(cfg):
-            return realize_holds(resnet_sched.classified,
-                                 resnet_sched.op_schedules,
-                                 resnet_sched.pipelines, cfg, BindingOptions())
+            return self._holds(resnet_sched, resnet_sched.pipelines, cfg)
 
         realized = holds(_cfg_with_pipeline_buffer(need))
         assert realized[key].window_bytes == need
@@ -232,16 +230,13 @@ class TestCapacityBoundary:
             assert key not in self._holds(resnet_sched, broken)
 
     def test_disabled_pipelining_realizes_no_stage(self, resnet_sched):
-        orders = {name: s.loop_order
-                  for name, s in resnet_sched.op_schedules.items()}
-        layouts = choose_all_layouts(resnet_sched.dag, orders)
-        assert realize_pipelines(
-            resnet_sched.classified, resnet_sched.op_schedules, layouts,
-            CFG, BindingOptions(enable_pipelining=False)) == {}
+        plan = self._plan(resnet_sched, ScoreOptions(enable_pipelining=False))
+        assert plan.pipelines == ()
+        assert plan.bind(CFG).pipelines == {}
 
     def test_disabled_holds_realize_no_hold(self, resnet_sched):
         assert self._holds(resnet_sched, resnet_sched.pipelines,
-                           options=BindingOptions(enable_holds=False)) == {}
+                           options=ScoreOptions(enable_holds=False)) == {}
 
 
 def _cfg_with_rf(nbytes):
@@ -257,10 +252,8 @@ class TestRegisterFileBoundary:
     tensor's size holds it, one byte less does not."""
 
     def _placements(self, sched, cfg):
-        orders = {name: s.loop_order for name, s in sched.op_schedules.items()}
-        layouts = choose_all_layouts(sched.dag, orders)
-        return place_tensors(sched.classified, sched.pipelines, sched.holds,
-                             layouts, cfg)
+        return place_tensors(Score(CFG).plan(sched.dag).tensors,
+                             sched.pipelines, sched.holds, cfg)
 
     def test_tensor_at_exactly_rf_capacity_lives_in_rf(self, cg_sched):
         nbytes = cg_sched.dag.tensor("Lambda@0").bytes
@@ -313,3 +306,74 @@ class TestOptions:
         assert "S@0" in chord
         assert "X@1" in chord
         assert "Delta@0" not in chord
+
+
+#: The smoke grid's four DAGs, the ResNet block and one random program.
+PLAN_WORKLOADS = ("cg/fv1/N=1", "bicgstab/fv1/N=1", "gnn/cora",
+                  "mg/fv1/N=1", "resnet/conv3_x", "rand/s=2/ops=24/f=3/k=8")
+#: Every Table IV row that runs a SCORE schedule.
+PLAN_CONFIGS = ("FLAT", "SET", "PRELUDE-only", "CELLO")
+#: SRAM sizes in interleaved order, then a non-default register file: a
+#: plan that kept anything of one geometry would show at the next.
+PLAN_GEOMETRIES = tuple(
+    AcceleratorConfig(sram_bytes=int(mb * MIB))
+    for mb in (0.25, 64, 1, 4, 4.0005)
+) + (AcceleratorConfig(rf_bytes=4096),)
+
+
+def _schedule_fields(sched):
+    return (sched.op_schedules, sched.placements, sched.pipelines,
+            sched.holds)
+
+
+def _plain_oracle(dag, covered, line_bytes):
+    """The oracle's traffic and buffet accesses, summed op by op."""
+    reads = writes = staged = 0
+    for op in dag.ops:
+        for t in op.inputs:
+            staged += dag.tensor(t.name).bytes
+            if t.name not in covered:
+                reads += dag.tensor(t.name).bytes
+        staged += dag.tensor(op.output.name).bytes
+        if op.output.name not in covered:
+            writes += dag.tensor(op.output.name).bytes
+    return reads, writes, staged // line_bytes
+
+
+class TestPlanIsCapacityIndependent:
+    """SCORE keeps one plan per DAG and ScoreOptions and binds it to each
+    point's SRAM geometry.  On one shared memoised DAG, every bound
+    schedule must equal the schedule of a freshly built DAG, and the
+    ``classified=`` path (built afresh, never kept) must agree; the
+    oracle's per-DAG byte totals must equal a plain re-summation."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        registry.clear_dag_cache()
+        yield
+        registry.clear_dag_cache()
+
+    @pytest.mark.parametrize("name", PLAN_WORKLOADS)
+    def test_bound_plan_equals_fresh_schedule(self, name):
+        workload = resolve_workload(name)
+        dag = workload_dag(workload)
+        for cfg in PLAN_GEOMETRIES:
+            fresh = workload.build()
+            classified = classify_dependencies(fresh)
+            for config in PLAN_CONFIGS:
+                score = Score(cfg, resolve_config(config).score)
+                got = score.schedule(dag)
+                want = _schedule_fields(score.schedule(fresh))
+                assert _schedule_fields(got) == want, (config, cfg)
+                assert _schedule_fields(
+                    score.schedule(fresh, classified)) == want
+                for covered in (set(), covered_tensors(got)):
+                    reads, writes, staged = _plain_oracle(
+                        fresh, covered, cfg.line_bytes)
+                    assert oracle_traffic(dag, covered) == (reads, writes)
+                    assert onchip_accesses(dag, cfg) == staged
+        # one plan per ScoreOptions, however many sizes were bound
+        plans = [k for k in dag._derived
+                 if isinstance(k, tuple) and k[0] == "score-plan"]
+        assert len(plans) == len({resolve_config(c).score
+                                  for c in PLAN_CONFIGS})
