@@ -233,8 +233,9 @@ def bench_analytic_eval(evals: int, sim_evals: int,
 
     * **simulated** — rebuild the DAG and replay the schedule engine
       from scratch ``sim_evals`` times, rounded up to a whole number
-      per round (``runner.clear_cache()`` between runs — a fresh point
-      never hits the memo);
+      per round (``runner.clear_cache()`` and
+      ``registry.clear_dag_cache()`` between runs — a fresh point never
+      hits the memo, and the DAG and its kept SCORE plan are rebuilt);
     * **point-wise analytic** — the compiled model, compile once,
       ``model.evaluate`` ``evals`` times (≥10k at full size so the rate
       is not single-call noise);
@@ -263,6 +264,7 @@ def bench_analytic_eval(evals: int, sim_evals: int,
     from ..baselines import runner
     from ..baselines.configs import cello_variant_name
     from ..sim.engine import EngineOptions
+    from ..workloads import registry
     from ..workloads.registry import resolve_workload
 
     cfg = AcceleratorConfig()
@@ -285,6 +287,7 @@ def bench_analytic_eval(evals: int, sim_evals: int,
     def run_simulated() -> None:
         for _ in range(round_sims):
             runner.clear_cache()
+            registry.clear_dag_cache()
             runner.run_workload_config(workload, "CELLO", cfg)
 
     rows = np.arange(batch_points)

@@ -11,6 +11,7 @@ DAG; its size is O(nodes + edges), which is the whole point of Sec. VI-B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from ..core.dag import TensorDag
@@ -76,6 +77,17 @@ class ReuseHints:
                 is_program_output=t.name in outputs,
             )
         return cls(hints)
+
+    @cached_property
+    def walk_lookups(self) -> Tuple[Dict[str, int], Dict[str, bool],
+                                    Dict[str, Optional[int]]]:
+        """Per-tensor bytes, cold-input flag (no producer) and last use as
+        flat dicts: the CHORD walk's loop-invariant lookups, built once
+        per hints object and so once per SCORE plan."""
+        hints = self._by_tensor.values()
+        return ({h.name: h.total_bytes for h in hints},
+                {h.name: h.producer_index is None for h in hints},
+                {h.name: h.last_use() for h in hints})
 
     def get(self, tensor: str) -> TensorHints:
         try:

@@ -16,15 +16,18 @@ A tensor whose consumers are all satisfied on-chip and which is not a
 program output is never written back at all.
 
 Each pass is split in two.  The *candidates* (:func:`pipeline_candidates`,
-:func:`hold_candidates`, :func:`tensor_facts`) read the DAG alone and are
+:func:`hold_candidates`, :func:`layout_facts`) read the DAG alone and are
 part of SCORE's per-DAG plan; the *realize/place* half reads only the
-tile sizes, ``pipeline_buffer_bytes`` and ``rf_bytes``.
+tile sizes, ``pipeline_buffer_bytes`` and ``rf_bytes``.  Placement reads
+each tensor's size, producer, consumers and output flag from the plan's
+:class:`~repro.chord.hints.ReuseHints`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..chord.hints import ReuseHints
 from ..core.classify import ClassifiedDag, DependencyType
 from ..core.dag import TensorDag
 from ..hw.config import AcceleratorConfig
@@ -49,14 +52,10 @@ class HoldCandidate(NamedTuple):
     depth: int          # intervening pipeline stages
 
 
-class TensorFacts(NamedTuple):
-    """What placing one tensor reads from the DAG and its layout."""
+class LayoutFacts(NamedTuple):
+    """The layout half of placing one tensor: its major rank and the
+    consumers that read it swizzled."""
 
-    name: str
-    bytes: int
-    producer: Optional[str]
-    consumers: Tuple[str, ...]
-    is_output: bool
     major_rank: Optional[str]
     swizzled_consumers: Tuple[str, ...]
 
@@ -146,41 +145,43 @@ def realize_holds(
     return realized
 
 
-def tensor_facts(dag: TensorDag,
-                 layouts: Dict[str, LayoutChoice]) -> Tuple[TensorFacts, ...]:
-    """Pass 3's per-tensor facts, in the DAG's tensor order."""
-    outputs = set(dag.program_outputs())
-    out: List[TensorFacts] = []
+def layout_facts(dag: TensorDag,
+                 layouts: Dict[str, LayoutChoice]) -> Dict[str, LayoutFacts]:
+    """Pass 3's per-tensor layout facts."""
+    out: Dict[str, LayoutFacts] = {}
     for spec in dag.tensors:
         layout = layouts[spec.name]
         major = layout.major_dim
-        out.append(TensorFacts(
-            name=spec.name,
-            bytes=spec.bytes,
-            producer=dag.producer_of(spec.name),
-            consumers=dag.consumers_of(spec.name),
-            is_output=spec.name in outputs,
+        out[spec.name] = LayoutFacts(
             major_rank=(spec.ranks[major].name
                         if major is not None and major < len(spec.ranks)
                         else None),
             swizzled_consumers=layout.swizzled_consumers,
-        ))
-    return tuple(out)
+        )
+    return out
 
 
 def place_tensors(
-    facts: Tuple[TensorFacts, ...],
+    hints: ReuseHints,
+    op_names: Sequence[str],
+    layouts: Dict[str, LayoutFacts],
     pipelines: Dict[EdgeKey, RealizedPipeline],
     holds: Dict[EdgeKey, RealizedHold],
     cfg: AcceleratorConfig,
 ) -> Dict[str, TensorPlacement]:
-    """Pass 3: per-tensor write route and per-consumer read routes."""
+    """Pass 3: per-tensor write route and per-consumer read routes.
+
+    ``hints`` gives each tensor's size, output flag and its producer's
+    and consumers' program indices, which ``op_names`` names."""
     placements: Dict[str, TensorPlacement] = {}
-    for f in facts:
-        name, producer = f.name, f.producer
-        small = f.bytes <= cfg.rf_bytes
+    for h in hints:
+        name = h.name
+        producer = (None if h.producer_index is None
+                    else op_names[h.producer_index])
+        small = h.total_bytes <= cfg.rf_bytes
         routes: Dict[str, Route] = {}
-        for c in f.consumers:
+        for i in h.consumer_indices:
+            c = op_names[i]
             if small:
                 routes[c] = Route.REGISTER_FILE
             elif producer is not None and (producer, c, name) in pipelines:
@@ -195,15 +196,16 @@ def place_tensors(
             write_route = Route.REGISTER_FILE
         elif routes and all(
             r in (Route.PIPELINE, Route.HOLD) for r in routes.values()
-        ) and not f.is_output:
+        ) and not h.is_program_output:
             write_route = Route.PIPELINE  # fully consumed on-chip: no writeback
         else:
             write_route = Route.CHORD
+        layout = layouts[name]
         placements[name] = TensorPlacement(
             tensor=name,
             write_route=write_route,
             consumer_routes=routes,
-            major_rank=f.major_rank,
-            swizzled_consumers=f.swizzled_consumers,
+            major_rank=layout.major_rank,
+            swizzled_consumers=layout.swizzled_consumers,
         )
     return placements

@@ -23,9 +23,9 @@ from ..core.classify import ClassifiedDag, classify_dependencies
 from ..core.dag import TensorDag
 from ..hw.config import DEFAULT_CONFIG, AcceleratorConfig
 from ..sim.phases import timed
-from .binding import (EdgeKey, HoldCandidate, TensorFacts, hold_candidates,
-                      pipeline_candidates, place_tensors, realize_holds,
-                      realize_pipelines, tensor_facts)
+from .binding import (EdgeKey, HoldCandidate, LayoutFacts, hold_candidates,
+                      layout_facts, pipeline_candidates, place_tensors,
+                      realize_holds, realize_pipelines)
 from .loop_order import natural_loop_order
 from .schedule_ir import OpSchedule, Schedule
 from .swizzle import choose_all_layouts
@@ -46,7 +46,7 @@ class ScorePlan:
     """Everything SCORE derives from one DAG alone, for one
     :class:`ScoreOptions`: Algorithm 2, the reuse hints, each op's
     :class:`OpTiling`, the pipeline and hold candidates and the
-    per-tensor placement facts.  Nothing in it reads the SRAM size;
+    per-tensor layout facts.  Nothing in it reads the SRAM size;
     :meth:`bind` adds that."""
 
     dag: TensorDag
@@ -55,7 +55,7 @@ class ScorePlan:
     ops: Tuple[OpTiling, ...]
     pipelines: Tuple[EdgeKey, ...]
     holds: Tuple[HoldCandidate, ...]
-    tensors: Tuple[TensorFacts, ...]
+    layouts: Dict[str, LayoutFacts]
 
     @classmethod
     def build(cls, dag: TensorDag, classified: ClassifiedDag,
@@ -72,7 +72,7 @@ class ScorePlan:
                        if options.enable_pipelining else ()),
             holds=(hold_candidates(classified)
                    if options.enable_holds else ()),
-            tensors=tensor_facts(dag, layouts),
+            layouts=layout_facts(dag, layouts),
         )
 
     def tile_bytes(self, op_schedules: Dict[str, OpSchedule]) -> Dict[str, int]:
@@ -90,7 +90,9 @@ class ScorePlan:
             dag=self.dag,
             classified=self.classified,
             op_schedules=op_schedules,
-            placements=place_tensors(self.tensors, pipelines, holds, cfg),
+            placements=place_tensors(
+                self.hints, [t.op_name for t in self.ops], self.layouts,
+                pipelines, holds, cfg),
             pipelines=pipelines,
             holds=holds,
             hints=self.hints,
@@ -133,12 +135,13 @@ class Score:
         The plan holds what reads the DAG alone: steps 1, 3 and 5, the
         loop orders, each op's tiling facts, the pipeline candidates
         (adjacent, pipelineable, conditions 2–4, not swizzled), the
-        hold candidates with their hops and depth, and the per-tensor
-        placement facts.  Binding reads only ``pipeline_buffer_bytes``,
-        ``rf_bytes`` and ``line_bytes``: it sizes the tiles, keeps the
-        stages whose ``2·tile`` fits the pipeline buffer and the holds
-        whose chain pipelines and whose window fits, and routes each
-        tensor to the RF, a pipeline, a hold or CHORD.  The call is
+        hold candidates with their hops and depth, and each tensor's
+        major rank and swizzled consumers.  Binding reads only
+        ``pipeline_buffer_bytes``, ``rf_bytes`` and ``line_bytes``: it
+        sizes the tiles, keeps the stages whose ``2·tile`` fits the
+        pipeline buffer and the holds whose chain pipelines and whose
+        window fits, and routes each tensor to the RF, a pipeline, a
+        hold or CHORD from its reuse hints.  The call is
         reported to the phase hook as ``"schedule"``.
         """
         return timed("schedule",

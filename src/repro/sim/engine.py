@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..buffers.cache import (ReplacementPolicy, SetAssociativeCache,
                              TraceFootprint, cache_sets, check_backend)
@@ -80,7 +80,7 @@ class ScheduleEngine:
         pipe_bytes_touched = 0
         touched: Set[str] = set()
         placement_of = schedule.placements
-        nbytes_of, is_cold_input, last_use_of = _engine_facts(dag)
+        nbytes_of, is_cold_input, last_use_of = hints.walk_lookups
 
         hook = get_phase_hook()
         t_account = time.perf_counter() if hook is not None else 0.0
@@ -240,17 +240,6 @@ class CacheEngine:
             cfg=cfg,
             onchip_accesses={"cache": stats.accesses * g},
         )
-
-
-def _engine_facts(dag: TensorDag) -> Tuple[Dict[str, int], Dict[str, bool],
-                                           Dict[str, Optional[int]]]:
-    """Per-tensor size, cold-input flag and last use: the CHORD walk's
-    loop-invariant lookups, read from the DAG once and kept on it."""
-    return dag.derived("engine-facts", lambda: (
-        {t.name: t.bytes for t in dag.tensors},
-        {t.name: dag.producer_of(t.name) is None for t in dag.tensors},
-        {t.name: dag.last_use_index(t.name) for t in dag.tensors},
-    ))
 
 
 def _trace(dag: TensorDag, cfg: AcceleratorConfig) -> Tuple:

@@ -252,8 +252,9 @@ class TestRegisterFileBoundary:
     tensor's size holds it, one byte less does not."""
 
     def _placements(self, sched, cfg):
-        return place_tensors(Score(CFG).plan(sched.dag).tensors,
-                             sched.pipelines, sched.holds, cfg)
+        plan = Score(CFG).plan(sched.dag)
+        return place_tensors(plan.hints, [op.name for op in sched.dag.ops],
+                             plan.layouts, sched.pipelines, sched.holds, cfg)
 
     def test_tensor_at_exactly_rf_capacity_lives_in_rf(self, cg_sched):
         nbytes = cg_sched.dag.tensor("Lambda@0").bytes

@@ -19,8 +19,9 @@ ride along:
   15-19x at parity today);
 * the analytic traffic model must still be dramatically faster than the
   simulated path it replaces (``analytic_over_simulated`` stays above
-  ``--min-analytic-speedup``, default 100 — ~160x on a 2-vCPU VM today;
-  below that the hybrid tuner's fast path has stopped being fast);
+  ``--min-analytic-speedup``, default 100 — ~600x on a 2-vCPU VM today
+  against a simulation that rebuilds the DAG; below that the hybrid
+  tuner's fast path has stopped being fast);
 * the batch analytic evaluator must still amortise the Python dispatch
   it exists to remove (``batch_over_pointwise`` stays above
   ``--min-batch-speedup``, default 50 — the columnar tuner path is
