@@ -18,22 +18,11 @@ Quickstart::
     cello = baselines.run_workload_config(w, "CELLO", cfg)
     flex = baselines.run_workload_config(w, "Flexagon", cfg)
     print(f"CELLO speedup: {cello.speedup_over(flex):.1f}x")
-"""
 
-from . import (
-    analysis,
-    baselines,
-    buffers,
-    chord,
-    core,
-    experiments,
-    hw,
-    orchestrator,
-    score,
-    sim,
-    solvers,
-    workloads,
-)
+The package imports no subpackage itself: an import loads only what it
+names, so a daemon or a CLI verb never pays for the numeric oracles
+(``solvers``, the SciPy-backed ``workloads.matrices`` builders).
+"""
 
 __version__ = "1.0.0"
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List, Mapping, Sequence
 
 from ..hw.config import GB, MIB
-from ..service.metrics import HistogramFamily
 from .report import render_table
 
 
@@ -45,6 +44,9 @@ def _histogram_percentile_lines(snapshot: object, label: str,
     empty when nothing has been observed."""
     if not isinstance(snapshot, Mapping) or not snapshot.get("series"):
         return []
+    # Imported here: loading repro.service at module level would put
+    # asyncio and both daemons on every CLI verb's import path.
+    from ..service.metrics import HistogramFamily
     try:
         merged = HistogramFamily.merged_by(snapshot, label)
     except (ValueError, KeyError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis.report import render_table
 from .buffer import ChordBuffer
 
 
@@ -49,6 +48,8 @@ def render_occupancy(chord: ChordBuffer, width: int = 60, height: int = 10) -> s
 
 def traffic_audit(chord: ChordBuffer, top: int = 15) -> str:
     """Per-tensor DRAM attribution, heaviest offenders first."""
+    from ..analysis.report import render_table  # chord sits below analysis
+
     rows = []
     for name, rec in chord.per_tensor.items():
         dram = rec["miss"] + rec["spill"] + rec["writeback"]

@@ -22,10 +22,13 @@ never touches event-loop state directly — the services hand it a
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .metrics import Histogram
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Content type of the Prometheus text exposition format.
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -248,6 +251,10 @@ class PromExporter:
 
     def start(self) -> int:
         """Bind and serve in the background; returns the bound port."""
+        # Imported here: only a daemon started with a Prometheus port
+        # serves HTTP, so only it pays for loading http.server.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         snapshot_fn = self._snapshot_fn
 
         class Handler(BaseHTTPRequestHandler):

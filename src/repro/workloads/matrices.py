@@ -12,16 +12,21 @@ matrices of matching shape/occupancy for the numeric solvers:
   (shallow_water1 has exactly 4 nnz/row, NASA4704 ~22);
 * ``random_symmetric_spd`` — random symmetric pattern + diagonal dominance
   (G2_circuit-like irregular occupancy).
+
+Only these generators need SciPy, so they import it themselves: the
+cost model reads a :class:`MatrixSpec` and never loads ``scipy``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,8 @@ DATASETS: Dict[str, MatrixSpec] = {
 
 def poisson2d(side: int) -> sp.csr_matrix:
     """5-point Laplacian on a ``side`` × ``side`` grid (SPD)."""
+    import scipy.sparse as sp
+
     if side <= 0:
         raise ValueError("side must be positive")
     n = side * side
@@ -84,6 +91,8 @@ def poisson2d(side: int) -> sp.csr_matrix:
 
 def stencil9(side: int) -> sp.csr_matrix:
     """9-point Laplacian on a ``side`` × ``side`` grid (SPD, ~9 nnz/row)."""
+    import scipy.sparse as sp
+
     if side <= 0:
         raise ValueError("side must be positive")
     n = side * side
@@ -108,6 +117,8 @@ def banded_spd(m: int, bands: int, band_offsets: Optional[Tuple[int, ...]] = Non
     nnz ≈ m * (1 + 2*bands) minus boundary truncation; choose
     ``bands = (target_nnz/m - 1) / 2``.
     """
+    import scipy.sparse as sp
+
     if m <= 0 or bands < 0:
         raise ValueError("m must be positive, bands non-negative")
     if band_offsets is None:
@@ -132,6 +143,8 @@ def random_symmetric_spd(m: int, nnz_target: int, seed: int = 0) -> sp.csr_matri
     Total nnz lands within a few percent of ``nnz_target`` (diagonal
     included); entries are -1 with a dominant positive diagonal.
     """
+    import scipy.sparse as sp
+
     if nnz_target < m:
         raise ValueError("nnz_target must be at least m (the diagonal)")
     rng = np.random.default_rng(seed)
@@ -165,6 +178,8 @@ def _trim_to_nnz(a: sp.csr_matrix, target_nnz: int, seed: int = 0) -> sp.csr_mat
     Diagonal entries are never removed and the generators keep the diagonal
     dominant over the *untrimmed* rows, so SPD-ness survives trimming.
     """
+    import scipy.sparse as sp
+
     a = a.tocoo()
     excess = a.nnz - target_nnz
     if excess <= 0:
